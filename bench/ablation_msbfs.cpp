@@ -11,6 +11,13 @@
 // arm's edge bytes read must be >= 8x the batch arm's (measured margin
 // is far higher; 8x is the conservative CI floor).
 //
+// Both arms also report the state role's bytes read and written. The
+// batch's per-vertex state is 24 bytes whatever the width (per-query
+// levels leave the engine as an arrival log, not in streamed state),
+// and core's top-down scatter reads no state at all for either
+// program, so state traffic is gather read-modify-write plus the
+// init/collect passes.
+//
 // The second table prices the update stream: the mask-OR sieve plus
 // codec auto-selection versus raw unsieved updates, same batch — the
 // subset-dominance sieve is what keeps 64-query update traffic from
@@ -51,6 +58,9 @@ using graph::BfsProgram;
 struct ArmIo {
   std::uint64_t edge_bytes_read = 0;    // edge + stay input traffic
   std::uint64_t update_bytes_written = 0;
+  // Whole-run state-role traffic, init and final collect included.
+  std::uint64_t state_bytes_read = 0;
+  std::uint64_t state_bytes_written = 0;
   std::uint64_t updates_emitted = 0;
   std::uint64_t updates_sieved = 0;
   std::uint32_t iterations = 0;
@@ -65,6 +75,11 @@ void add_rows(ArmIo& io, const std::vector<metrics::IterationStats>& rows) {
     io.updates_sieved += s.updates_sieved;
   }
   io.iterations += static_cast<std::uint32_t>(rows.size());
+}
+
+void add_state_io(ArmIo& io, const io::IoStatsSnapshot& delta) {
+  io.state_bytes_read += delta.bytes_read;
+  io.state_bytes_written += delta.bytes_written;
 }
 
 engine::Options make_options(bool sieve) {
@@ -132,7 +147,8 @@ int main(int argc, char** argv) {
   json.text("system", "fastbfs");
 
   metrics::Table arms({"dataset", "arm", "queries", "iters", "edges rd",
-                       "edges rd/query", "upd wr", "updates", "sieved"});
+                       "edges rd/query", "state rd", "state wr", "upd wr",
+                       "updates", "sieved"});
   metrics::Table codecs({"dataset", "sieve+codec", "upd wr", "updates",
                          "sieved"});
   double rmat_edge_ratio = 0.0;
@@ -152,8 +168,11 @@ int main(int argc, char** argv) {
     {
       RoleDevices devices(ds.root);
       const io::StoragePlan plan = devices.plan();
+      const io::IoStatsSnapshot state_before = devices.state.stats().snapshot();
       const engine::BatchRunResult batch = engine::run_batch(
           engine::Kind::kCore, ds.pg, plan, sources, make_options(true));
+      add_state_io(batch_io,
+                   devices.state.stats().snapshot().delta(state_before));
       for (const auto& t : batch.traversals) add_rows(batch_io, t.per_iteration);
       // Spot-check the batch against ground truth: query 0 is the
       // figure benches' bfs_root, whose inmem reference the dataset
@@ -171,12 +190,15 @@ int main(int argc, char** argv) {
     {
       RoleDevices devices(ds.root);
       const io::StoragePlan plan = devices.plan();
+      const io::IoStatsSnapshot state_before = devices.state.stats().snapshot();
       for (const graph::VertexId root : sources) {
         const engine::RunResult<BfsProgram> run = engine::run(
             engine::Kind::kCore, ds.pg, plan, BfsProgram{.root = root},
             make_options(true));
         add_rows(seq_io, run.per_iteration);
       }
+      add_state_io(seq_io,
+                   devices.state.stats().snapshot().delta(state_before));
     }
 
     const double edge_ratio =
@@ -192,6 +214,8 @@ int main(int argc, char** argv) {
                     std::to_string(queries), std::to_string(arm->iterations),
                     metrics::Table::bytes(arm->edge_bytes_read),
                     metrics::Table::bytes(arm->edge_bytes_read / queries),
+                    metrics::Table::bytes(arm->state_bytes_read),
+                    metrics::Table::bytes(arm->state_bytes_written),
                     metrics::Table::bytes(arm->update_bytes_written),
                     metrics::Table::count(arm->updates_emitted),
                     metrics::Table::count(arm->updates_sieved)});
@@ -219,6 +243,8 @@ int main(int argc, char** argv) {
     json.open("batch");
     json.integer("iterations", batch_io.iterations);
     json.integer("edge_bytes_read", batch_io.edge_bytes_read);
+    json.integer("state_bytes_read", batch_io.state_bytes_read);
+    json.integer("state_bytes_written", batch_io.state_bytes_written);
     json.integer("update_bytes_written", batch_io.update_bytes_written);
     json.integer("updates_emitted", batch_io.updates_emitted);
     json.integer("updates_sieved", batch_io.updates_sieved);
@@ -226,6 +252,8 @@ int main(int argc, char** argv) {
     json.open("sequential");
     json.integer("iterations", seq_io.iterations);
     json.integer("edge_bytes_read", seq_io.edge_bytes_read);
+    json.integer("state_bytes_read", seq_io.state_bytes_read);
+    json.integer("state_bytes_written", seq_io.state_bytes_written);
     json.integer("update_bytes_written", seq_io.update_bytes_written);
     json.integer("updates_emitted", seq_io.updates_emitted);
     json.close();

@@ -43,6 +43,14 @@
 // The direction model additionally sees the round's aggregate frontier
 // mask popcount, so the beta gate reads per-query density.
 //
+// State-free top-down scatter: for PullCapable and masked programs the
+// top-down scan never loads the partition's state file. The pull hooks
+// rebuild each active source's update from the round number (plus the
+// tracker's frontier mask), byte-identical to scatter by their
+// contracts (program.hpp), so the state device is read only by gather
+// and the final collect. xstream::run keeps the classic state-loading
+// scatter.
+//
 // Round accounting and stop rules are EXACTLY inmem::run's (change
 // both or neither); init/fan-out/gather/collect come verbatim from
 // xstream/detail.hpp.
@@ -236,7 +244,7 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
     tracker.emplace(program, n);
     xd::init_partition_states(pg, plan, options.reader,
                               options.write_buffer_bytes, program, active,
-                              exec, &*tracker);
+                              exec, &result.arrivals, &*tracker);
   } else {
     xd::init_partition_states(pg, plan, options.reader,
                               options.write_buffer_bytes, program, active,
@@ -515,11 +523,9 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
 
         metrics::ScopedPhase scatter_timer(collector,
                                            metrics::Phase::kScatter);
-        const std::vector<State> states = xd::read_records<State>(
-            plan.state(), xstream::state_file_name(pg, p), options.reader,
-            layout.size(p));
-        xd::ScatterResult scattered;
-        {
+        // Scans partition p's current input with `source` building each
+        // active-source update.
+        const auto scan = [&](const auto& source) {
           if (input_on_stay[p] &&
               stay_format[p] != io::codec::Format::kRaw) {
             // An encoded stay file has no per-chunk byte offsets to
@@ -530,25 +536,38 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
                                                  stay_file_name(pg, p),
                                                  options.reader,
                                                  input_edges[p]);
-            scattered = xd::scatter_span<P>(
-                exec, stay_edges, layout, layout.begin(p), states, active,
-                program, options.reader, options.sieve_updates, fanout, sink,
-                collector);
-          } else {
-            io::Device& input_dev =
-                input_on_stay[p] ? plan.stay() : plan.edges();
-            const std::string input_name = input_on_stay[p]
-                                               ? stay_file_name(pg, p)
-                                               : pg.partition_file(p);
-            const std::uint64_t base_offset =
-                input_on_stay[p] ? io::codec::kHeaderBytes : 0;
-            scattered = xd::scatter_partition<P>(
-                exec, input_dev, input_name, base_offset, input_edges[p],
-                layout, layout.begin(p), states, active, program,
-                options.reader, options.sieve_updates, fanout, sink,
-                collector);
+            return xd::scatter_span<P>(exec, stay_edges, layout, source,
+                                       active, program, options.reader,
+                                       options.sieve_updates, fanout, sink,
+                                       collector);
           }
-        }  // readers closed before the stream can commit a rename
+          io::Device& input_dev =
+              input_on_stay[p] ? plan.stay() : plan.edges();
+          const std::string input_name =
+              input_on_stay[p] ? stay_file_name(pg, p) : pg.partition_file(p);
+          const std::uint64_t base_offset =
+              input_on_stay[p] ? io::codec::kHeaderBytes : 0;
+          return xd::scatter_partition<P>(
+              exec, input_dev, input_name, base_offset, input_edges[p],
+              layout, source, active, program, options.reader,
+              options.sieve_updates, fanout, sink, collector);
+        };  // readers close before the stream can commit a rename
+        xd::ScatterResult scattered;
+        if constexpr (pull_ok) {
+          // State-free: the pull hooks rebuild every update from the
+          // round number (and the tracker's frontier masks), so the
+          // partition's state file is never read here.
+          std::span<const std::uint64_t> frontier_masks;
+          if constexpr (masked) frontier_masks = tracker->frontier;
+          scattered = scan(xd::RoundScatter<P>{program, result.iterations,
+                                               frontier_masks});
+        } else {
+          const std::vector<State> states = xd::read_records<State>(
+              plan.state(), xstream::state_file_name(pg, p), options.reader,
+              layout.size(p));
+          scattered =
+              scan(xd::StateScatter<P>{program, states, layout.begin(p)});
+        }
         FB_CHECK_MSG(scattered.scanned == input_edges[p],
                      "partition " << p << " input of " << pg.meta.name
                                   << " holds " << scattered.scanned
@@ -624,7 +643,7 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
         xd::gather_partitions(pg, plan, options.reader,
                               options.write_buffer_bytes, program,
                               pending_updates, next_active, exec, collector,
-                              &*tracker);
+                              &result.arrivals, &*tracker);
       } else {
         xd::gather_partitions(pg, plan, options.reader,
                               options.write_buffer_bytes, program,

@@ -6,14 +6,18 @@
 // Wider source lists split into ceil(N / max_width) traversals, each at
 // most max_width queries, preserving source order across the splits.
 // The per-traversal RunResults ride along in the return value so a
-// bench can sum edge/update bytes over the whole batch.
+// bench can sum edge/update bytes over the whole batch. Per-query
+// levels come from replaying each traversal's arrival log
+// (RunResult::arrivals; graph/multi_bfs.hpp) in one pass.
 //
 // Config keys (batch_options_from_config):
 //   * `batch.max_width` — queries packed per traversal, clamped to
 //     [1, graph::kMaxBatchQueries]. Default 64. Shrinking it trades
-//     scan sharing for narrower masks (the codec's per-update mask
-//     bytes don't shrink — Update stays 16 bytes — so 64 is right
-//     unless memory for B x 4-byte levels per vertex is the limit).
+//     scan sharing for narrower masks and saves no bytes: the 24-byte
+//     State and 16-byte Update are the same at any width, and the
+//     per-query outputs total 4 bytes per vertex per source however
+//     the list is split. So 64 is right; narrower widths exist to
+//     price the scan sharing.
 #pragma once
 
 #include <algorithm>
@@ -90,9 +94,9 @@ inline BatchRunResult run_batch(Kind kind, const graph::PartitionedGraph& pg,
     }
     RunResult<MultiBfs64> run_result =
         run(kind, pg, plan, program, options);
-    for (std::uint32_t b = 0; b < width; ++b) {
-      result.per_query.push_back(program.unpack_query(
-          b, std::span<const MultiBfs64::State>(run_result.states)));
+    for (std::vector<graph::BfsProgram::State>& levels :
+         program.replay(run_result.arrivals, pg.meta.num_vertices)) {
+      result.per_query.push_back(std::move(levels));
     }
     result.traversals.push_back(std::move(run_result));
   }

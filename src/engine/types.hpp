@@ -169,6 +169,13 @@ struct RunResult {
 
   /// Rounds the core engine ran bottom-up (direction strategy).
   std::uint32_t bottomup_rounds = 0;
+
+  /// Masked programs (graph::MaskedProgram) only: the arrival log, one
+  /// program.arrival(v, state) record per vertex activated by init and
+  /// by each gather — round by round, id order within a round, so every
+  /// engine and thread count produces the same bytes. Empty for every
+  /// other program.
+  std::vector<typename P::Update> arrivals;
 };
 
 /// Reads the engine keys for `kind` under the precedence documented in

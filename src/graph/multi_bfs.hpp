@@ -17,8 +17,19 @@
 // mark == r — it was activated, and marked, by round r-1's updates; the
 // roots scatter mark 0 in round 0). So for each query bit b, the first
 // round whose update reaches v with bit b set is exactly BFS-from-
-// roots[b]'s level of v, and `levels[b]` reproduces a standalone
-// BfsProgram run bit for bit (unpack_query).
+// roots[b]'s level of v.
+//
+// Per-query levels are NOT kept in State (24 bytes, streamed every
+// round); they leave the engine as an ARRIVAL LOG. After init and after
+// every gather, each vertex that round activated is logged once as
+// arrival(v, s) = {v, mark, frontier}: right after a gather, frontier is
+// exactly the set of query bits that first reached v at level `mark`,
+// so the log names every (vertex, query) pair once, with its level.
+// Engines collect the records into RunResult::arrivals, round by round
+// and in id order within a round, and replay() turns the log into
+// per-query BfsProgram states in one pass. The log holds at most
+// min(rounds, 64) records per reached vertex (each record carries at
+// least one fresh bit).
 //
 // Why State keeps a per-round `mark`: gather must clear the stale
 // frontier of a vertex the first time a NEW round's update lands on it
@@ -69,7 +80,6 @@ struct MultiBfs {
     std::uint64_t frontier = 0;  // queries that reached it THIS round
     std::uint32_t mark = 0;      // level of the round `frontier` is from
     std::uint32_t pad = 0;       // keep the on-disk record fully defined
-    std::uint32_t levels[B] = {};  // per-query BFS level (kUnreachedLevel)
   };
   struct Update {
     VertexId dst = 0;
@@ -91,13 +101,11 @@ struct MultiBfs {
     s.frontier = 0;
     s.mark = 0;
     s.pad = 0;
-    for (std::uint32_t b = 0; b < B; ++b) s.levels[b] = kUnreachedLevel;
     for (std::uint32_t b = 0; b < width; ++b) {
       if (roots[b] != v) continue;
       const std::uint64_t bit = std::uint64_t{1} << b;
       s.seen |= bit;
       s.frontier |= bit;
-      s.levels[b] = 0;
     }
     active = s.seen != 0;
   }
@@ -128,9 +136,6 @@ struct MultiBfs {
     }
     s.seen |= fresh;
     s.frontier |= fresh;
-    for (std::uint64_t bits = fresh; bits != 0; bits &= bits - 1) {
-      s.levels[std::countr_zero(bits)] = u.level;
-    }
     return true;
   }
   void apply(VertexId, State&) const {}
@@ -146,16 +151,33 @@ struct MultiBfs {
   }
   std::uint64_t output(VertexId, const State& s) const { return s.seen; }
 
-  /// Query b's standalone-BFS view of a finished batch run —
-  /// bit-identical to inmem::run(BfsProgram{.root = roots[b]}) by the
-  /// level invariant (unreached stays kUnreachedLevel from init).
-  std::vector<BfsProgram::State> unpack_query(
-      std::uint32_t b, std::span<const State> states) const {
-    FB_CHECK_MSG(b < width, "unpack_query(" << b << ") of a width-"
-                                            << width << " batch");
-    std::vector<BfsProgram::State> out(states.size());
-    for (std::size_t v = 0; v < states.size(); ++v) {
-      out[v].level = states[v].levels[b];
+  /// The arrival-log record of a vertex the latest init or gather
+  /// activated (MaskedProgram): its level and the query bits that first
+  /// reached it at that level. Update-shaped, so a log is a plain
+  /// vector<Update>.
+  Update arrival(VertexId v, const State& s) const {
+    return {v, s.mark, s.frontier};
+  }
+
+  /// Replays an arrival log (RunResult::arrivals) into every query's
+  /// standalone-BFS view of a finished batch run: result[b] is
+  /// bit-identical to inmem::run(BfsProgram{.root = roots[b]}).states
+  /// (vertices the log never names stay kUnreachedLevel). One pass over
+  /// the log, one write per (vertex, query) pair reached.
+  std::vector<std::vector<BfsProgram::State>> replay(
+      std::span<const Update> arrivals, std::uint64_t num_vertices) const {
+    std::vector<std::vector<BfsProgram::State>> out(
+        width, std::vector<BfsProgram::State>(num_vertices));
+    const std::uint64_t full = full_mask();
+    for (const Update& a : arrivals) {
+      FB_CHECK_MSG(a.dst < num_vertices && (a.mask & ~full) == 0,
+                   "arrival {" << a.dst << ", " << a.level << ", " << a.mask
+                               << "} outside a width-" << width << ", "
+                               << num_vertices << "-vertex batch");
+      for (std::uint64_t bits = a.mask; bits != 0; bits &= bits - 1) {
+        out[static_cast<std::size_t>(std::countr_zero(bits))][a.dst].level =
+            a.level;
+      }
     }
     return out;
   }
@@ -169,6 +191,8 @@ static_assert(MaskedProgram<MultiBfs<7>>);
 static_assert(!PullCapable<MultiBfs<64>>);
 // dst at offset 0 (RoutedRecord), one 8-byte mask + dst/level packed.
 static_assert(sizeof(MultiBfs<64>::Update) == 16);
-static_assert(sizeof(MultiBfs<64>::State) == 24 + 64 * 4);
+// seen + frontier + mark + pad: per-query levels live in the arrival
+// log, not in the state every round streams.
+static_assert(sizeof(MultiBfs<64>::State) == 24);
 
 }  // namespace fbfs::graph

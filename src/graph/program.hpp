@@ -104,11 +104,13 @@ concept SieveCapable = kIdempotentGatherV<P> &&
       { p.sieve_merge(u, std::as_const(u)) } -> std::same_as<void>;
     };
 
-/// A program the bottom-up (pull) direction can run on (core::run's
-/// direction strategy): `pull(e, round, out)` produces the update edge
-/// e would carry to e.dst GIVEN ONLY that e.src is in the round-r
-/// frontier — without reading src's State, which a bottom-up in-edge
-/// scan of dst's partition does not have loaded. The contract:
+/// A program whose updates core::run can build without source State:
+/// `pull(e, round, out)` produces the update edge e would carry to e.dst
+/// GIVEN ONLY that e.src is in the round-r frontier. Core uses it in
+/// both directions — bottom-up, where an in-edge scan of dst's
+/// partition has no source State loaded, and top-down, where it skips
+/// loading the scattered partition's state file altogether. The
+/// contract:
 ///
 ///   * the engine calls pull(e, r, out) only when e.src is active in
 ///     round r, and the emitted update must be byte-identical to what
@@ -134,12 +136,16 @@ concept PullCapable = kIdempotentGatherV<P> &&
 /// (xstream::detail::MaskStateTracker) to drive trimming (a vertex is
 /// retired once `seen_mask(s) == full_mask()` — saturated by every
 /// query), bottom-up claiming, and the direction model's per-query
-/// frontier densities. `pull_masked(e, round, mask, out)` is the
-/// bottom-up hook: it builds the update e would carry to e.dst given
-/// src's frontier mask restricted by the caller (the engine passes
-/// `frontier_mask(src) & ~already-delivered`, so a dst's pulled masks
-/// never overlap) and returns false when the restricted mask is empty.
-/// Exactness needs an idempotent OR-fold gather, hence the conjunction.
+/// frontier densities. `pull_masked(e, round, mask, out)` builds the
+/// update e would carry to e.dst given src's frontier mask — restricted
+/// by the caller bottom-up (the engine passes `frontier_mask(src) &
+/// ~already-delivered`, so a dst's pulled masks never overlap), whole
+/// in core's top-down scatter, where it replaces scatter(e, state) for
+/// an active source byte for byte — and returns false when the mask is
+/// empty. `arrival(v, s)` is the arrival-log record of a vertex the
+/// latest init or gather activated (engines collect them into
+/// RunResult::arrivals; see graph/multi_bfs.hpp). Exactness needs an
+/// idempotent OR-fold gather, hence the conjunction.
 template <typename P>
 concept MaskedProgram = kIdempotentGatherV<P> &&
     requires(const P p, const Edge e, const typename P::State cs,
@@ -149,6 +155,7 @@ concept MaskedProgram = kIdempotentGatherV<P> &&
       { p.full_mask() } -> std::same_as<std::uint64_t>;
       { p.pull_masked(e, std::uint32_t{}, std::uint64_t{}, u) }
           -> std::same_as<bool>;
+      { p.arrival(VertexId{}, cs) } -> std::same_as<typename P::Update>;
     };
 
 /// Deterministic per-edge weight in [1, 2): SSSP needs weights, edge

@@ -16,7 +16,9 @@
 //   * a counted round with no newly-activated vertex ends the run
 //     (again: unless the program scatters all vertices);
 //   * the run also ends after options.max_iterations counted rounds —
-//     the stopping rule for kScatterAllVertices programs.
+//     the stopping rule for kScatterAllVertices programs;
+//   * masked programs log one program.arrival record per vertex that
+//     init or a gather activated, in id order (RunResult::arrivals).
 #pragma once
 
 #include <cstdint>
@@ -60,6 +62,18 @@ RunResult<P> run(const graph::Csr& csr, const P& program,
     program.init(v, csr.out_degree(v), result.states[v], is_active);
     if (is_active) active.set(v);
   }
+  // Appends the arrival records of the vertices set in `bits`, in id
+  // order (masked programs only).
+  const auto log_arrivals = [&]([[maybe_unused]] const AtomicBitmap& bits) {
+    if constexpr (graph::MaskedProgram<P>) {
+      for (graph::VertexId v = 0; v < n; ++v) {
+        if (bits.test(v)) {
+          result.arrivals.push_back(program.arrival(v, result.states[v]));
+        }
+      }
+    }
+  };
+  log_arrivals(active);
 
   metrics::Collector* const collector = options.collector;
   std::vector<Update> updates;
@@ -105,6 +119,7 @@ RunResult<P> run(const graph::Csr& csr, const P& program,
         program.apply(v, result.states[v]);
       }
     }
+    log_arrivals(next_active);
     ++result.iterations;
     std::swap(active, next_active);
     if (collector != nullptr) {

@@ -149,17 +149,26 @@ struct MaskStateTracker {
 /// range, writes its state file, and marks the initially-active
 /// vertices in `active`. Partitions are independent (own files, atomic
 /// bitmap), so with a pool they run concurrently, one task each.
-/// `observer` (masked programs) sees each partition's states once they
-/// are final.
+/// Masked programs additionally get the initially-active vertices'
+/// arrival records appended to `arrivals` (RunResult::arrivals) in id
+/// order, and `observer` sees each partition's states once they are
+/// final.
 template <graph::GraphProgram P, typename Observer = NoStateObserver>
 void init_partition_states(const graph::PartitionedGraph& pg,
                            const io::StoragePlan& plan,
                            const io::ReaderOptions& reader,
                            std::size_t write_buffer_bytes, const P& program,
                            AtomicBitmap& active, const ExecContext& exec = {},
+                           std::vector<typename P::Update>* arrivals = nullptr,
                            Observer* observer = nullptr) {
   using State = typename P::State;
+  using Update = typename P::Update;
   const graph::PartitionLayout& layout = pg.layout;
+  // Per-partition arrival records, concatenated in partition order once
+  // every (possibly concurrent) partition is done.
+  std::vector<std::vector<Update>> part_arrivals(
+      graph::MaskedProgram<P> && arrivals != nullptr ? layout.num_partitions()
+                                                     : 0);
   const auto init_one = [&](std::uint32_t p) {
     const graph::VertexId begin = layout.begin(p);
     std::vector<std::uint32_t> degrees(layout.size(p), 0);
@@ -179,7 +188,14 @@ void init_partition_states(const graph::PartitionedGraph& pg,
       const graph::VertexId v = begin + static_cast<graph::VertexId>(i);
       bool is_active = false;
       program.init(v, degrees[i], states[i], is_active);
-      if (is_active) active.set(v);
+      if (is_active) {
+        active.set(v);
+        if constexpr (graph::MaskedProgram<P>) {
+          if (arrivals != nullptr) {
+            part_arrivals[p].push_back(program.arrival(v, states[i]));
+          }
+        }
+      }
     }
     write_records<State>(plan.state(), state_file_name(pg, p), states,
                          write_buffer_bytes);
@@ -191,14 +207,17 @@ void init_partition_states(const graph::PartitionedGraph& pg,
   };
   if (!exec.parallel() || layout.num_partitions() == 1) {
     for (std::uint32_t p = 0; p < layout.num_partitions(); ++p) init_one(p);
-    return;
+  } else {
+    std::vector<std::future<void>> tasks;
+    tasks.reserve(layout.num_partitions());
+    for (std::uint32_t p = 0; p < layout.num_partitions(); ++p) {
+      tasks.push_back(exec.pool->submit([&init_one, p] { init_one(p); }));
+    }
+    join_all(tasks);
   }
-  std::vector<std::future<void>> tasks;
-  tasks.reserve(layout.num_partitions());
-  for (std::uint32_t p = 0; p < layout.num_partitions(); ++p) {
-    tasks.push_back(exec.pool->submit([&init_one, p] { init_one(p); }));
+  for (const std::vector<Update>& part : part_arrivals) {
+    arrivals->insert(arrivals->end(), part.begin(), part.end());
   }
-  join_all(tasks);
 }
 
 /// P update writers held open across one scatter phase; writer q
@@ -288,6 +307,41 @@ struct NullTrimSink {
   void flush(ChunkState&) {}
 };
 
+/// How a top-down scan builds the update an active source's out-edge
+/// carries. StateScatter is the general path: program.scatter over the
+/// scanned partition's loaded states. RoundScatter is the state-free
+/// path for PullCapable and MaskedProgram programs (core::run), whose
+/// contracts make pull(e, round) / pull_masked(e, round,
+/// frontier_mask(src)) byte-identical to scatter(e, state) for an
+/// active source — so the partition's state file never needs loading.
+template <graph::GraphProgram P>
+struct StateScatter {
+  const P& program;
+  std::span<const typename P::State> states;  // the partition's, in id order
+  graph::VertexId part_begin = 0;
+
+  bool operator()(const graph::Edge& e, typename P::Update& out) const {
+    return program.scatter(e, states[e.src - part_begin], out);
+  }
+};
+
+template <graph::GraphProgram P>
+  requires(graph::PullCapable<P> || graph::MaskedProgram<P>)
+struct RoundScatter {
+  const P& program;
+  std::uint32_t round = 0;
+  /// Masked programs: every vertex's frontier mask (MaskStateTracker).
+  std::span<const std::uint64_t> frontier_masks;
+
+  bool operator()(const graph::Edge& e, typename P::Update& out) const {
+    if constexpr (graph::MaskedProgram<P>) {
+      return program.pull_masked(e, round, frontier_masks[e.src], out);
+    } else {
+      return program.pull(e, round, out);
+    }
+  }
+};
+
 /// One scatter pass's counters. `emitted` counts updates program.scatter
 /// produced; `sieved` counts the ones that never reached the shuffle
 /// writers (scatter declined, or the staging sieve collapsed them onto
@@ -358,17 +412,18 @@ struct ScatterStage {
     bucket.push_back(u);
   }
 
-  /// Scatter `batch` into the buckets and show every edge to `trim`.
-  template <typename TrimSink>
-  void process(std::span<const graph::Edge> batch, graph::VertexId part_begin,
-               const std::vector<typename P::State>& states,
+  /// Scatter `batch` into the buckets (each active-source edge's update
+  /// built by `source`, a StateScatter or RoundScatter) and show every
+  /// edge to `trim`.
+  template <typename Source, typename TrimSink>
+  void process(std::span<const graph::Edge> batch, const Source& source,
                const AtomicBitmap& active, TrimSink& trim,
                typename TrimSink::ChunkState& chunk) {
     for (const graph::Edge& e : batch) {
       const bool src_active = P::kScatterAllVertices || active.test(e.src);
       if (src_active) {
         Update u;
-        if (program.scatter(e, states[e.src - part_begin], u)) {
+        if (source(e, u)) {
           stage(u);
         } else {
           ++sieved;
@@ -402,9 +457,10 @@ struct ScatterStage {
 
 /// One partition's scatter: scans `num_records` edges from
 /// `input_name` starting at byte `base_offset` (0 for headerless edge
-/// partition files, codec::kHeaderBytes for raw codec streams), runs
-/// program.scatter for every active-source edge (or every edge, for
-/// kScatterAllVertices programs), routes emitted updates into the
+/// partition files, codec::kHeaderBytes for raw codec streams), builds
+/// the update of every active-source edge (or every edge, for
+/// kScatterAllVertices programs) through `source` — StateScatter or
+/// RoundScatter, see above — routes emitted updates into the
 /// fan-out — sieving dominated duplicates at the staging buffers when
 /// `sieve_updates` and the program allows — and shows every edge + its
 /// activity to `trim`.
@@ -425,13 +481,12 @@ struct ScatterStage {
 /// only sees its own updates, in scan order, and survivors append in
 /// scan order too, update files and stay files are byte-identical at
 /// every thread count.
-template <graph::GraphProgram P, typename TrimSink>
+template <graph::GraphProgram P, typename Source, typename TrimSink>
 ScatterResult scatter_partition(
     const ExecContext& exec, io::Device& input_dev,
     const std::string& input_name, std::uint64_t base_offset,
     std::uint64_t num_records, const graph::PartitionLayout& layout,
-    graph::VertexId part_begin, const std::vector<typename P::State>& states,
-    const AtomicBitmap& active, const P& program,
+    const Source& source, const AtomicBitmap& active, const P& program,
     const io::ReaderOptions& reader, bool sieve_updates,
     UpdateFanout<typename P::Update>& fanout, TrimSink& trim,
     metrics::Collector* collector = nullptr) {
@@ -450,7 +505,7 @@ ScatterResult scatter_partition(
     for (auto batch = edges->next_batch(); !batch.empty();
          batch = edges->next_batch()) {
       scanned += batch.size();
-      stage.process(batch, part_begin, states, active, trim, chunk);
+      stage.process(batch, source, active, trim, chunk);
       {
         metrics::ScopedPhase flush_timer(collector,
                                          metrics::Phase::kShuffleFlush);
@@ -540,8 +595,8 @@ ScatterResult scatter_partition(
         ScatterStage<P> stage(program, layout, sieve_updates);
         auto chunk = trim.make_chunk_state();
         try {
-          stage.process(std::span<const graph::Edge>(buffers[k]), part_begin,
-                        states, active, trim, chunk);
+          stage.process(std::span<const graph::Edge>(buffers[k]), source,
+                        active, trim, chunk);
         } catch (...) {
           abandon_from(c);
           throw;
@@ -582,12 +637,12 @@ ScatterResult scatter_partition(
 /// exactly: serial slices and parallel chunks are both
 /// `reader.buffer_bytes / sizeof(Edge)` records, and parallel chunks
 /// retire through the same ordered hand-off.
-template <graph::GraphProgram P, typename TrimSink>
+template <graph::GraphProgram P, typename Source, typename TrimSink>
 ScatterResult scatter_span(
     const ExecContext& exec, std::span<const graph::Edge> edges,
-    const graph::PartitionLayout& layout, graph::VertexId part_begin,
-    const std::vector<typename P::State>& states, const AtomicBitmap& active,
-    const P& program, const io::ReaderOptions& reader, bool sieve_updates,
+    const graph::PartitionLayout& layout, const Source& source,
+    const AtomicBitmap& active, const P& program,
+    const io::ReaderOptions& reader, bool sieve_updates,
     UpdateFanout<typename P::Update>& fanout, TrimSink& trim,
     metrics::Collector* collector = nullptr) {
   const std::uint64_t num_records = edges.size();
@@ -601,8 +656,7 @@ ScatterResult scatter_span(
          first += chunk_records) {
       const std::uint64_t count =
           std::min(chunk_records, num_records - first);
-      stage.process(edges.subspan(first, count), part_begin, states, active,
-                    trim, chunk);
+      stage.process(edges.subspan(first, count), source, active, trim, chunk);
       {
         metrics::ScopedPhase flush_timer(collector,
                                          metrics::Phase::kShuffleFlush);
@@ -633,8 +687,8 @@ ScatterResult scatter_span(
       ScatterStage<P> stage(program, layout, sieve_updates);
       auto chunk = trim.make_chunk_state();
       try {
-        stage.process(edges.subspan(first, count), part_begin, states, active,
-                      trim, chunk);
+        stage.process(edges.subspan(first, count), source, active, trim,
+                      chunk);
       } catch (...) {
         gate.wait_turn(c);
         gate.complete(c);
@@ -974,9 +1028,12 @@ ScatterResult pull_partition(
 /// (program.hpp) additionally requires gathers to be order-free exact
 /// reductions. Apply splits over the same subranges.
 ///
-/// `observer` (masked programs — see MaskStateTracker) sees each
-/// touched partition's states after gather + apply; skipped partitions
-/// keep their previous (still accurate) mirror entries.
+/// Masked programs append the arrival record of every vertex this
+/// gather activated to `arrivals` (partitions in order, ids in order
+/// within each — activations only ever land in the gathered partition's
+/// own range), and `observer` (MaskStateTracker) sees each touched
+/// partition's states after gather + apply; skipped partitions keep
+/// their previous (still accurate) mirror entries.
 template <graph::GraphProgram P, typename Observer = NoStateObserver>
 void gather_partitions(const graph::PartitionedGraph& pg,
                        const io::StoragePlan& plan,
@@ -985,6 +1042,7 @@ void gather_partitions(const graph::PartitionedGraph& pg,
                        const std::vector<std::uint64_t>& pending_updates,
                        AtomicBitmap& next_active, const ExecContext& exec = {},
                        metrics::Collector* collector = nullptr,
+                       std::vector<typename P::Update>* arrivals = nullptr,
                        Observer* observer = nullptr) {
   using State = typename P::State;
   using Update = typename P::Update;
@@ -1053,6 +1111,16 @@ void gather_partitions(const graph::PartitionedGraph& pg,
     }
     write_records<State>(plan.state(), state_file_name(pg, q), states,
                          write_buffer_bytes);
+    if constexpr (graph::MaskedProgram<P>) {
+      if (arrivals != nullptr) {
+        for (std::uint64_t i = 0; i < states.size(); ++i) {
+          const graph::VertexId v = begin + static_cast<graph::VertexId>(i);
+          if (next_active.test(v)) {
+            arrivals->push_back(program.arrival(v, states[i]));
+          }
+        }
+      }
+    }
     if constexpr (!std::is_same_v<Observer, NoStateObserver>) {
       if (observer != nullptr) {
         observer->observe_range(begin, std::span<const State>(states));

@@ -99,9 +99,10 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
   if (num_threads > 1) pool.emplace(num_threads);
   const ExecContext exec{pool ? &*pool : nullptr};
 
+  // Only masked programs ever append to the arrival log.
   detail::init_partition_states(pg, plan, options.reader,
                                 options.write_buffer_bytes, program, active,
-                                exec);
+                                exec, &result.arrivals);
 
   // ---- rounds. Stop rules mirror inmem::run exactly.
   metrics::Collector* const collector = options.collector;
@@ -135,9 +136,10 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
             layout.size(p));
         const detail::ScatterResult scattered = detail::scatter_partition<P>(
             exec, plan.edges(), pg.partition_file(p), /*base_offset=*/0,
-            pg.edges_per_partition[p], layout, layout.begin(p), states,
-            active, program, options.reader, options.sieve_updates, fanout,
-            no_trim, collector);
+            pg.edges_per_partition[p], layout,
+            detail::StateScatter<P>{program, states, layout.begin(p)}, active,
+            program, options.reader, options.sieve_updates, fanout, no_trim,
+            collector);
         FB_CHECK_MSG(scattered.scanned == pg.edges_per_partition[p],
                      pg.partition_file(p)
                          << " scanned " << scattered.scanned
@@ -163,7 +165,8 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
       Stopwatch gather_clock;
       detail::gather_partitions(pg, plan, options.reader,
                                 options.write_buffer_bytes, program,
-                                pending_updates, next_active, exec, collector);
+                                pending_updates, next_active, exec, collector,
+                                &result.arrivals);
       stats.gather_seconds = gather_clock.seconds();
     }
 

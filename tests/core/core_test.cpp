@@ -149,6 +149,51 @@ TEST(CoreEngine, TrimmingCutsEdgeInputBytes) {
             0);
 }
 
+TEST(CoreEngine, TopDownScatterReadsNoStateForPullablePrograms) {
+  // BFS builds its updates from the round number (the pull hook), so a
+  // core top-down scan never loads the partition's state file: the
+  // state device is read only by gather (each partition's file, just
+  // before writing it back) and by the final collect (the same bytes
+  // the init pass wrote). Reads therefore equal writes, round by round
+  // and in total. xstream's scatter still loads states.
+  const auto state_bytes = [](const std::vector<core::IterationStats>& rows,
+                              std::uint64_t& read, std::uint64_t& written) {
+    read = written = 0;
+    for (const auto& r : rows) {
+      read += r.role_io(io::Role::kState).bytes_read;
+      written += r.role_io(io::Role::kState).bytes_written;
+    }
+  };
+  DedicatedRig rig;
+  const GraphMeta meta = rmat_graph(rig.edges);
+  const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 4);
+
+  core::EngineOptions options;
+  options.direction = engine::Direction::kTopDown;
+  const io::IoStatsSnapshot before = rig.state.stats().snapshot();
+  const auto core_run = core::run(pg, rig.plan, BfsProgram{}, options);
+  const io::IoStatsSnapshot core_total =
+      rig.state.stats().snapshot().delta(before);
+  ASSERT_GT(core_run.iterations, 1u);
+  EXPECT_EQ(core_total.bytes_read, core_total.bytes_written);
+  for (const auto& r : core_run.per_iteration) {
+    EXPECT_EQ(r.role_io(io::Role::kState).bytes_read,
+              r.role_io(io::Role::kState).bytes_written)
+        << "round " << r.iteration;
+  }
+
+  const auto xstream_run = xstream::run(pg, rig.plan, BfsProgram{});
+  std::uint64_t core_read = 0, core_written = 0;
+  std::uint64_t xs_read = 0, xs_written = 0;
+  state_bytes(core_run.per_iteration, core_read, core_written);
+  state_bytes(xstream_run.per_iteration, xs_read, xs_written);
+  EXPECT_EQ(xs_written, core_written);
+  EXPECT_GT(xs_read, xs_written);
+  EXPECT_EQ(std::memcmp(core_run.states.data(), xstream_run.states.data(),
+                        core_run.states.size() * sizeof(BfsProgram::State)),
+            0);
+}
+
 TEST(CoreEngine, NonTrimmableProgramsNeverTrim) {
   DedicatedRig rig;
   const GraphMeta sym = graph::symmetrize_edge_list(

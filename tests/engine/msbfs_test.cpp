@@ -1,10 +1,12 @@
 // Batched multi-source traversal (graph::MultiBfs + engine::run_batch):
 // the mask mechanics (init/gather fold/stale-frontier clear/
-// idempotence/unpack), the subset-dominance sieve hooks, batch
-// splitting and the batch.max_width config key, and the acceptance
-// matrix — B in {1, 7, 64} sources on three graph shapes through
-// xstream and core x threads x trim x direction, every query memcmp'd
-// against its own standalone in-memory BFS.
+// idempotence), the arrival log (records and replay), the
+// subset-dominance sieve hooks, batch splitting and the batch.max_width
+// config key, and the acceptance matrix — B in {1, 7, 64} sources on
+// three graph shapes through xstream and core x threads x trim x
+// direction, every query memcmp'd against its own standalone in-memory
+// BFS, plus the arrival log's cross-engine bytes and the state device's
+// write budget.
 #include "engine/batch.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include "common/temp_dir.hpp"
 #include "graph/generators.hpp"
 #include "graph/multi_bfs.hpp"
+#include "storage/codec.hpp"
 
 namespace fbfs {
 namespace {
@@ -28,6 +31,14 @@ using graph::MultiBfs;
 using graph::VertexId;
 
 using Msbfs = engine::MultiBfs64;
+
+// The streamed per-vertex state is the masks, the mark and padding:
+// per-query levels travel in the arrival log instead.
+static_assert(sizeof(Msbfs::State) == 24);
+
+bool same_update(const Msbfs::Update& a, const Msbfs::Update& b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
 
 // ------------------------------------------------------ mask mechanics
 
@@ -43,16 +54,15 @@ TEST(MultiBfsMechanics, InitSetsOnlyRootBitsAndLevels) {
   EXPECT_TRUE(active);
   EXPECT_EQ(s.seen, 0b101u);
   EXPECT_EQ(s.frontier, 0b101u);
-  EXPECT_EQ(s.levels[0], 0u);
-  EXPECT_EQ(s.levels[1], kUnreachedLevel);
-  EXPECT_EQ(s.levels[2], 0u);
+  // The root's arrival record: both its queries at level 0.
+  EXPECT_TRUE(same_update(program.arrival(5, s),
+                          {.dst = 5, .level = 0, .mask = 0b101}));
 
   program.init(7, 0, s, active);
   EXPECT_FALSE(active);
   EXPECT_EQ(s.seen, 0u);
-  for (std::uint32_t b = 0; b < 3; ++b) {
-    EXPECT_EQ(s.levels[b], kUnreachedLevel);
-  }
+  EXPECT_EQ(s.frontier, 0u);
+  EXPECT_EQ(s.mark, 0u);
 }
 
 TEST(MultiBfsMechanics, FullMaskSaturatesAtSixtyFour) {
@@ -68,21 +78,20 @@ TEST(MultiBfsMechanics, GatherFoldsFreshBitsAndSetsLevels) {
   program.width = 4;
 
   Msbfs::State s{};
-  for (auto& l : s.levels) l = kUnreachedLevel;
   // Round-1 update brings queries {0, 2}.
   EXPECT_TRUE(program.gather({.dst = 3, .level = 1, .mask = 0b0101}, s));
   EXPECT_EQ(s.seen, 0b0101u);
   EXPECT_EQ(s.frontier, 0b0101u);
   EXPECT_EQ(s.mark, 1u);
-  EXPECT_EQ(s.levels[0], 1u);
-  EXPECT_EQ(s.levels[2], 1u);
-  EXPECT_EQ(s.levels[1], kUnreachedLevel);
 
   // Same round, another update: bit 1 is fresh, bit 0 is not.
   EXPECT_TRUE(program.gather({.dst = 3, .level = 1, .mask = 0b0011}, s));
   EXPECT_EQ(s.seen, 0b0111u);
   EXPECT_EQ(s.frontier, 0b0111u);
-  EXPECT_EQ(s.levels[1], 1u);
+  // After the round's gather the frontier is exactly the bits that
+  // arrived at level `mark`: the arrival record carries all three.
+  EXPECT_TRUE(same_update(program.arrival(3, s),
+                          {.dst = 3, .level = 1, .mask = 0b0111}));
 
   // Duplicate delivery is a no-op (idempotent gather) and must not
   // touch the state at all — direction equivalence depends on it.
@@ -95,18 +104,18 @@ TEST(MultiBfsMechanics, NewRoundClearsTheStaleFrontier) {
   Msbfs program;
   program.width = 4;
   Msbfs::State s{};
-  for (auto& l : s.levels) l = kUnreachedLevel;
   ASSERT_TRUE(program.gather({.dst = 3, .level = 1, .mask = 0b0001}, s));
   EXPECT_EQ(s.frontier, 0b0001u);
 
   // First arrival of round 2 resets frontier to the new arrivals only;
-  // seen keeps accumulating.
+  // seen keeps accumulating, and the round-2 arrival record names only
+  // the new query.
   EXPECT_TRUE(program.gather({.dst = 3, .level = 2, .mask = 0b1000}, s));
   EXPECT_EQ(s.frontier, 0b1000u);
   EXPECT_EQ(s.seen, 0b1001u);
   EXPECT_EQ(s.mark, 2u);
-  EXPECT_EQ(s.levels[3], 2u);
-  EXPECT_EQ(s.levels[0], 1u);
+  EXPECT_TRUE(same_update(program.arrival(3, s),
+                          {.dst = 3, .level = 2, .mask = 0b1000}));
 
   // A redundant later-round update with no fresh bits must NOT clear
   // the frontier (the early-out precedes the mark check).
@@ -154,24 +163,37 @@ TEST(MultiBfsSieve, DominatesIsMaskSubsetAndMergeIsOr) {
   EXPECT_EQ(merged.level, 3u);
 }
 
-TEST(MultiBfsMechanics, UnpackQueryProjectsOneColumn) {
+TEST(MultiBfsMechanics, ArrivalLogReplaysToPerQueryLevels) {
   Msbfs program;
-  program.width = 2;
-  std::vector<Msbfs::State> states(3);
-  for (auto& s : states) {
-    for (auto& l : s.levels) l = kUnreachedLevel;
+  program.width = 3;
+  program.roots = {0, 2, 0};
+  // A hand-built log: the roots at level 0, then each round's
+  // activations in id order carrying the bits that first arrived.
+  const std::vector<Msbfs::Update> log = {
+      {.dst = 0, .level = 0, .mask = 0b101},
+      {.dst = 2, .level = 0, .mask = 0b010},
+      {.dst = 1, .level = 1, .mask = 0b111},
+      {.dst = 3, .level = 1, .mask = 0b010},
+      {.dst = 3, .level = 2, .mask = 0b101},
+      {.dst = 0, .level = 3, .mask = 0b010},
+  };
+  const std::vector<std::vector<BfsProgram::State>> q =
+      program.replay(log, 5);
+  ASSERT_EQ(q.size(), 3u);
+  const std::uint32_t u = kUnreachedLevel;
+  const std::vector<std::vector<std::uint32_t>> want = {
+      {0, 1, u, 2, u}, {3, 1, 0, 1, u}, {0, 1, u, 2, u}};
+  for (std::uint32_t b = 0; b < 3; ++b) {
+    ASSERT_EQ(q[b].size(), 5u);
+    for (std::uint32_t v = 0; v < 5; ++v) {
+      EXPECT_EQ(q[b][v].level, want[b][v]) << "query " << b << " vertex " << v;
+    }
   }
-  states[0].levels[0] = 0;
-  states[1].levels[0] = 1;
-  states[2].levels[1] = 4;
-  const std::vector<BfsProgram::State> q0 = program.unpack_query(0, states);
-  ASSERT_EQ(q0.size(), 3u);
-  EXPECT_EQ(q0[0].level, 0u);
-  EXPECT_EQ(q0[1].level, 1u);
-  EXPECT_EQ(q0[2].level, kUnreachedLevel);
-  const std::vector<BfsProgram::State> q1 = program.unpack_query(1, states);
-  EXPECT_EQ(q1[2].level, 4u);
-  EXPECT_EQ(q1[0].level, kUnreachedLevel);
+  // An empty log leaves every query unreached everywhere.
+  for (const auto& column : program.replay({}, 2)) {
+    EXPECT_EQ(column[0].level, u);
+    EXPECT_EQ(column[1].level, u);
+  }
 }
 
 // ------------------------------------------------- batch front door
@@ -332,6 +354,72 @@ TEST_F(BatchEquivalence, CoreMatchesAcrossThreadsTrimAndDirection) {
       }
     }
   }
+}
+
+// The arrival log is part of the engines' bit-identity contract: the
+// same records in the same order from inmem, xstream and core, at one
+// and four threads, with core trimming and flipping direction.
+TEST_F(BatchEquivalence, ArrivalLogIsIdenticalAcrossEnginesAndThreads) {
+  for (const TestGraph& g : *graphs_) {
+    Msbfs program;
+    program.width = graph::kMaxBatchQueries;
+    for (std::uint32_t b = 0; b < program.width; ++b) {
+      program.roots[b] = g.sources[b];
+    }
+    const std::vector<Msbfs::Update> want =
+        engine::run(Kind::kInmem, g.pg, *plan_, program).arrivals;
+    // Init logs the distinct roots first, at level 0.
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(want.front().level, 0u);
+    for (const Kind kind : {Kind::kXstream, Kind::kCore}) {
+      for (const std::uint32_t threads : {1u, 4u}) {
+        SCOPED_TRACE(g.name + " " + engine::to_string(kind) +
+                     " threads=" + std::to_string(threads));
+        const std::vector<Msbfs::Update> got =
+            engine::run(kind, g.pg, *plan_, program,
+                        matrix_options(threads, /*trim=*/true,
+                                       Direction::kAuto))
+                .arrivals;
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(Msbfs::Update)),
+                  0);
+      }
+    }
+  }
+}
+
+// The state device's write budget: init writes every state once, and
+// each counted round rewrites at most every partition's state file —
+// 24 bytes per vertex plus one codec header per file, nothing per query.
+TEST(BatchStateBytes, RunBatchWritesAtMostOneStatePassPerRound) {
+  TempDir dir("msbfs_state_bytes");
+  io::Device edges(dir.str() + "/edges", io::DeviceModel::unthrottled());
+  io::Device state(dir.str() + "/state", io::DeviceModel::unthrottled());
+  const io::StoragePlan plan =
+      io::StoragePlan::single(edges).assign(io::Role::kState, state);
+  const graph::RmatSource source({.scale = 8, .edge_factor = 8, .seed = 11});
+  const graph::GraphMeta meta = graph::write_generated(
+      edges, "rmat", source.num_vertices(), source.seed(), source.undirected(),
+      [&](const graph::EdgeSink& sink) { source.generate(sink); });
+  constexpr std::uint32_t kPartitions = 4;
+  const graph::PartitionedGraph pg =
+      graph::partition_edge_list(plan, meta, kPartitions);
+  std::vector<VertexId> sources;
+  for (std::uint32_t i = 0; i < graph::kMaxBatchQueries; ++i) {
+    sources.push_back(static_cast<VertexId>((i * 37 + 1) % meta.num_vertices));
+  }
+
+  const std::uint64_t before = state.stats().bytes_written();
+  const engine::BatchRunResult batch = engine::run_batch(
+      Kind::kCore, pg, plan, sources,
+      matrix_options(/*threads=*/1, /*trim=*/true, Direction::kAuto));
+  const std::uint64_t written = state.stats().bytes_written() - before;
+  ASSERT_EQ(batch.traversals.size(), 1u);
+  const std::uint64_t pass =
+      meta.num_vertices * 24 + kPartitions * io::codec::kHeaderBytes;
+  EXPECT_GT(written, 0u);
+  EXPECT_LE(written, (1 + batch.traversals[0].iterations) * pass);
 }
 
 TEST_F(BatchEquivalence, WideSourceListsSplitAcrossTraversals) {
