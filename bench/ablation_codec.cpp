@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
     std::uint64_t raw_update_bytes = 0;
     for (const AblationConfig& cfg : kConfigs) {
       bench::SystemOptions options;
-      options.fastbfs = true;
+      options.kind = engine::Kind::kCore;
       options.update_codec = cfg.codec;
       options.sieve_updates = cfg.sieve;
       const metrics::RunStats run = bench::run_bfs(ds, options);

@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
     std::uint64_t topdown_updates = 0;
     for (const auto& cfg : kConfigs) {
       bench::SystemOptions options;
-      options.fastbfs = true;
+      options.kind = engine::Kind::kCore;
       options.direction = cfg.direction;
       const metrics::RunStats run = bench::run_bfs(ds, options);
 

@@ -34,11 +34,9 @@
 #include "common/log.hpp"
 #include "common/stopwatch.hpp"
 #include "common/temp_dir.hpp"
-#include "core/engine.hpp"
+#include "engine/api.hpp"
 #include "graph/generators.hpp"
 #include "graph/partitioner.hpp"
-#include "inmem/engine.hpp"
-#include "xstream/engine.hpp"
 
 namespace {
 
@@ -49,8 +47,8 @@ using graph::BfsProgram;
 struct Config {
   std::string key;    // json section name
   std::string label;  // table row
-  bool use_core = true;  // false: the untrimmed xstream baseline
-  core::EngineOptions options;
+  engine::Kind kind = engine::Kind::kCore;  // kXstream: untrimmed baseline
+  engine::Options options;
 };
 
 struct RunStats {
@@ -112,32 +110,19 @@ RunStats run_config(const Dataset& ds, const Config& cfg) {
 
   RunStats stats;
   Stopwatch sw;
-  std::vector<BfsProgram::State> states;
-  if (cfg.use_core) {
-    const auto result = core::run(pg, plan, BfsProgram{.root = 0}, cfg.options);
-    stats.wall_seconds = sw.seconds();
-    stats.iterations = result.iterations;
-    stats.stay_edges_written = result.stay_edges_written;
-    stats.trims_started = result.trims_started;
-    stats.trims_committed = result.trims_committed;
-    stats.trims_cancelled = result.trims_cancelled;
-    for (const auto& it : result.per_iteration) {
-      stats.partitions_skipped += it.partitions_skipped;
-    }
-    states = result.states;
-  } else {
-    xstream::EngineOptions options;
-    options.reader = cfg.options.reader;
-    options.write_buffer_bytes = cfg.options.write_buffer_bytes;
-    const auto result = xstream::run(pg, plan, BfsProgram{.root = 0}, options);
-    stats.wall_seconds = sw.seconds();
-    stats.iterations = result.iterations;
-    for (const auto& it : result.per_iteration) {
-      stats.partitions_skipped += it.partitions_skipped;
-    }
-    states = result.states;
+  const auto result =
+      engine::run(cfg.kind, pg, plan, BfsProgram{.root = 0}, cfg.options);
+  stats.wall_seconds = sw.seconds();
+  stats.iterations = result.iterations;
+  stats.stay_edges_written = result.stay_edges_written;
+  stats.trims_started = result.trims_started;
+  stats.trims_committed = result.trims_committed;
+  stats.trims_cancelled = result.trims_cancelled;
+  for (const auto& it : result.per_iteration) {
+    stats.partitions_skipped += it.partitions_skipped;
   }
 
+  const std::vector<BfsProgram::State>& states = result.states;
   FB_CHECK_MSG(states.size() == ds.reference.size() &&
                    std::memcmp(states.data(), ds.reference.data(),
                                states.size() * sizeof(BfsProgram::State)) == 0,
@@ -155,47 +140,57 @@ RunStats run_config(const Dataset& ds, const Config& cfg) {
 
 std::vector<Config> rmat_matrix() {
   std::vector<Config> configs;
-  configs.push_back({"xstream", "x-stream baseline (no trim)", false, {}});
+  configs.push_back({"xstream", "x-stream baseline (no trim)",
+                     engine::Kind::kXstream, {}});
 
   Config c;
   c.options.trim = false;
-  configs.push_back({"core_no_trim", "core, trimming off", true, c.options});
+  configs.push_back(
+      {"core_no_trim", "core, trimming off", engine::Kind::kCore, c.options});
 
   c = Config{};  // eager: the engine default, trims every scan
-  configs.push_back({"core_eager", "core, eager trim", true, c.options});
+  configs.push_back(
+      {"core_eager", "core, eager trim", engine::Kind::kCore, c.options});
 
   c = Config{};
   c.options.trim_start_round = 2;
   configs.push_back(
-      {"core_delayed", "core, trim from round 2", true, c.options});
+      {"core_delayed", "core, trim from round 2", engine::Kind::kCore,
+       c.options});
 
   c = Config{};
   c.options.trim_min_frontier_fraction = 0.05;
   configs.push_back(
-      {"core_frontier_gate", "core, trim at >=5% frontier", true, c.options});
+      {"core_frontier_gate", "core, trim at >=5% frontier",
+       engine::Kind::kCore, c.options});
 
   c = Config{};
   c.options.trim_min_dead_fraction = 0.25;
   configs.push_back(
-      {"core_dead_gate", "core, trim at >=25% dead", true, c.options});
+      {"core_dead_gate", "core, trim at >=25% dead", engine::Kind::kCore,
+       c.options});
 
   c = Config{};
   c.options.grace_timeout_seconds = 0.0;
   configs.push_back(
-      {"core_zero_grace", "core, eager + zero grace", true, c.options});
+      {"core_zero_grace", "core, eager + zero grace", engine::Kind::kCore,
+       c.options});
   return configs;
 }
 
 std::vector<Config> grid_matrix() {
   std::vector<Config> configs;
-  configs.push_back({"xstream", "x-stream baseline (no trim)", false, {}});
+  configs.push_back({"xstream", "x-stream baseline (no trim)",
+                     engine::Kind::kXstream, {}});
 
   Config c;
   c.options.trim = false;
-  configs.push_back({"core_no_trim", "core, trimming off", true, c.options});
+  configs.push_back(
+      {"core_no_trim", "core, trimming off", engine::Kind::kCore, c.options});
 
   c = Config{};
-  configs.push_back({"core_eager", "core, eager trim", true, c.options});
+  configs.push_back(
+      {"core_eager", "core, eager trim", engine::Kind::kCore, c.options});
 
   // The §II-C3 guard: thin frontiers + little death per round must keep
   // the trimmer quiet, so the gated config tracks the no-trim numbers.
@@ -203,7 +198,7 @@ std::vector<Config> grid_matrix() {
   c.options.trim_min_dead_fraction = 0.25;
   c.options.trim_min_frontier_fraction = 0.02;
   configs.push_back({"core_gated", "core, gated (25% dead & 2% frontier)",
-                     true, c.options});
+                     engine::Kind::kCore, c.options});
   return configs;
 }
 

@@ -5,11 +5,9 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "core/engine.hpp"
+#include "engine/api.hpp"
 #include "graph/multi_bfs.hpp"
-#include "inmem/engine.hpp"
 #include "storage/storage_plan.hpp"
-#include "xstream/engine.hpp"
 
 namespace fbfs::bench {
 
@@ -107,36 +105,29 @@ metrics::RunStats run_bfs(const Dataset& ds, const SystemOptions& options) {
                              .assign(io::Role::kStay, stay);
 
   metrics::Collector collector(options.collector);
-  const BfsProgram program{.root = ds.bfs_root};
-  std::vector<BfsProgram::State> states;
-  if (options.fastbfs) {
-    core::EngineOptions engine;
-    engine.num_threads = options.num_threads;
-    engine.trim_min_dead_fraction = options.trim_min_dead_fraction;
-    engine.update_codec = options.update_codec;
-    engine.stay_codec = options.update_codec;
-    engine.sieve_updates = options.sieve_updates;
-    engine.direction = options.direction;
-    engine.collector = &collector;
-    states = core::run(ds.pg, plan, program, engine).states;
-  } else {
-    xstream::EngineOptions engine;
-    engine.num_threads = options.num_threads;
-    engine.update_codec = options.update_codec;
-    engine.sieve_updates = options.sieve_updates;
-    engine.collector = &collector;
-    states = xstream::run(ds.pg, plan, program, engine).states;
-  }
+  engine::Options run_options;
+  run_options.num_threads = options.num_threads;
+  run_options.trim_min_dead_fraction = options.trim_min_dead_fraction;
+  run_options.update_codec = options.update_codec;
+  run_options.stay_codec = options.update_codec;
+  run_options.sieve_updates = options.sieve_updates;
+  run_options.direction = options.direction;
+  run_options.collector = &collector;
+  const std::vector<BfsProgram::State> states =
+      engine::run(options.kind, ds.pg, plan, BfsProgram{.root = ds.bfs_root},
+                  run_options)
+          .states;
 
+  const char* system =
+      options.kind == engine::Kind::kCore ? "fastbfs" : "xstream";
   FB_CHECK_MSG(states.size() == ds.reference.size() &&
                    std::memcmp(states.data(), ds.reference.data(),
                                states.size() * sizeof(BfsProgram::State)) == 0,
-               (options.fastbfs ? "fastbfs" : "xstream")
-                   << " on " << ds.name
-                   << " diverged from the in-memory reference");
+               system << " on " << ds.name
+                      << " diverged from the in-memory reference");
 
   metrics::RunStats stats = std::move(collector.run_stats());
-  stats.label = ds.name + "/" + (options.fastbfs ? "fastbfs" : "xstream");
+  stats.label = ds.name + "/" + system;
   return stats;
 }
 

@@ -59,22 +59,23 @@ std::vector<Dataset> evaluation_datasets(const std::string& workspace,
 
 struct SystemOptions {
   io::DeviceModel model = io::DeviceModel::hdd();  // per-role device model
-  bool fastbfs = true;           // false: the untrimmed x-stream baseline
+  /// kCore: FastBFS. kXstream: the untrimmed, top-down X-Stream preset,
+  /// which ignores the trim and direction fields below.
+  engine::Kind kind = engine::Kind::kCore;
   std::uint32_t num_threads = 1;
   /// FastBFS runs the paper's §II-C3 dynamic trim threshold (wait
   /// until 25% of a partition's input is dead before paying for a
   /// rewrite), as Figs. 4-7 do; 0 restores eager trimming.
   double trim_min_dead_fraction = 0.25;
   /// Update-stream codec policy (storage/codec.hpp), threaded into
-  /// either engine; fastbfs runs its stay streams under the same
-  /// policy, matching the `updates.codec` config default.
+  /// either kind; FastBFS runs its stay streams under the same policy,
+  /// matching the `updates.codec` config default.
   io::codec::Policy update_codec = io::codec::Policy::kRaw;
   /// Staging-buffer sieve (exact for BFS's min-fold gather).
   bool sieve_updates = false;
-  /// Traversal-direction strategy (core.direction), FastBFS only — the
-  /// x-stream baseline is always top-down. The transposed view is
-  /// prebuilt at dataset setup, so measured runs only pay the bottom-up
-  /// scans themselves.
+  /// Traversal-direction strategy (core.direction). The transposed
+  /// view is prebuilt at dataset setup, so measured runs only pay the
+  /// bottom-up scans themselves.
   engine::Direction direction = engine::Direction::kTopDown;
   metrics::CollectorOptions collector;
 };

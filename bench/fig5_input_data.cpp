@@ -77,9 +77,9 @@ int main(int argc, char** argv) {
   double rmat_update_write_cut = 0.0;
   for (const bench::Dataset& ds : datasets) {
     bench::SystemOptions options;
-    options.fastbfs = false;
+    options.kind = engine::Kind::kXstream;
     const metrics::RunStats xs = bench::run_bfs(ds, options);
-    options.fastbfs = true;
+    options.kind = engine::Kind::kCore;
     const metrics::RunStats fb = bench::run_bfs(ds, options);
     // The PR 7 configuration: same trimming engine, update and stay
     // streams under the auto codec with the staging sieve on.

@@ -81,9 +81,9 @@ int main(int argc, char** argv) {
                         "fb - xs", "fb iters"});
   for (const bench::Dataset& ds : datasets) {
     bench::SystemOptions options;
-    options.fastbfs = false;
+    options.kind = engine::Kind::kXstream;
     const metrics::RunStats xs = bench::run_bfs(ds, options);
-    options.fastbfs = true;
+    options.kind = engine::Kind::kCore;
     const metrics::RunStats fb = bench::run_bfs(ds, options);
 
     const double xs_iowait = xs.modelled_iowait();

@@ -38,11 +38,9 @@
 #include "common/log.hpp"
 #include "common/stopwatch.hpp"
 #include "common/temp_dir.hpp"
-#include "core/engine.hpp"
+#include "engine/api.hpp"
 #include "graph/generators.hpp"
 #include "graph/partitioner.hpp"
-#include "inmem/engine.hpp"
-#include "xstream/engine.hpp"
 
 namespace {
 
@@ -85,22 +83,11 @@ struct RunStats {
   std::uint32_t iterations = 0;
 };
 
-void check_states(const Dataset& ds, const std::string& label,
-                  const std::vector<BfsProgram::State>& states) {
-  FB_CHECK_MSG(states.size() == ds.reference.size() &&
-                   std::memcmp(states.data(), ds.reference.data(),
-                               states.size() * sizeof(BfsProgram::State)) == 0,
-               label << " on " << ds.name
-                     << " diverged from the in-memory reference");
-}
-
-RunStats run_xstream(const Dataset& ds, const io::StoragePlan& plan,
-                     const io::ReaderOptions& reader, std::uint32_t threads) {
-  xstream::EngineOptions options;
-  options.reader = reader;
-  options.num_threads = threads;
+RunStats run_bfs(const Dataset& ds, const io::StoragePlan& plan,
+                 engine::Kind kind, const engine::Options& options) {
   Stopwatch sw;
-  const auto result = xstream::run(ds.pg, plan, BfsProgram{.root = 0}, options);
+  const auto result =
+      engine::run(kind, ds.pg, plan, BfsProgram{.root = 0}, options);
   RunStats stats;
   stats.wall_seconds = sw.seconds();
   stats.iterations = result.iterations;
@@ -108,23 +95,13 @@ RunStats run_xstream(const Dataset& ds, const io::StoragePlan& plan,
     stats.scatter_seconds += it.scatter_seconds;
     stats.gather_seconds += it.gather_seconds;
   }
-  check_states(ds, "xstream T=" + std::to_string(threads), result.states);
-  return stats;
-}
-
-RunStats run_core(const Dataset& ds, const io::StoragePlan& plan,
-                  const core::EngineOptions& options) {
-  Stopwatch sw;
-  const auto result = core::run(ds.pg, plan, BfsProgram{.root = 0}, options);
-  RunStats stats;
-  stats.wall_seconds = sw.seconds();
-  stats.iterations = result.iterations;
-  for (const auto& it : result.per_iteration) {
-    stats.scatter_seconds += it.scatter_seconds;
-    stats.gather_seconds += it.gather_seconds;
-  }
-  check_states(ds, "core T=" + std::to_string(options.num_threads),
-               result.states);
+  FB_CHECK_MSG(result.states.size() == ds.reference.size() &&
+                   std::memcmp(result.states.data(), ds.reference.data(),
+                               result.states.size() *
+                                   sizeof(BfsProgram::State)) == 0,
+               engine::to_string(kind)
+                   << " T=" << options.num_threads << " on " << ds.name
+                   << " diverged from the in-memory reference");
   return stats;
 }
 
@@ -138,14 +115,15 @@ void part_a(Json& json, const Dataset& ds) {
   for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
     io::Device disk(ds.root + "/edges", io::DeviceModel::hdd());
     const io::StoragePlan plan = io::StoragePlan::single(disk);
-    const RunStats xs = run_xstream(ds, plan, io::ReaderOptions::plain(),
-                                    threads);
-    core::EngineOptions fb_options;
-    fb_options.num_threads = threads;
-    const RunStats fb = run_core(ds, plan, fb_options);
+    engine::Options options;
+    options.num_threads = threads;
+    const RunStats xs = run_bfs(ds, plan, engine::Kind::kXstream, options);
+    const RunStats fb = run_bfs(ds, plan, engine::Kind::kCore, options);
     std::printf("  %7u %12.3f %12.3f\n", threads, xs.wall_seconds,
                 fb.wall_seconds);
-    json.open("t" + std::to_string(threads));
+    // Built by append: gcc 12 flags `"t" + std::to_string(...)` with a
+    // false -Wrestrict inside libstdc++, which breaks -Werror builds.
+    json.open(std::string("t").append(std::to_string(threads)));
     json.number("xstream_wall_seconds", xs.wall_seconds);
     json.number("fastbfs_wall_seconds", fb.wall_seconds);
     json.close();
@@ -191,9 +169,9 @@ double calibrate_compute_mb_s(std::uint32_t partitions) {
 }
 
 struct PartBConfig {
-  std::string key;    // json section
-  bool use_core = false;
-  bool trim = false;  // core only
+  std::string key;  // json section
+  engine::Kind kind = engine::Kind::kXstream;
+  bool trim = false;  // kCore only
 };
 
 /// Part B: the PR 5 headline. Edge-input roles (edges + stay) on a
@@ -237,9 +215,9 @@ void part_b(Json& json, const Dataset& ds, std::size_t chunk_bytes,
 
   const io::ReaderOptions reader = io::ReaderOptions::plain(chunk_bytes);
   const std::vector<PartBConfig> configs = {
-      {"xstream", false, false},
-      {"fastbfs_no_trim", true, false},
-      {"fastbfs_trim", true, true},
+      {"xstream", engine::Kind::kXstream, false},
+      {"fastbfs_no_trim", engine::Kind::kCore, false},
+      {"fastbfs_trim", engine::Kind::kCore, true},
   };
   std::vector<double> scatter_t1(configs.size(), 0.0);
   std::vector<double> scatter_t4(configs.size(), 0.0);
@@ -255,21 +233,16 @@ void part_b(Json& json, const Dataset& ds, std::size_t chunk_bytes,
                                        .assign(io::Role::kState, state)
                                        .assign(io::Role::kUpdates, updates)
                                        .assign(io::Role::kStay, stay);
-      RunStats s;
-      if (cfg.use_core) {
-        core::EngineOptions options;
-        options.reader = reader;
-        options.num_threads = threads;
-        options.trim = cfg.trim;
-        s = run_core(ds, plan, options);
-      } else {
-        s = run_xstream(ds, plan, reader, threads);
-      }
+      engine::Options options;
+      options.reader = reader;
+      options.num_threads = threads;
+      options.trim = cfg.trim;
+      const RunStats s = run_bfs(ds, plan, cfg.kind, options);
       std::printf("  %-16s %7u %12.3f %12.3f %10u\n", cfg.key.c_str(),
                   threads, s.scatter_seconds, s.wall_seconds, s.iterations);
       if (threads == 1) scatter_t1[i] = s.scatter_seconds;
       if (threads == 4) scatter_t4[i] = s.scatter_seconds;
-      json.open("t" + std::to_string(threads));
+      json.open(std::string("t").append(std::to_string(threads)));
       json.number("scatter_seconds", s.scatter_seconds);
       json.number("gather_seconds", s.gather_seconds);
       json.number("wall_seconds", s.wall_seconds);

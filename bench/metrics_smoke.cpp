@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
       graph::RmatSource({.scale = 10, .edge_factor = 8, .seed = 5}),
       /*partitions=*/4);
   bench::SystemOptions options;
-  options.fastbfs = true;
+  options.kind = engine::Kind::kCore;
   options.num_threads = 2;
   const metrics::RunStats run = bench::run_bfs(ds, options);
   FB_CHECK_MSG(!run.iterations.empty(), "collector recorded no iterations");

@@ -22,11 +22,11 @@
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "common/temp_dir.hpp"
+#include "core/scatter.hpp"
 #include "graph/partitioner.hpp"
 #include "graph/program.hpp"
 #include "metrics/table.hpp"
 #include "storage/codec.hpp"
-#include "xstream/detail.hpp"
 
 namespace {
 
@@ -227,8 +227,8 @@ void bench_sieve(Json& json, const std::vector<Shape>& shapes,
   json.open("sieve");
   for (const Shape& shape : shapes) {
     const graph::PartitionLayout layout(shape.range_end, 4);
-    xstream::detail::ScatterStage<graph::BfsProgram> stage(program, layout,
-                                                           /*sieve=*/true);
+    core::detail::ScatterStage<graph::BfsProgram> stage(program, layout,
+                                                        /*sieve=*/true);
     Stopwatch clock;
     std::size_t in_window = 0;
     for (const Update& u : shape.updates) {

@@ -104,6 +104,12 @@ inline DirectionCosts model_direction_costs(const DirectionInputs& in) {
   return costs;
 }
 
+/// The auto strategy's gates, the Beamer-style defaults: flip only when
+/// the top-down bytes exceed kDirectionAlpha x the bottom-up bytes and
+/// the frontier holds at least kDirectionBeta of all vertices.
+inline constexpr double kDirectionAlpha = 1.0;
+inline constexpr double kDirectionBeta = 0.1;
+
 /// The per-round decision. Forced modes pass through (the engine
 /// degrades a forced bottom-up to top-down only when the program has no
 /// pull hook); auto applies the byte model behind the beta growth gate.

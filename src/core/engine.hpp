@@ -1,5 +1,5 @@
-// The FastBFS engine (ROADMAP item 1): the streaming scatter/gather
-// loop of xstream::run plus the paper's §II-C mechanisms —
+// The streaming engine: FastBFS (paper §II-C) as X-Stream's synchronous
+// scatter/gather rounds plus the paper's mechanisms —
 //
 //   edge trimming       during a partition's scatter scan, edges whose
 //                       source is in the frontier emit their update and
@@ -23,12 +23,25 @@
 //                       fraction observed in the partition's previous
 //                       scan >= trim_min_dead_fraction;
 //   selective scheduling partitions whose vertex range received no
-//                       gather update are skipped outright (shared
-//                       with xstream via AtomicBitmap::any_in_range).
+//                       gather update are skipped outright
+//                       (AtomicBitmap::any_in_range).
+//
+// The X-Stream baseline is this loop with trimming off and every round
+// top-down: engine::run(Kind::kXstream, ...) is that preset, not a
+// second engine.
+//
+// The graph lives on disk as P partition edge files (partitioner.hpp:
+// partition p owns the vertex range [begin(p), end(p)) and holds the
+// out-edges of its sources); vertex state lives in one State file per
+// partition (vertex_state.hpp). Each round scatters every partition
+// with an active source (scatter.hpp, or pull.hpp bottom-up), then
+// gathers the update files into the states. Devices come from a
+// StoragePlan: edges / state / updates / stay are separate roles, so
+// the paper's dual-disk placement is one plan away.
 //
 // Trimming applies only to programs declaring kTrimmable (BFS — see
-// program.hpp for the licence); for the rest core::run degrades to the
-// untrimmed loop and stays bit-identical to xstream::run/inmem::run by
+// program.hpp for the licence); for the rest core::run runs the
+// untrimmed loop and stays bit-identical to inmem::run by
 // construction. Deadness is engine-level: `retired` accumulates every
 // past frontier, and an edge survives iff its source is neither active
 // nor retired — no peeking into program State.
@@ -48,12 +61,10 @@
 // rebuild each active source's update from the round number (plus the
 // tracker's frontier mask), byte-identical to scatter by their
 // contracts (program.hpp), so the state device is read only by gather
-// and the final collect. xstream::run keeps the classic state-loading
-// scatter.
+// and the final collect. Other programs scatter over loaded states.
 //
 // Round accounting and stop rules are EXACTLY inmem::run's (change
-// both or neither); init/fan-out/gather/collect come verbatim from
-// xstream/detail.hpp.
+// both or neither).
 #pragma once
 
 #include <bit>
@@ -66,65 +77,45 @@
 
 #include "common/bitmap.hpp"
 #include "common/check.hpp"
-#include "common/config.hpp"
 #include "common/parallel.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
 #include "core/direction.hpp"
+#include "core/pull.hpp"
+#include "core/scatter.hpp"
+#include "core/vertex_state.hpp"
 #include "engine/types.hpp"
 #include "graph/partitioner.hpp"
 #include "graph/program.hpp"
 #include "metrics/collector.hpp"
 #include "metrics/device_usage.hpp"
+#include "metrics/iteration_stats.hpp"
 #include "storage/async_writer.hpp"
 #include "storage/codec.hpp"
 #include "storage/reader_factory.hpp"
 #include "storage/storage_plan.hpp"
-#include "xstream/detail.hpp"
 
 namespace fbfs::core {
-
-/// The unified engine surface (engine/types.hpp — the one place the
-/// shared-key precedence is documented). This engine reads every field:
-/// the trim knobs, the stay-stream codec (raw keeps the fully streamed
-/// async write; the other policies buffer survivors and encode at
-/// finish time, bitmap never applying since multi-edges keep their
-/// multiplicity), and the direction strategy below.
-using EngineOptions = engine::Options;
-using Direction = engine::Direction;
-
-template <graph::GraphProgram P>
-using RunResult = engine::RunResult<P>;
-
-/// engine::options_from_config(config, Kind::kCore): the shared keys
-/// plus the `core.*` trim knobs (write_buffer, max_iterations, trim,
-/// selective, trim_start_round, trim_min_frontier_fraction,
-/// trim_min_dead_fraction, grace_timeout, stay_buffer,
-/// stay_pool_buffers), `updates.stay_codec` (defaults to the resolved
-/// `updates.codec`), and the direction strategy (`core.direction` =
-/// topdown | bottomup | auto, `core.direction_alpha`,
-/// `core.direction_beta`).
-EngineOptions engine_options_from_config(const Config& config);
-
-/// Reads `core.partition_count` > `engine.partition_count` > `fallback`.
-std::uint32_t partition_count_from_config(const Config& config,
-                                          std::uint32_t fallback);
 
 /// Partition p's trimmed input on the stay device. Staged writes land
 /// on "<name>.wip" first, so the previous version survives cancellation.
 std::string stay_file_name(const graph::PartitionedGraph& pg,
                            std::uint32_t p);
 
-/// The hoisted per-round stats record (metrics/iteration_stats.hpp)
-/// already carries the trim life-cycle counters this engine used to
-/// bolt onto xstream's struct; the alias keeps the historical
-/// spelling the tests and benches use.
-using IterationStats = metrics::IterationStats;
-
 namespace detail {
 
+void log_iteration(const char* program, const metrics::IterationStats& stats);
 void log_trim_resolution(const char* program, std::uint32_t partition,
                          io::AsyncWriter::StreamState state);
+
+/// Removes the run's state, update and stay files from their role
+/// devices.
+void remove_run_files(const graph::PartitionedGraph& pg,
+                      const io::StoragePlan& plan);
+
+/// Buffers in the stay streams' AsyncWriter pool, each
+/// Options::stay_buffer_bytes long.
+inline constexpr std::size_t kStayPoolBuffers = 4;
 
 /// After a grace-timeout cancel, the writer thread gets this long to
 /// reach a terminal state (cancel is cooperative and never blocks on
@@ -143,78 +134,14 @@ struct PendingTrim {
   io::codec::Format format = io::codec::Format::kRaw;
 };
 
-/// scatter_partition's edge-observer for core (see xstream/detail.hpp's
-/// NullTrimSink for the hook contract): counts dead edges and feeds the
-/// partition's ONE staged stay stream with survivors. flush() is only
-/// ever called in input order — serially, or inside the parallel
-/// scatter's ordered hand-off, whose gate mutex sequences the calls —
-/// so the plain (non-atomic) members are race-free and the stay file
-/// receives survivors in scan order at every thread count.
-struct StayTrimSink {
-  struct ChunkState {
-    std::vector<graph::Edge> survivors;
-    std::uint64_t dead = 0;
-  };
-
-  bool counting = false;    // trim-capable run: count dead edges
-  bool collecting = false;  // trimming this scan: stage survivors
-  /// Non-raw stay codec: survivors accumulate in `staged` (in scan
-  /// order, flush() being input-ordered) and the engine encodes +
-  /// appends the whole stream at finish time, instead of streaming
-  /// chunks through the async writer as they retire.
-  bool buffered = false;
-  /// Masked programs: deadness is saturation alone (`retired` points at
-  /// the tracker's saturated set). An active-but-unsaturated source
-  /// must SURVIVE — a later query can put it back in the frontier —
-  /// where the single-query rule would kill it.
-  bool masked = false;
-  const AtomicBitmap* retired = nullptr;
-  io::AsyncWriter* writer = nullptr;
-  io::AsyncWriter::StreamId id = 0;
-  bool alive = false;
-  std::uint64_t dead_total = 0;
-  std::vector<graph::Edge> staged;
-
-  ChunkState make_chunk_state() const { return {}; }
-
-  void observe(const graph::Edge& e, bool src_active,
-               ChunkState& chunk) const {
-    if (!counting) return;
-    const bool dead =
-        masked ? retired->test(e.src) : (src_active || retired->test(e.src));
-    if (dead) {
-      ++chunk.dead;
-    } else if (collecting) {
-      chunk.survivors.push_back(e);
-    }
-  }
-
-  void flush(ChunkState& chunk) {
-    dead_total += chunk.dead;
-    chunk.dead = 0;
-    if (chunk.survivors.empty()) return;
-    if (buffered) {
-      staged.insert(staged.end(), chunk.survivors.begin(),
-                    chunk.survivors.end());
-    } else if (alive &&
-               !writer->append_raw(
-                   id, chunk.survivors.data(),
-                   chunk.survivors.size() * sizeof(graph::Edge))) {
-      alive = false;  // stream cancelled/failed under us
-    }
-    chunk.survivors.clear();
-  }
-};
-
 }  // namespace detail
 
 template <graph::GraphProgram P>
-RunResult<P> run(const graph::PartitionedGraph& pg,
-                 const io::StoragePlan& plan, const P& program,
-                 const EngineOptions& options = {}) {
+engine::RunResult<P> run(const graph::PartitionedGraph& pg,
+                         const io::StoragePlan& plan, const P& program,
+                         const engine::Options& options = {}) {
   using State = typename P::State;
   using Update = typename P::Update;
-  namespace xd = xstream::detail;
   FB_CHECK_MSG(!P::kRequiresUndirected || pg.meta.undirected,
                P::kName << " requires a symmetric edge list, but "
                         << pg.meta.name
@@ -223,7 +150,7 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
   const std::uint32_t num_partitions = layout.num_partitions();
   const std::uint64_t n = layout.num_vertices();
 
-  RunResult<P> result;
+  engine::RunResult<P> result;
   AtomicBitmap active(n);
   AtomicBitmap next_active(n);
 
@@ -238,28 +165,29 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
   // saturation bitmap that replaces `retired` AND `visited` below.
   constexpr bool masked = graph::MaskedProgram<P>;
   [[maybe_unused]] std::uint32_t batch_width = 0;
-  std::optional<xd::MaskStateTracker<P>> tracker;
+  std::optional<detail::MaskStateTracker<P>> tracker;
   if constexpr (masked) {
     batch_width = static_cast<std::uint32_t>(std::popcount(program.full_mask()));
     tracker.emplace(program, n);
-    xd::init_partition_states(pg, plan, options.reader,
-                              options.write_buffer_bytes, program, active,
-                              exec, &result.arrivals, &*tracker);
+    detail::init_partition_states(pg, plan, options.reader,
+                                  options.write_buffer_bytes, program, active,
+                                  exec, &result.arrivals, &*tracker);
   } else {
-    xd::init_partition_states(pg, plan, options.reader,
-                              options.write_buffer_bytes, program, active,
-                              exec);
+    detail::init_partition_states(pg, plan, options.reader,
+                                  options.write_buffer_bytes, program, active,
+                                  exec);
   }
 
-  // ---- trimming state. Only kTrimmable programs ever pay for any of
-  // this; for the rest the loop below is xstream::run's. Masked
+  // ---- trimming state. Only kTrimmable programs with trimming on ever
+  // pay for any of this; for the rest the loop below is the plain
+  // X-Stream scatter/gather. Masked
   // programs key deadness on the tracker's saturation set instead of a
   // past-frontiers bitmap (see the header comment).
   const bool trim_capable = options.trim && P::kTrimmable;
   std::optional<io::AsyncWriter> writer;
   std::optional<AtomicBitmap> retired;
   if (trim_capable) {
-    writer.emplace(options.stay_buffer_bytes, options.stay_pool_buffers);
+    writer.emplace(options.stay_buffer_bytes, detail::kStayPoolBuffers);
     if constexpr (!masked) retired.emplace(n);
   }
   std::vector<bool> input_on_stay(num_partitions, false);
@@ -286,12 +214,12 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
   // anything for, which is also the cost model's `unvisited` term.
   constexpr bool pull_capable = graph::PullCapable<P>;
   constexpr bool pull_ok = pull_capable || masked;
-  const Direction configured =
-      pull_ok ? options.direction : Direction::kTopDown;
+  const engine::Direction configured =
+      pull_ok ? options.direction : engine::Direction::kTopDown;
   std::optional<AtomicBitmap> visited;
   graph::TransposedView transposed;
   if constexpr (pull_ok) {
-    if (configured != Direction::kTopDown) {
+    if (configured != engine::Direction::kTopDown) {
       if constexpr (!masked) {
         visited.emplace(n);
         visited->or_with(active);
@@ -315,7 +243,8 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
   // round's row, or the run's epilogue row at end-of-run — every
   // resolution lands in exactly one row, so the run totals always equal
   // the rows' sum (CHECKed below).
-  const auto resolve_pending = [&](std::uint32_t p, IterationStats* stats) {
+  const auto resolve_pending = [&](std::uint32_t p,
+                                   metrics::IterationStats* stats) {
     if (!pending[p]) return;
     metrics::ScopedPhase resolve_timer(collector,
                                        metrics::Phase::kTrimResolve);
@@ -352,7 +281,7 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
   std::vector<std::uint64_t> pending_updates(num_partitions, 0);
   while (result.iterations < options.max_iterations) {
     Stopwatch round_clock;
-    IterationStats stats;
+    metrics::IterationStats stats;
     stats.iteration = result.iterations;
     const metrics::RoleSnapshots io_before = plan.stats_snapshot();
     const double frontier_fraction =
@@ -364,7 +293,8 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
     // model's per-query densities, the batch columns in the stats row,
     // and the live per-query convergence counter (monotone: a query
     // with no frontier bit anywhere can never regain one).
-    [[maybe_unused]] typename xd::MaskStateTracker<P>::RoundMasks round_masks;
+    [[maybe_unused]] typename detail::MaskStateTracker<P>::RoundMasks
+        round_masks;
     if constexpr (masked) {
       round_masks = tracker->round_masks(active);
       stats.frontier_mask_bits = round_masks.frontier_bits;
@@ -381,9 +311,9 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
     // decide (forced modes pass straight through). Both costs are
     // recorded in the round's stats either way, so an ablation can see
     // the margin the model acted on.
-    Direction mode = Direction::kTopDown;
+    engine::Direction mode = engine::Direction::kTopDown;
     if constexpr (pull_ok) {
-      if (configured != Direction::kTopDown) {
+      if (configured != engine::Direction::kTopDown) {
         DirectionInputs din;
         din.num_vertices = n;
         din.total_edges = pg.meta.num_edges;
@@ -396,7 +326,7 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
           din.active_queries = stats.queries_active;
         }
         for (std::uint32_t p = 0; p < num_partitions; ++p) {
-          if (!options.selective || P::kScatterAllVertices ||
+          if (P::kScatterAllVertices ||
               active.any_in_range(layout.begin(p), layout.end(p))) {
             din.topdown_scan_edges += input_edges[p];
           }
@@ -405,22 +335,22 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
           }
         }
         DirectionCosts costs;
-        mode = decide_direction(configured, din, options.direction_alpha,
-                                options.direction_beta, &costs);
+        mode = decide_direction(configured, din, kDirectionAlpha,
+                                kDirectionBeta, &costs);
         stats.modelled_topdown_bytes = costs.topdown_bytes;
         stats.modelled_bottomup_bytes = costs.bottomup_bytes;
-        stats.bottomup = mode == Direction::kBottomUp;
+        stats.bottomup = mode == engine::Direction::kBottomUp;
       }
     }
 
     // Scatter.
     {
       Stopwatch scatter_clock;
-      auto fanout = xd::open_update_fanout<Update>(
+      auto fanout = detail::open_update_fanout<Update>(
           pg, plan, options.write_buffer_bytes, options.update_codec,
           graph::kIdempotentGatherV<P>);
       if constexpr (pull_ok) {
-        if (mode == Direction::kBottomUp) {
+        if (mode == engine::Direction::kBottomUp) {
           // Bottom-up: scan the transposed files of partitions that
           // still hold unclaimed vertices and let those vertices probe
           // the frontier. Pending trims of the FORWARD inputs stay
@@ -449,7 +379,7 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
             }
             metrics::ScopedPhase scatter_timer(collector,
                                                metrics::Phase::kScatter);
-            const xd::ScatterResult pulled = xd::pull_partition<P>(
+            const detail::ScatterResult pulled = detail::pull_partition<P>(
                 exec, plan.edges(), graph::transposed_file(pg, q),
                 transposed.in_edges_per_partition[q],
                 std::span<const graph::TransposedBlock>(transposed.blocks[q]),
@@ -473,8 +403,8 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
       }
       // Top-down (the entire loop no-ops after a bottom-up pull above).
       for (std::uint32_t p = 0;
-           mode != Direction::kBottomUp && p < num_partitions; ++p) {
-        if (options.selective && !P::kScatterAllVertices &&
+           mode != engine::Direction::kBottomUp && p < num_partitions; ++p) {
+        if (!P::kScatterAllVertices &&
             !active.any_in_range(layout.begin(p), layout.end(p))) {
           // A pending trim of a skipped partition stays pending: the
           // stream gets more time, and nothing needs its file yet.
@@ -536,10 +466,10 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
                                                  stay_file_name(pg, p),
                                                  options.reader,
                                                  input_edges[p]);
-            return xd::scatter_span<P>(exec, stay_edges, layout, source,
-                                       active, program, options.reader,
-                                       options.sieve_updates, fanout, sink,
-                                       collector);
+            return detail::scatter_span<P>(exec, stay_edges, layout, source,
+                                           active, program, options.reader,
+                                           options.sieve_updates, fanout,
+                                           sink, collector);
           }
           io::Device& input_dev =
               input_on_stay[p] ? plan.stay() : plan.edges();
@@ -547,26 +477,26 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
               input_on_stay[p] ? stay_file_name(pg, p) : pg.partition_file(p);
           const std::uint64_t base_offset =
               input_on_stay[p] ? io::codec::kHeaderBytes : 0;
-          return xd::scatter_partition<P>(
+          return detail::scatter_partition<P>(
               exec, input_dev, input_name, base_offset, input_edges[p],
               layout, source, active, program, options.reader,
               options.sieve_updates, fanout, sink, collector);
         };  // readers close before the stream can commit a rename
-        xd::ScatterResult scattered;
+        detail::ScatterResult scattered;
         if constexpr (pull_ok) {
           // State-free: the pull hooks rebuild every update from the
           // round number (and the tracker's frontier masks), so the
           // partition's state file is never read here.
           std::span<const std::uint64_t> frontier_masks;
           if constexpr (masked) frontier_masks = tracker->frontier;
-          scattered = scan(xd::RoundScatter<P>{program, result.iterations,
-                                               frontier_masks});
+          scattered = scan(detail::RoundScatter<P>{
+              program, result.iterations, frontier_masks});
         } else {
-          const std::vector<State> states = xd::read_records<State>(
-              plan.state(), xstream::state_file_name(pg, p), options.reader,
+          const std::vector<State> states = io::codec::read_all<State>(
+              plan.state(), state_file_name(pg, p), options.reader,
               layout.size(p));
           scattered =
-              scan(xd::StateScatter<P>{program, states, layout.begin(p)});
+              scan(detail::StateScatter<P>{program, states, layout.begin(p)});
         }
         FB_CHECK_MSG(scattered.scanned == input_edges[p],
                      "partition " << p << " input of " << pg.meta.name
@@ -640,14 +570,15 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
     {
       Stopwatch gather_clock;
       if constexpr (masked) {
-        xd::gather_partitions(pg, plan, options.reader,
-                              options.write_buffer_bytes, program,
-                              pending_updates, next_active, exec, collector,
-                              &result.arrivals, &*tracker);
+        detail::gather_partitions(pg, plan, options.reader,
+                                  options.write_buffer_bytes, program,
+                                  pending_updates, next_active, exec,
+                                  collector, &result.arrivals, &*tracker);
       } else {
-        xd::gather_partitions(pg, plan, options.reader,
-                              options.write_buffer_bytes, program,
-                              pending_updates, next_active, exec, collector);
+        detail::gather_partitions(pg, plan, options.reader,
+                                  options.write_buffer_bytes, program,
+                                  pending_updates, next_active, exec,
+                                  collector);
       }
       stats.gather_seconds = gather_clock.seconds();
     }
@@ -667,7 +598,7 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
     stats.activated = active.count_set();
     stats.seconds = round_clock.seconds();
     metrics::capture_iteration_io(plan, io_before, stats);
-    xd::log_iteration(P::kName, stats);
+    detail::log_iteration(P::kName, stats);
     result.per_iteration.push_back(stats);
     if (collector != nullptr) collector->end_iteration(stats);
     if (!P::kScatterAllVertices && !active.any()) break;
@@ -691,8 +622,8 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
   // Reconcile: run-level trim totals == per-iteration rows + epilogue.
   // Drift here means a resolution was dropped or double-counted.
   {
-    IterationStats sum = result.epilogue;
-    for (const IterationStats& s : result.per_iteration) {
+    metrics::IterationStats sum = result.epilogue;
+    for (const metrics::IterationStats& s : result.per_iteration) {
       sum.trims_started += s.trims_started;
       sum.trims_committed += s.trims_committed;
       sum.trims_cancelled += s.trims_cancelled;
@@ -705,15 +636,8 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
     FB_CHECK_EQ(sum.trims_failed, result.trims_failed);
     FB_CHECK_EQ(sum.stay_edges_written, result.stay_edges_written);
   }
-  result.states = xd::collect_states<P>(pg, plan, options.reader);
-  if (!options.keep_files) {
-    xd::remove_run_files(pg, plan);
-    for (std::uint32_t p = 0; p < num_partitions; ++p) {
-      if (plan.stay().exists(stay_file_name(pg, p))) {
-        plan.stay().remove(stay_file_name(pg, p));
-      }
-    }
-  }
+  result.states = detail::collect_states<P>(pg, plan, options.reader);
+  if (!options.keep_files) detail::remove_run_files(pg, plan);
   return result;
 }
 

@@ -1,21 +1,21 @@
 // engine::run — the one run entry the benches and tests dispatch
-// through. Picks the engine by engine::Kind at runtime; all three
-// variants consume the same engine::Options and produce the same
-// engine::RunResult<P> (types.hpp), so a caller can sweep engines in a
+// through. Picks the engine by engine::Kind at runtime; every kind
+// consumes the same engine::Options and produces the same
+// engine::RunResult<P> (types.hpp), so a caller can sweep kinds in a
 // loop instead of hard-coding one namespace per arm.
 //
-// The streaming engines run over the partitioned graph + storage plan
-// as before. Kind::kInmem ignores the partitioning and builds the
-// reference CSR straight off the plan's edge device — the same call
-// every equivalence test makes by hand — so one dispatch covers the
-// reference run too.
+// There are two engines. Kind::kInmem ignores the partitioning and
+// builds the reference CSR straight off the plan's edge device — the
+// same call every equivalence test makes by hand — so one dispatch
+// covers the reference run too. The streaming kinds both run
+// core::run: Kind::kXstream is the X-Stream baseline preset (trimming
+// off, every round top-down), Kind::kCore is FastBFS as configured.
 #pragma once
 
 #include "core/engine.hpp"
 #include "engine/types.hpp"
 #include "graph/csr.hpp"
 #include "inmem/engine.hpp"
-#include "xstream/engine.hpp"
 
 namespace fbfs::engine {
 
@@ -26,8 +26,13 @@ RunResult<P> run(Kind kind, const graph::PartitionedGraph& pg,
   switch (kind) {
     case Kind::kInmem:
       return inmem::run_graph(plan.edges(), pg.meta, program, options);
-    case Kind::kXstream:
-      return xstream::run(pg, plan, program, options);
+    case Kind::kXstream: {
+      // Every other field passes through as given.
+      Options xstream = options;
+      xstream.trim = false;
+      xstream.direction = Direction::kTopDown;
+      return core::run(pg, plan, program, xstream);
+    }
     case Kind::kCore:
       return core::run(pg, plan, program, options);
   }

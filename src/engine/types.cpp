@@ -46,44 +46,26 @@ Direction parse_direction(const std::string& name) {
   return Direction::kTopDown;
 }
 
-namespace {
-
-/// `<kind>.key` > `engine.key` > `fallback` — the shared-key precedence
-/// the header documents, applied to one u64-ish key.
-std::uint64_t layered_u64(const Config& config, Kind kind,
-                          const std::string& key, std::uint64_t fallback) {
-  const std::uint64_t shared =
-      config.get_u64_or("engine." + key, fallback);
-  return config.get_u64_or(std::string(to_string(kind)) + "." + key, shared);
-}
-
-std::uint64_t layered_bytes(const Config& config, Kind kind,
-                            const std::string& key, std::uint64_t fallback) {
-  const std::uint64_t shared =
-      config.get_bytes_or("engine." + key, fallback);
-  return config.get_bytes_or(std::string(to_string(kind)) + "." + key, shared);
-}
-
-}  // namespace
-
-Options options_from_config(const Config& config, Kind kind) {
+Options options_from_config(const Config& config) {
   Options opts;
   opts.reader = io::reader_options_from_config(config);
   opts.write_buffer_bytes = static_cast<std::size_t>(
-      layered_bytes(config, kind, "write_buffer", opts.write_buffer_bytes));
+      config.get_bytes_or("engine.write_buffer", opts.write_buffer_bytes));
   opts.max_iterations = static_cast<std::uint32_t>(
-      layered_u64(config, kind, "max_iterations", opts.max_iterations));
+      config.get_u64_or("engine.max_iterations", opts.max_iterations));
   opts.num_threads = config.get_threads_or("engine.num_threads", 1);
   const std::string update_codec = config.get_enum_or(
       "updates.codec", {"auto", "raw", "bitmap", "varint"},
       io::codec::to_string(opts.update_codec));
   opts.update_codec = io::codec::parse_policy(update_codec);
   opts.sieve_updates = config.get_bool_or("updates.sieve", opts.sieve_updates);
-  if (kind != Kind::kCore) return opts;
+  // Stay files follow the update codec unless overridden.
+  opts.stay_codec = io::codec::parse_policy(config.get_enum_or(
+      "updates.stay_codec", {"auto", "raw", "bitmap", "varint"},
+      update_codec));
 
-  // ---- core-only: trim, stay-stream, and direction knobs.
+  // ---- FastBFS trim and direction knobs.
   opts.trim = config.get_bool_or("core.trim", opts.trim);
-  opts.selective = config.get_bool_or("core.selective", opts.selective);
   opts.trim_start_round = static_cast<std::uint32_t>(
       config.get_u64_or("core.trim_start_round", opts.trim_start_round));
   opts.trim_min_frontier_fraction = config.get_f64_or(
@@ -94,27 +76,16 @@ Options options_from_config(const Config& config, Kind kind) {
       config.get_f64_or("core.grace_timeout", opts.grace_timeout_seconds);
   opts.stay_buffer_bytes = static_cast<std::size_t>(
       config.get_bytes_or("core.stay_buffer", opts.stay_buffer_bytes));
-  opts.stay_pool_buffers = static_cast<std::size_t>(
-      config.get_u64_or("core.stay_pool_buffers", opts.stay_pool_buffers));
-  // Stay files follow the update codec unless overridden.
-  opts.stay_codec = io::codec::parse_policy(config.get_enum_or(
-      "updates.stay_codec", {"auto", "raw", "bitmap", "varint"},
-      update_codec));
   opts.direction = parse_direction(config.get_enum_or(
       "core.direction", {"topdown", "bottomup", "auto"},
       to_string(opts.direction)));
-  opts.direction_alpha =
-      config.get_f64_or("core.direction_alpha", opts.direction_alpha);
-  opts.direction_beta =
-      config.get_f64_or("core.direction_beta", opts.direction_beta);
   return opts;
 }
 
-std::uint32_t partition_count_from_config(const Config& config, Kind kind,
+std::uint32_t partition_count_from_config(const Config& config,
                                           std::uint32_t fallback) {
-  if (kind == Kind::kInmem) return fallback;
   return static_cast<std::uint32_t>(
-      layered_u64(config, kind, "partition_count", fallback));
+      config.get_u64_or("engine.partition_count", fallback));
 }
 
 }  // namespace fbfs::engine

@@ -1,32 +1,23 @@
-// The unified engine surface (PR 8's api_redesign): one Options
-// struct, one RunResult, one config parser for all three run-entry
-// variants (inmem / xstream / core).
+// The unified engine surface: one Options struct, one RunResult and
+// one config parser for every engine::Kind (inmem / xstream / core).
+// An engine reads the fields it understands and ignores the rest
+// (inmem reads only max_iterations + collector), and every kind returns
+// engine::RunResult<P>, whose trim/direction counters stay default-zero
+// for runs that never trim or flip direction.
 //
-// Before this header each engine declared its own options + result
-// structs and its own `engine_options_from_config`, drifting a field at
-// a time (core's grew trim knobs, xstream's grew the codec keys, inmem
-// had neither). Now every engine consumes engine::Options — fields an
-// engine does not use are simply ignored (inmem reads only
-// max_iterations + collector) — and returns engine::RunResult<P>,
-// whose trim/direction counters stay default-zero for the engines that
-// never trim or flip direction. The per-engine spellings
-// (xstream::EngineOptions, core::RunResult, inmem::RunOptions, ...)
-// are `using` aliases, so existing call sites migrate mechanically.
-//
-// Shared-key precedence — THE one place it is documented:
-//   * `engine.num_threads` (0 = hardware concurrency) is shared by the
-//     streaming engines; there is no per-engine spelling.
-//   * `updates.codec`, `updates.sieve`, `updates.stay_codec` are shared
-//     update-stream keys (stay_codec is read by core only and defaults
-//     to the resolved updates.codec).
+// Config keys, one spelling per value (options_from_config):
 //   * `io.reader` / `io.reader_buffer` configure every record stream.
-//   * write_buffer / max_iterations / partition_count resolve as
-//     `<engine>.key` > `engine.key` > built-in default: a generic
-//     `engine.*` value applies to whichever engine runs, and the
-//     engine-specific spelling (`xstream.write_buffer`,
-//     `core.partition_count`, ...) wins when both are present.
-//   * `core.*` trim and direction knobs belong to core alone and are
-//     parsed only for Kind::kCore.
+//   * `engine.write_buffer`, `engine.max_iterations`,
+//     `engine.num_threads` (0 = hardware concurrency) and
+//     `engine.partition_count` (partition_count_from_config).
+//   * `updates.codec`, `updates.sieve` and `updates.stay_codec` (the
+//     stay codec defaults to the resolved updates.codec).
+//   * `core.*`, the FastBFS trim and direction knobs: `core.trim`,
+//     `core.trim_start_round`, `core.trim_min_frontier_fraction`,
+//     `core.trim_min_dead_fraction`, `core.grace_timeout`,
+//     `core.stay_buffer` and `core.direction`. Kind::kXstream's preset
+//     overrides `core.trim` and `core.direction`, so one config drives
+//     either streaming arm.
 #pragma once
 
 #include <cstdint>
@@ -44,11 +35,11 @@ class Collector;
 
 namespace fbfs::engine {
 
-/// The three run-entry variants. Benches/tests dispatch on this instead
-/// of hard-coding one engine's namespace (engine::run in api.hpp).
+/// The run-entry variants. Benches/tests dispatch on this instead of
+/// hard-coding one engine's namespace (engine::run in api.hpp).
 enum class Kind {
   kInmem = 0,    // exact in-memory CSR reference
-  kXstream = 1,  // streaming scatter/gather baseline
+  kXstream = 1,  // X-Stream baseline: core::run, no trim, top-down
   kCore = 2,     // FastBFS: trimming + direction-optimizing strategies
 };
 
@@ -71,9 +62,9 @@ enum class Direction {
 const char* to_string(Direction direction);
 Direction parse_direction(const std::string& name);
 
-/// Options for every engine. One struct instead of three: engines read
-/// the fields they understand and ignore the rest, so a bench can fill
-/// one Options and hand it to any Kind.
+/// Options for every engine: engines read the fields they understand and
+/// ignore the rest, so a bench can fill one Options and hand it to any
+/// Kind.
 struct Options {
   /// First member so `{.max_iterations = N}` designated initialization
   /// (the equivalence suites' idiom) skips no earlier field.
@@ -83,8 +74,7 @@ struct Options {
   /// Split across the P update writers during scatter; whole for the
   /// state write-back.
   std::size_t write_buffer_bytes = 1 << 20;
-  /// Leave state, update (and core's stay) files on their devices
-  /// after the run.
+  /// Leave state, update and stay files on their devices after the run.
   bool keep_files = false;
   /// On-disk format policy for the per-partition update files
   /// (storage/codec.hpp). The duplicate-collapsing bitmap format only
@@ -98,17 +88,15 @@ struct Options {
   /// Worker threads for the scatter/gather phases. 1 = the serial
   /// engine (no pool); 0 = one per hardware thread. States, outputs,
   /// update files, and stay files are bit-identical at every count
-  /// (chunk-ordered hand-off; see xstream/detail.hpp).
+  /// (chunk-ordered hand-off; see core/scatter.hpp).
   std::uint32_t num_threads = 1;
 
-  // ---- core-only knobs (ignored by inmem/xstream). --------------------
+  // ---- FastBFS knobs, read by core::run. Kind::kXstream forces trim
+  // off and direction top-down; inmem ignores them all.
 
   /// Master switch for edge trimming (only effective for kTrimmable
   /// programs).
   bool trim = true;
-  /// Skip partitions with no active source (xstream always does; here a
-  /// knob so the ablation can price it).
-  bool selective = true;
   /// First round allowed to start a trim (0 = eager).
   std::uint32_t trim_start_round = 0;
   /// Trim only when at least this fraction of all vertices is active
@@ -120,22 +108,15 @@ struct Options {
   /// Seconds the next scatter of a partition waits for its pending stay
   /// stream before cancelling and falling back to the previous input.
   double grace_timeout_seconds = 5.0;
-  /// AsyncWriter pool geometry for the stay streams.
+  /// Buffer size of the stay streams' AsyncWriter pool.
   std::size_t stay_buffer_bytes = 1 << 20;
-  std::size_t stay_pool_buffers = 4;
   /// Format policy for the trimmed stay files (bitmap never applies:
   /// multi-edges keep their multiplicity). Defaults to following the
   /// resolved update codec when read from config.
   io::codec::Policy stay_codec = io::codec::Policy::kRaw;
-  /// Traversal mode strategy (core only; see Direction).
+  /// Traversal mode strategy (see Direction; kAuto's gates are
+  /// core/direction.hpp's constants).
   Direction direction = Direction::kTopDown;
-  /// kAuto picks bottom-up only when the modelled top-down bytes exceed
-  /// alpha x the modelled bottom-up bytes...
-  double direction_alpha = 1.0;
-  /// ...and the frontier holds at least this fraction of all vertices
-  /// (the Beamer-style growth gate: sliver frontiers on high-diameter
-  /// graphs never flip).
-  double direction_beta = 0.1;
 
   /// Optional observability hook (not owned). Null runs every engine
   /// exactly as before — no allocation, no clock reads, no extra
@@ -144,9 +125,9 @@ struct Options {
   metrics::Collector* collector = nullptr;
 };
 
-/// One result shape for every engine. Counters an engine never touches
-/// stay default-zero: inmem/xstream leave the whole trim/direction
-/// block alone, core leaves bottomup_rounds zero for top-down runs.
+/// One result shape for every engine. Counters a run never touches stay
+/// default-zero: inmem and untrimmed runs leave the trim block alone,
+/// top-down runs leave bottomup_rounds zero.
 template <typename P>
 struct RunResult {
   std::vector<typename P::State> states;  // all vertices, in id order
@@ -154,20 +135,19 @@ struct RunResult {
   std::uint64_t updates_emitted = 0;      // across the whole run
   std::vector<metrics::IterationStats> per_iteration;
 
-  // Trim totals over the whole run (core; includes streams still
-  // pending at the end, which are resolved with the same grace
-  // protocol).
+  // Trim totals over the whole run (includes streams still pending at
+  // the end, which are resolved with the same grace protocol).
   std::uint32_t trims_started = 0;
   std::uint32_t trims_committed = 0;
   std::uint32_t trims_cancelled = 0;
   std::uint32_t trims_failed = 0;
   std::uint64_t stay_edges_written = 0;
-  /// End-of-run settle row (core): trim resolutions that happened after
+  /// End-of-run settle row: trim resolutions that happened after
   /// the last counted round land here, so the per-iteration rows plus
   /// this row always sum to the run totals above (core::run CHECKs it).
   metrics::IterationStats epilogue;
 
-  /// Rounds the core engine ran bottom-up (direction strategy).
+  /// Rounds run bottom-up (direction strategy).
   std::uint32_t bottomup_rounds = 0;
 
   /// Masked programs (graph::MaskedProgram) only: the arrival log, one
@@ -178,14 +158,13 @@ struct RunResult {
   std::vector<typename P::Update> arrivals;
 };
 
-/// Reads the engine keys for `kind` under the precedence documented in
-/// the header comment. Core's trim/direction knobs are parsed only for
-/// Kind::kCore; inmem uses only the shared subset it understands.
-Options options_from_config(const Config& config, Kind kind);
+/// Reads the keys listed in the header comment; absent keys keep the
+/// Options defaults.
+Options options_from_config(const Config& config);
 
-/// Reads `<kind>.partition_count` > `engine.partition_count` >
-/// `fallback` (inmem has no partitions; its kind returns `fallback`).
-std::uint32_t partition_count_from_config(const Config& config, Kind kind,
+/// Reads `engine.partition_count`, or returns `fallback` when it is
+/// absent (inmem ignores partitioning).
+std::uint32_t partition_count_from_config(const Config& config,
                                           std::uint32_t fallback);
 
 }  // namespace fbfs::engine

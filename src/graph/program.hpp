@@ -1,8 +1,8 @@
 // GraphProgram: the algorithm/engine split.
 //
 // A graph computation is expressed once, as three pure functors over
-// typed POD records, and executed by any engine (inmem::run — the exact
-// in-memory reference — or xstream::run — the streaming-partition
+// typed POD records, and executed by either engine (inmem::run — the
+// exact in-memory reference — or core::run — the streaming-partition
 // scatter/gather engine). Per iteration every engine runs the same
 // synchronous phases:
 //
@@ -133,7 +133,7 @@ concept PullCapable = kIdempotentGatherV<P> &&
 
 /// A batched multi-source program (MultiBfs): per-vertex state carries a
 /// 64-bit seen/frontier mask pair the engine can mirror into flat arrays
-/// (xstream::detail::MaskStateTracker) to drive trimming (a vertex is
+/// (core::detail::MaskStateTracker) to drive trimming (a vertex is
 /// retired once `seen_mask(s) == full_mask()` — saturated by every
 /// query), bottom-up claiming, and the direction model's per-query
 /// frontier densities. `pull_masked(e, round, mask, out)` builds the

@@ -24,8 +24,7 @@ struct Edge {
 };
 static_assert(std::is_trivially_copyable_v<Edge> && sizeof(Edge) == 8);
 
-/// SSSP input: Edge plus a float weight (the layout GraphChi's shards
-/// and the xstream SSSP program will share).
+/// SSSP input: Edge plus a float weight.
 struct WeightedEdge {
   VertexId src = 0;
   VertexId dst = 0;

@@ -3,11 +3,12 @@
 // Executes any GraphProgram over a Csr with the same synchronous
 // scatter -> gather -> apply rounds as the streaming engine, holding
 // every State and every Update in memory. It is the ground truth the
-// xstream engine is validated against: because programs keep gather an
-// order-free fold (program.hpp), both engines produce bit-identical
-// states even though they scatter edges in different orders.
+// streaming engine (core::run) is validated against: because programs
+// keep gather an order-free fold (program.hpp), both engines produce
+// bit-identical states even though they scatter edges in different
+// orders.
 //
-// Round semantics (xstream::run mirrors these exactly — change both or
+// Round semantics (core::run mirrors these exactly — change both or
 // neither):
 //   * scatter reads the states frozen at the start of the round;
 //   * a round that emits no updates ends the run uncounted, unless the
@@ -35,25 +36,19 @@
 
 namespace fbfs::inmem {
 
-/// The unified engine surface (engine/types.hpp). This engine reads
-/// only max_iterations and collector; the streaming/trim fields are
-/// ignored. Null collector keeps the hot loops unchanged — no
-/// allocation, no atomics, no per-edge clock reads; the only addition
-/// is one per-round stopwatch, matching the streaming engines. There
-/// is no storage plan here, so the per-role I/O block of each
-/// iteration row stays zero.
-using RunOptions = engine::Options;
-
+/// Reads only options.max_iterations and options.collector; the
+/// streaming/trim fields are ignored. Null collector keeps the hot
+/// loops unchanged — no allocation, no atomics, no per-edge clock
+/// reads; the only addition is one per-round stopwatch, matching the
+/// streaming engine. There is no storage plan here, so the per-role
+/// I/O block of each iteration row stays zero.
 template <graph::GraphProgram P>
-using RunResult = engine::RunResult<P>;
-
-template <graph::GraphProgram P>
-RunResult<P> run(const graph::Csr& csr, const P& program,
-                 const RunOptions& options = {}) {
+engine::RunResult<P> run(const graph::Csr& csr, const P& program,
+                         const engine::Options& options = {}) {
   using Update = typename P::Update;
   const std::uint64_t n = csr.num_vertices();
 
-  RunResult<P> result;
+  engine::RunResult<P> result;
   result.states.resize(n);
   AtomicBitmap active(n);
   AtomicBitmap next_active(n);
@@ -140,8 +135,9 @@ RunResult<P> run(const graph::Csr& csr, const P& program,
 /// Builds the Csr off `device` (checksum-verified) and runs; CHECKs the
 /// program's undirected requirement against the sidecar.
 template <graph::GraphProgram P>
-RunResult<P> run_graph(io::Device& device, const graph::GraphMeta& meta,
-                       const P& program, const RunOptions& options = {}) {
+engine::RunResult<P> run_graph(io::Device& device,
+                               const graph::GraphMeta& meta, const P& program,
+                               const engine::Options& options = {}) {
   FB_CHECK_MSG(!P::kRequiresUndirected || meta.undirected,
                P::kName << " requires a symmetric edge list, but "
                         << meta.name << " is directed (symmetrize_edge_list)");

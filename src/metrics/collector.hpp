@@ -1,6 +1,6 @@
 // Collector: the engines' observability hook.
 //
-// inmem::run, xstream::run, and core::run all accept an optional
+// inmem::run and core::run both accept an optional
 // `metrics::Collector*`. When it is null the engines run exactly as
 // before — every metrics call site is behind an `if (collector)` (or
 // inside ScopedPhase, which checks internally), so the null path does

@@ -1,10 +1,7 @@
 // Per-iteration engine statistics — the single source of truth.
 //
-// Before src/metrics existed, xstream and core each kept an ad-hoc
-// IterationStats (core's deriving xstream's); the figure benches then
-// hand-rolled their aggregation. This header hoists the struct: every
-// engine fills the same record, trim counters simply stay zero for the
-// engines that never trim, and metrics::RunStats aggregates the rows.
+// Every engine fills the same record, trim counters simply stay zero
+// for runs that never trim, and metrics::RunStats aggregates the rows.
 //
 // RoleIo carries the full per-role device-counter deltas — not only
 // bytes but ops, seeks, and the token-bucket model's busy time

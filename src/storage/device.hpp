@@ -112,7 +112,7 @@ struct BackendOptions {
   /// (auto-falls back to synchronous preads when not).
   bool use_uring = true;
   /// Ring submission depth; also sizes queue-depth-aware consumers
-  /// (PrefetchReader ring, xstream batched chunk reads).
+  /// (PrefetchReader ring, the scatter's batched chunk reads).
   unsigned queue_depth = 8;
   /// O_DIRECT offset/length/buffer alignment (power of two).
   std::size_t alignment = 4096;

@@ -51,7 +51,7 @@ void expect_codec_equivalent(io::Device& dev, const GraphMeta& meta,
                      io::codec::to_string(policy) +
                      (sieve ? ", sieve" : ", no-sieve") + ", T=" +
                      std::to_string(threads));
-        core::EngineOptions options;
+        engine::Options options;
         options.max_iterations = max_iterations;
         options.trim = true;
         options.update_codec = policy;
@@ -127,7 +127,7 @@ TEST(CoreCodecEquivalence, EncodedStaysSurviveZeroGraceCancellation) {
     for (const std::uint32_t threads : {1u, 4u}) {
       SCOPED_TRACE(std::string("codec=") + io::codec::to_string(policy) +
                    ", T=" + std::to_string(threads));
-      core::EngineOptions options;
+      engine::Options options;
       options.trim = true;
       options.grace_timeout_seconds = 0.0;
       options.update_codec = policy;
@@ -162,10 +162,10 @@ TEST(CoreCodecEquivalence, StayCodecShrinksStayBytesOnBfs) {
     return total;
   };
 
-  core::EngineOptions raw;
+  engine::Options raw;
   raw.trim = true;
   const auto raw_run = core::run(pg, plan, BfsProgram{}, raw);
-  core::EngineOptions varint = raw;
+  engine::Options varint = raw;
   varint.stay_codec = Policy::kVarint;
   const auto varint_run = core::run(pg, plan, BfsProgram{}, varint);
 

@@ -79,7 +79,7 @@ void expect_equivalent(io::Device& dev, const GraphMeta& meta,
         SCOPED_TRACE(std::string(P::kName) + " on " + meta.name + ", P=" +
                      std::to_string(parts) + ", " + cfg.tag + ", T=" +
                      std::to_string(threads));
-        core::EngineOptions options;
+        engine::Options options;
         options.max_iterations = max_iterations;
         options.trim = cfg.trim;
         options.grace_timeout_seconds = cfg.grace_seconds;

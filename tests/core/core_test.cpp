@@ -1,7 +1,8 @@
 // Mechanics of the FastBFS engine: trim life cycle (stream → grace →
-// swap/cancel), trim triggers, selective scheduling, fault fallback,
-// config plumbing, and file hygiene. Bit-identity against the reference
-// engine across the full matrix lives in core_equivalence_test.cpp.
+// swap/cancel), trim triggers, selective scheduling, the state-free
+// top-down scatter, fault fallback, config plumbing, and file hygiene.
+// Bit-identity against the reference engine across the full matrix
+// lives in core_equivalence_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -11,10 +12,8 @@
 
 #include "common/config.hpp"
 #include "common/temp_dir.hpp"
-#include "core/engine.hpp"
+#include "engine/api.hpp"
 #include "graph/generators.hpp"
-#include "inmem/engine.hpp"
-#include "xstream/engine.hpp"
 
 namespace fbfs {
 namespace {
@@ -64,7 +63,7 @@ struct DedicatedRig {
 };
 
 std::uint64_t edge_input_bytes_read(
-    const std::vector<core::IterationStats>& rounds) {
+    const std::vector<metrics::IterationStats>& rounds) {
   std::uint64_t total = 0;
   for (const auto& r : rounds) {
     total += r.role_io(io::Role::kEdges).bytes_read +
@@ -73,52 +72,53 @@ std::uint64_t edge_input_bytes_read(
   return total;
 }
 
-TEST(CoreEngine, EngineOptionsComeFromConfigKeys) {
+TEST(CoreEngine, OptionsComeFromConfigKeys) {
+  // The FastBFS knobs under their core.* keys, beside the engine.*,
+  // io.* and updates.* keys every kind shares.
   const Config config = Config::parse_string(
-      "core.write_buffer = 256K\n"
-      "core.max_iterations = 12\n"
+      "engine.write_buffer = 256K\n"
+      "engine.max_iterations = 12\n"
       "core.trim = false\n"
-      "core.selective = false\n"
       "core.trim_start_round = 3\n"
       "core.trim_min_frontier_fraction = 0.25\n"
       "core.trim_min_dead_fraction = 0.5\n"
       "core.grace_timeout = 1.5\n"
       "core.stay_buffer = 64K\n"
-      "core.stay_pool_buffers = 8\n"
-      "core.partition_count = 6\n"
+      "core.direction = auto\n"
+      "engine.partition_count = 6\n"
       "engine.num_threads = 2\n"
       "updates.codec = varint\n"
       "updates.sieve = true\n");
 
-  const core::EngineOptions opts = core::engine_options_from_config(config);
+  const engine::Options opts = engine::options_from_config(config);
   EXPECT_EQ(opts.write_buffer_bytes, 256u * 1024);
   EXPECT_EQ(opts.max_iterations, 12u);
   EXPECT_FALSE(opts.trim);
-  EXPECT_FALSE(opts.selective);
   EXPECT_EQ(opts.trim_start_round, 3u);
   EXPECT_DOUBLE_EQ(opts.trim_min_frontier_fraction, 0.25);
   EXPECT_DOUBLE_EQ(opts.trim_min_dead_fraction, 0.5);
   EXPECT_DOUBLE_EQ(opts.grace_timeout_seconds, 1.5);
   EXPECT_EQ(opts.stay_buffer_bytes, 64u * 1024);
-  EXPECT_EQ(opts.stay_pool_buffers, 8u);
+  EXPECT_EQ(opts.direction, engine::Direction::kAuto);
   EXPECT_EQ(opts.num_threads, 2u);
   EXPECT_EQ(opts.update_codec, io::codec::Policy::kVarint);
   EXPECT_TRUE(opts.sieve_updates);
   // The stay codec follows the resolved updates.codec unless its own
   // key overrides it.
   EXPECT_EQ(opts.stay_codec, io::codec::Policy::kVarint);
-  const core::EngineOptions overridden = core::engine_options_from_config(
+  const engine::Options overridden = engine::options_from_config(
       Config::parse_string("updates.codec = auto\n"
                            "updates.stay_codec = raw\n"));
   EXPECT_EQ(overridden.update_codec, io::codec::Policy::kAuto);
   EXPECT_EQ(overridden.stay_codec, io::codec::Policy::kRaw);
-  EXPECT_EQ(core::engine_options_from_config(Config{}).num_threads, 1u);
-  EXPECT_EQ(core::engine_options_from_config(Config{}).update_codec,
-            io::codec::Policy::kRaw);
-  EXPECT_EQ(core::engine_options_from_config(Config{}).stay_codec,
-            io::codec::Policy::kRaw);
-  EXPECT_EQ(core::partition_count_from_config(config, 2), 6u);
-  EXPECT_EQ(core::partition_count_from_config(Config{}, 2), 2u);
+  const engine::Options defaults = engine::options_from_config(Config{});
+  EXPECT_EQ(defaults.num_threads, 1u);
+  EXPECT_EQ(defaults.update_codec, io::codec::Policy::kRaw);
+  EXPECT_EQ(defaults.stay_codec, io::codec::Policy::kRaw);
+  EXPECT_TRUE(defaults.trim);
+  EXPECT_EQ(defaults.direction, engine::Direction::kTopDown);
+  EXPECT_EQ(engine::partition_count_from_config(config, 2), 6u);
+  EXPECT_EQ(engine::partition_count_from_config(Config{}, 2), 2u);
 }
 
 TEST(CoreEngine, TrimmingCutsEdgeInputBytes) {
@@ -129,11 +129,11 @@ TEST(CoreEngine, TrimmingCutsEdgeInputBytes) {
   const GraphMeta meta = rmat_graph(rig.edges);
   const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 4);
 
-  core::EngineOptions trimmed;
+  engine::Options trimmed;
   trimmed.trim = true;
   const auto with_trim = core::run(pg, rig.plan, BfsProgram{}, trimmed);
 
-  core::EngineOptions untrimmed;
+  engine::Options untrimmed;
   untrimmed.trim = false;
   const auto without = core::run(pg, rig.plan, BfsProgram{}, untrimmed);
 
@@ -151,46 +151,40 @@ TEST(CoreEngine, TrimmingCutsEdgeInputBytes) {
 
 TEST(CoreEngine, TopDownScatterReadsNoStateForPullablePrograms) {
   // BFS builds its updates from the round number (the pull hook), so a
-  // core top-down scan never loads the partition's state file: the
-  // state device is read only by gather (each partition's file, just
-  // before writing it back) and by the final collect (the same bytes
-  // the init pass wrote). Reads therefore equal writes, round by round
-  // and in total. xstream's scatter still loads states.
-  const auto state_bytes = [](const std::vector<core::IterationStats>& rows,
-                              std::uint64_t& read, std::uint64_t& written) {
-    read = written = 0;
-    for (const auto& r : rows) {
-      read += r.role_io(io::Role::kState).bytes_read;
-      written += r.role_io(io::Role::kState).bytes_written;
-    }
-  };
+  // top-down scan never loads the partition's state file: the state
+  // device is read only by gather (each partition's file, just before
+  // writing it back) and by the final collect (the same bytes the init
+  // pass wrote). Reads therefore equal writes, round by round and in
+  // total — for FastBFS and for the X-Stream preset alike, which move
+  // the same state bytes.
   DedicatedRig rig;
   const GraphMeta meta = rmat_graph(rig.edges);
   const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 4);
 
-  core::EngineOptions options;
+  engine::Options options;
   options.direction = engine::Direction::kTopDown;
-  const io::IoStatsSnapshot before = rig.state.stats().snapshot();
-  const auto core_run = core::run(pg, rig.plan, BfsProgram{}, options);
-  const io::IoStatsSnapshot core_total =
-      rig.state.stats().snapshot().delta(before);
-  ASSERT_GT(core_run.iterations, 1u);
-  EXPECT_EQ(core_total.bytes_read, core_total.bytes_written);
-  for (const auto& r : core_run.per_iteration) {
-    EXPECT_EQ(r.role_io(io::Role::kState).bytes_read,
-              r.role_io(io::Role::kState).bytes_written)
-        << "round " << r.iteration;
+  std::vector<std::vector<BfsProgram::State>> states;
+  std::vector<std::uint64_t> written;
+  for (const engine::Kind kind :
+       {engine::Kind::kCore, engine::Kind::kXstream}) {
+    SCOPED_TRACE(engine::to_string(kind));
+    const io::IoStatsSnapshot before = rig.state.stats().snapshot();
+    const auto result = engine::run(kind, pg, rig.plan, BfsProgram{}, options);
+    const io::IoStatsSnapshot total =
+        rig.state.stats().snapshot().delta(before);
+    ASSERT_GT(result.iterations, 1u);
+    EXPECT_EQ(total.bytes_read, total.bytes_written);
+    for (const auto& r : result.per_iteration) {
+      EXPECT_EQ(r.role_io(io::Role::kState).bytes_read,
+                r.role_io(io::Role::kState).bytes_written)
+          << "round " << r.iteration;
+    }
+    states.push_back(result.states);
+    written.push_back(total.bytes_written);
   }
-
-  const auto xstream_run = xstream::run(pg, rig.plan, BfsProgram{});
-  std::uint64_t core_read = 0, core_written = 0;
-  std::uint64_t xs_read = 0, xs_written = 0;
-  state_bytes(core_run.per_iteration, core_read, core_written);
-  state_bytes(xstream_run.per_iteration, xs_read, xs_written);
-  EXPECT_EQ(xs_written, core_written);
-  EXPECT_GT(xs_read, xs_written);
-  EXPECT_EQ(std::memcmp(core_run.states.data(), xstream_run.states.data(),
-                        core_run.states.size() * sizeof(BfsProgram::State)),
+  EXPECT_EQ(written[0], written[1]);
+  EXPECT_EQ(std::memcmp(states[0].data(), states[1].data(),
+                        states[0].size() * sizeof(BfsProgram::State)),
             0);
 }
 
@@ -199,7 +193,7 @@ TEST(CoreEngine, NonTrimmableProgramsNeverTrim) {
   const GraphMeta sym = graph::symmetrize_edge_list(
       rig.edges, rmat_graph(rig.edges), "rmat_sym");
   const PartitionedGraph pg = partition_edge_list(rig.plan, sym, 4);
-  core::EngineOptions options;
+  engine::Options options;
   options.trim = true;  // requested, but WCC re-activates sources
   const auto result = core::run(pg, rig.plan, WccProgram{}, options);
   EXPECT_EQ(result.trims_started, 0u);
@@ -212,20 +206,20 @@ TEST(CoreEngine, TrimTriggersGateEagerTrimming) {
   const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 2);
 
   // A chain's frontier is one vertex: a 10% frontier gate never opens.
-  core::EngineOptions gated;
+  engine::Options gated;
   gated.trim_min_frontier_fraction = 0.10;
   const auto fraction_gated = core::run(pg, rig.plan, BfsProgram{}, gated);
   EXPECT_EQ(fraction_gated.trims_started, 0u);
 
   // A start round beyond the run's rounds never trims either.
-  core::EngineOptions late;
+  engine::Options late;
   late.trim_start_round = 1000;
   const auto started_late = core::run(pg, rig.plan, BfsProgram{}, late);
   EXPECT_EQ(started_late.trims_started, 0u);
 
   // A dead-fraction threshold waits until a scan has SEEN enough dead
   // edges; partition 0 of the chain accumulates them round by round.
-  core::EngineOptions dead_gate;
+  engine::Options dead_gate;
   dead_gate.trim_min_dead_fraction = 0.5;
   const auto dead_gated = core::run(pg, rig.plan, BfsProgram{}, dead_gate);
   EXPECT_GT(dead_gated.trims_started, 0u);
@@ -237,23 +231,11 @@ TEST(CoreEngine, SelectiveSchedulingSkipsQuietPartitions) {
   const GraphMeta meta = chain_graph(rig.edges, 40);
   const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 4);
 
-  core::EngineOptions selective;
-  const auto with_skip = core::run(pg, rig.plan, BfsProgram{}, selective);
+  const auto result = core::run(pg, rig.plan, BfsProgram{}, {});
   std::uint64_t skipped = 0;
-  for (const auto& r : with_skip.per_iteration) skipped += r.partitions_skipped;
+  for (const auto& r : result.per_iteration) skipped += r.partitions_skipped;
   // A chain frontier lives in one partition at a time.
   EXPECT_GT(skipped, 0u);
-
-  core::EngineOptions scan_all;
-  scan_all.selective = false;
-  const auto without = core::run(pg, rig.plan, BfsProgram{}, scan_all);
-  for (const auto& r : without.per_iteration) {
-    EXPECT_EQ(r.partitions_skipped, 0u);
-  }
-  ASSERT_EQ(with_skip.states.size(), without.states.size());
-  EXPECT_EQ(std::memcmp(with_skip.states.data(), without.states.data(),
-                        with_skip.states.size() * sizeof(BfsProgram::State)),
-            0);
 }
 
 TEST(CoreEngine, StayWriteFaultFallsBackToPreviousInput) {
@@ -267,7 +249,7 @@ TEST(CoreEngine, StayWriteFaultFallsBackToPreviousInput) {
   const std::uint64_t part0_bytes = rig.edges.file_size(part0);
 
   rig.stay.inject_write_faults(1'000'000);
-  core::EngineOptions options;
+  engine::Options options;
   options.stay_buffer_bytes = 4096;  // force mid-scan flushes into faults
   const auto result = core::run(pg, rig.plan, BfsProgram{}, options);
 
@@ -310,7 +292,7 @@ TEST(CoreEngine, GraceTimeoutCancelsAndFallsBack) {
   const auto reference = inmem::run_graph(fast, meta, BfsProgram{});
   const PartitionedGraph pg = partition_edge_list(plan, meta, 2);
 
-  core::EngineOptions options;
+  engine::Options options;
   options.grace_timeout_seconds = 0.0;
   const auto result = core::run(pg, plan, BfsProgram{}, options);
 
@@ -342,7 +324,7 @@ TEST(CoreEngine, MultiThreadedForcedCancellationIsBitIdentical) {
   const auto reference = inmem::run_graph(fast, meta, BfsProgram{});
   const PartitionedGraph pg = partition_edge_list(plan, meta, 2);
 
-  core::EngineOptions options;
+  engine::Options options;
   options.grace_timeout_seconds = 0.0;
   options.num_threads = 4;
   const auto result = core::run(pg, plan, BfsProgram{}, options);
@@ -365,7 +347,7 @@ TEST(CoreEngine, MultiThreadedStayWriteFaultFallsBack) {
   const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 4);
 
   rig.stay.inject_write_faults(1'000'000);
-  core::EngineOptions options;
+  engine::Options options;
   options.stay_buffer_bytes = 4096;  // force mid-scan flushes into faults
   options.num_threads = 4;
   const auto result = core::run(pg, rig.plan, BfsProgram{}, options);
@@ -388,7 +370,7 @@ TEST(CoreEngine, StayFilesAreByteIdenticalAcrossThreadCounts) {
                      std::vector<std::vector<std::byte>>& stay_bytes) {
     const GraphMeta meta = rmat_graph(rig.edges);
     const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 2);
-    core::EngineOptions options;
+    engine::Options options;
     options.keep_files = true;
     options.num_threads = threads;
     const auto result = core::run(pg, rig.plan, BfsProgram{}, options);
@@ -423,18 +405,18 @@ TEST(CoreEngine, CleansUpRunFilesUnlessKept) {
   const auto scrubbed = core::run(pg, rig.plan, BfsProgram{}, {});
   ASSERT_GT(scrubbed.trims_committed, 0u);
   for (std::uint32_t p = 0; p < 2; ++p) {
-    EXPECT_FALSE(rig.state.exists(xstream::state_file_name(pg, p)));
-    EXPECT_FALSE(rig.updates.exists(xstream::update_file_name(pg, p)));
+    EXPECT_FALSE(rig.state.exists(core::state_file_name(pg, p)));
+    EXPECT_FALSE(rig.updates.exists(core::update_file_name(pg, p)));
     EXPECT_FALSE(rig.stay.exists(core::stay_file_name(pg, p)));
   }
 
-  core::EngineOptions keep;
+  engine::Options keep;
   keep.keep_files = true;
   const auto kept = core::run(pg, rig.plan, BfsProgram{}, keep);
   ASSERT_GT(kept.trims_committed, 0u);
   bool any_stay = false;
   for (std::uint32_t p = 0; p < 2; ++p) {
-    EXPECT_TRUE(rig.state.exists(xstream::state_file_name(pg, p)));
+    EXPECT_TRUE(rig.state.exists(core::state_file_name(pg, p)));
     any_stay = any_stay || rig.stay.exists(core::stay_file_name(pg, p));
   }
   EXPECT_TRUE(any_stay);

@@ -181,7 +181,7 @@ void expect_direction_matrix(io::Device& dev, const GraphMeta& meta,
         SCOPED_TRACE(std::string("direction=") + engine::to_string(direction) +
                      ", trim=" + (trim ? "on" : "off") + ", T=" +
                      std::to_string(threads) + " on " + meta.name);
-        core::EngineOptions options;
+        engine::Options options;
         options.trim = trim;
         options.num_threads = threads;
         options.direction = direction;
@@ -241,7 +241,7 @@ TEST(DirectionEquivalence, AutoReducesWorkOnRmat) {
   const io::StoragePlan plan = io::StoragePlan::single(dev);
   const graph::PartitionedGraph pg = graph::partition_edge_list(plan, meta, 4);
 
-  core::EngineOptions options;
+  engine::Options options;
   const auto topdown = core::run(pg, plan, BfsProgram{}, options);
   options.direction = Direction::kAuto;
   const auto automatic = core::run(pg, plan, BfsProgram{}, options);
@@ -267,7 +267,7 @@ TEST(DirectionEquivalence, AutoNeverFlipsOnHighDiameterGrid) {
   const io::StoragePlan plan = io::StoragePlan::single(dev);
   const graph::PartitionedGraph pg = graph::partition_edge_list(plan, meta, 4);
 
-  core::EngineOptions options;
+  engine::Options options;
   const auto topdown = core::run(pg, plan, BfsProgram{}, options);
   options.direction = Direction::kAuto;
   const auto automatic = core::run(pg, plan, BfsProgram{}, options);
@@ -291,7 +291,7 @@ TEST(DirectionEquivalence, NonPullProgramDegradesToTopDown) {
   const io::StoragePlan plan = io::StoragePlan::single(dev);
   const graph::PartitionedGraph pg = graph::partition_edge_list(plan, sym, 4);
 
-  core::EngineOptions options;
+  engine::Options options;
   options.direction = Direction::kBottomUp;
   const auto streamed = core::run(pg, plan, WccProgram{}, options);
   EXPECT_EQ(streamed.bottomup_rounds, 0u);
@@ -312,7 +312,7 @@ TEST(DirectionEquivalence, TrimTotalsReconcileWithIterationRows) {
   const io::StoragePlan plan = io::StoragePlan::single(dev);
   const graph::PartitionedGraph pg = graph::partition_edge_list(plan, meta, 4);
   for (const double grace : {5.0, 0.0}) {
-    core::EngineOptions options;
+    engine::Options options;
     options.grace_timeout_seconds = grace;
     options.direction = Direction::kAuto;
     const auto result = core::run(pg, plan, BfsProgram{}, options);

@@ -2,7 +2,7 @@
 // boundaries, the zero-cost-when-disabled promise (counted via a
 // replacement global operator new), and — the one that matters most —
 // collection not perturbing engine results: states bit-identical with
-// metrics on and off, for all three engines.
+// metrics on and off, for every engine kind.
 #include "metrics/collector.hpp"
 
 #include <gtest/gtest.h>
@@ -18,11 +18,9 @@
 
 #include "common/config.hpp"
 #include "common/temp_dir.hpp"
-#include "core/engine.hpp"
+#include "engine/api.hpp"
 #include "graph/generators.hpp"
-#include "inmem/engine.hpp"
 #include "metrics/run_stats.hpp"
-#include "xstream/engine.hpp"
 
 // ---- allocation counter: every path through the replaced operator new
 // bumps the counter, so a zero delta proves a code region heap-allocated
@@ -174,13 +172,13 @@ TEST(Collector, XstreamStatesAreBitIdenticalWithMetricsOnAndOff) {
   const GraphMeta meta = rmat_graph(dev);
   const PartitionedGraph pg = partition_edge_list(plan, meta, 4);
 
-  xstream::EngineOptions plain;
-  const auto off = xstream::run(pg, plan, BfsProgram{}, plain);
+  const auto off = engine::run(engine::Kind::kXstream, pg, plan, BfsProgram{});
 
   metrics::Collector collector;
-  xstream::EngineOptions instrumented;
+  engine::Options instrumented;
   instrumented.collector = &collector;
-  const auto on = xstream::run(pg, plan, BfsProgram{}, instrumented);
+  const auto on = engine::run(engine::Kind::kXstream, pg, plan, BfsProgram{},
+                              instrumented);
 
   ASSERT_EQ(on.states.size(), off.states.size());
   EXPECT_EQ(std::memcmp(on.states.data(), off.states.data(),
@@ -217,12 +215,12 @@ TEST(Collector, CoreTrimmingStatesAreBitIdenticalWithMetricsOnAndOff) {
   const GraphMeta meta = rmat_graph(main_dev);
   const PartitionedGraph pg = partition_edge_list(plan, meta, 4);
 
-  core::EngineOptions plain;
+  engine::Options plain;
   plain.num_threads = 2;
   const auto off = core::run(pg, plan, BfsProgram{}, plain);
 
   metrics::Collector collector;
-  core::EngineOptions instrumented = plain;
+  engine::Options instrumented = plain;
   instrumented.collector = &collector;
   const auto on = core::run(pg, plan, BfsProgram{}, instrumented);
 
@@ -253,7 +251,7 @@ TEST(Collector, InmemRunFeedsCollectorAndRenderersWork) {
   const graph::Csr csr(source.num_vertices(), edges);
 
   metrics::Collector collector;
-  inmem::RunOptions options;
+  engine::Options options;
   options.collector = &collector;
   const auto result = inmem::run(csr, BfsProgram{}, options);
 

@@ -1,5 +1,6 @@
-// The codec/sieve acceptance matrix for the streaming engine: every
-// program, on a small R-MAT, must stay BIT-IDENTICAL to the in-memory
+// The codec/sieve acceptance matrix for the X-Stream preset
+// (Kind::kXstream): every program, on a small R-MAT, must stay
+// BIT-IDENTICAL to the in-memory
 // reference under every update-codec policy x sieve on/off x serial and
 // parallel scatter. The codec and sieve are pure write-traffic
 // optimisations; if either changes a bit of state or output, it is a
@@ -12,15 +13,15 @@
 #include <vector>
 
 #include "common/temp_dir.hpp"
+#include "engine/api.hpp"
 #include "graph/generators.hpp"
-#include "inmem/engine.hpp"
 #include "storage/codec.hpp"
 #include "storage/stream.hpp"
-#include "xstream/engine.hpp"
 
 namespace fbfs {
 namespace {
 
+using engine::Kind;
 using graph::BfsProgram;
 using graph::GraphMeta;
 using graph::PageRankProgram;
@@ -56,12 +57,13 @@ void expect_codec_equivalent(io::Device& dev, const GraphMeta& meta,
                      io::codec::to_string(policy) +
                      (sieve ? ", sieve" : ", no-sieve") + ", T=" +
                      std::to_string(threads));
-        xstream::EngineOptions options;
+        engine::Options options;
         options.max_iterations = max_iterations;
         options.update_codec = policy;
         options.sieve_updates = sieve;
         options.num_threads = threads;
-        const auto streamed = xstream::run(pg, plan, program, options);
+        const auto streamed =
+            engine::run(Kind::kXstream, pg, plan, program, options);
 
         ASSERT_EQ(streamed.iterations, reference.iterations);
         ASSERT_EQ(streamed.states.size(), reference.states.size());
@@ -121,11 +123,11 @@ TEST(CodecEquivalence, SieveReallyDropsUpdatesOnBfs) {
   const io::StoragePlan plan = io::StoragePlan::single(dev);
   const graph::PartitionedGraph pg = graph::partition_edge_list(plan, meta, 3);
 
-  xstream::EngineOptions off;
-  const auto plain = xstream::run(pg, plan, BfsProgram{}, off);
-  xstream::EngineOptions on;
+  engine::Options off;
+  const auto plain = engine::run(Kind::kXstream, pg, plan, BfsProgram{}, off);
+  engine::Options on;
   on.sieve_updates = true;
-  const auto sieved = xstream::run(pg, plan, BfsProgram{}, on);
+  const auto sieved = engine::run(Kind::kXstream, pg, plan, BfsProgram{}, on);
 
   ASSERT_EQ(plain.iterations, sieved.iterations);
   std::uint64_t plain_sieved = 0, on_sieved = 0;
@@ -158,12 +160,13 @@ TEST(CodecEquivalence, CodecShrinksBfsUpdateBytes) {
     return total;
   };
 
-  xstream::EngineOptions raw;
-  const auto raw_run = xstream::run(pg, plan, BfsProgram{}, raw);
-  xstream::EngineOptions compressed;
+  engine::Options raw;
+  const auto raw_run = engine::run(Kind::kXstream, pg, plan, BfsProgram{}, raw);
+  engine::Options compressed;
   compressed.update_codec = Policy::kAuto;
   compressed.sieve_updates = true;
-  const auto auto_run = xstream::run(pg, plan, BfsProgram{}, compressed);
+  const auto auto_run =
+      engine::run(Kind::kXstream, pg, plan, BfsProgram{}, compressed);
 
   ASSERT_EQ(raw_run.iterations, auto_run.iterations);
   ASSERT_EQ(std::memcmp(raw_run.states.data(), auto_run.states.data(),
@@ -190,15 +193,15 @@ TEST(CodecEquivalence, EncodedUpdateFilesAreByteIdenticalAcrossThreads) {
 
   const auto final_update_files =
       [&](std::uint32_t threads, std::vector<std::vector<std::byte>>& files) {
-        xstream::EngineOptions options;
+        engine::Options options;
         options.max_iterations = 3;  // stop with update files still on disk
         options.update_codec = Policy::kVarint;
         options.sieve_updates = true;
         options.num_threads = threads;
         options.keep_files = true;
-        xstream::run(pg, plan, BfsProgram{}, options);
+        engine::run(Kind::kXstream, pg, plan, BfsProgram{}, options);
         for (std::uint32_t q = 0; q < pg.layout.num_partitions(); ++q) {
-          auto f = dev.open(xstream::update_file_name(pg, q),
+          auto f = dev.open(core::update_file_name(pg, q),
                             /*truncate=*/false);
           std::vector<std::byte> bytes(f->size());
           io::StreamReader reader(*f, 1 << 16);

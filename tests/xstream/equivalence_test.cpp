@@ -1,8 +1,9 @@
 // The acceptance suite for the GraphProgram API: every program, on
 // every generator family, must produce BIT-IDENTICAL results from the
-// streaming engine and the in-memory reference — at multiple partition
-// counts, with either reader mode, at T∈{1,2,4} worker threads, and
-// regardless of device placement.
+// X-Stream preset of the streaming engine (Kind::kXstream) and the
+// in-memory reference — at multiple partition counts, with either
+// reader mode, at T∈{1,2,4} worker threads, and regardless of device
+// placement.
 // This is what licenses PR 4's I/O optimisations to validate against
 // inmem instead of re-deriving ground truth per algorithm.
 #include <gtest/gtest.h>
@@ -11,9 +12,8 @@
 #include <string>
 
 #include "common/temp_dir.hpp"
+#include "engine/api.hpp"
 #include "graph/generators.hpp"
-#include "inmem/engine.hpp"
-#include "xstream/engine.hpp"
 
 namespace fbfs {
 namespace {
@@ -69,11 +69,12 @@ void expect_equivalent(io::Device& dev, const GraphMeta& meta,
         SCOPED_TRACE(std::string(P::kName) + " on " + meta.name + ", P=" +
                      std::to_string(parts) + ", reader=" + to_string(mode) +
                      ", T=" + std::to_string(threads));
-        xstream::EngineOptions options;
+        engine::Options options;
         options.reader.mode = mode;
         options.max_iterations = max_iterations;
         options.num_threads = threads;
-        const auto streamed = xstream::run(pg, plan, program, options);
+        const auto streamed =
+            engine::run(engine::Kind::kXstream, pg, plan, program, options);
 
         ASSERT_EQ(streamed.iterations, reference.iterations);
         ASSERT_EQ(streamed.updates_emitted, reference.updates_emitted);
@@ -203,7 +204,8 @@ TEST(Equivalence, DualPlanMatchesSinglePlan) {
   const io::StoragePlan plan = io::StoragePlan::dual(main_dev, aux_dev);
   const graph::PartitionedGraph pg =
       graph::partition_edge_list(plan, meta, 4);
-  const auto streamed = xstream::run(pg, plan, BfsProgram{});
+  const auto streamed =
+      engine::run(engine::Kind::kXstream, pg, plan, BfsProgram{});
   ASSERT_EQ(streamed.states.size(), reference.states.size());
   EXPECT_EQ(std::memcmp(streamed.states.data(), reference.states.data(),
                         streamed.states.size() *
