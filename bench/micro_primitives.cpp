@@ -240,20 +240,22 @@ void bench_sieve(Json& json, const std::vector<Shape>& shapes,
       }
     }
     const double s = clock.seconds();
-    const double hit_rate = static_cast<double>(stage.sieved) /
-                            static_cast<double>(stage.emitted);
+    const std::uint64_t emitted = stage.counts.emitted;
+    const std::uint64_t sieved = stage.counts.sieved;
+    const double hit_rate =
+        static_cast<double>(sieved) / static_cast<double>(emitted);
     table.add_row({shape.name, metrics::Table::count(window_records),
-                   metrics::Table::count(stage.emitted),
-                   metrics::Table::count(stage.sieved),
+                   metrics::Table::count(emitted),
+                   metrics::Table::count(sieved),
                    metrics::Table::percent(hit_rate),
                    metrics::Table::count(static_cast<std::uint64_t>(
-                       static_cast<double>(stage.emitted) / 1e6 / s))});
+                       static_cast<double>(emitted) / 1e6 / s))});
     json.open(shape.name);
     json.integer("window_records", window_records);
-    json.integer("updates", stage.emitted);
-    json.integer("sieved", stage.sieved);
+    json.integer("updates", emitted);
+    json.integer("sieved", sieved);
     json.number("hit_rate", hit_rate);
-    json.number("mupd_per_s", static_cast<double>(stage.emitted) / 1e6 / s);
+    json.number("mupd_per_s", static_cast<double>(emitted) / 1e6 / s);
     json.close();
   }
   json.close();

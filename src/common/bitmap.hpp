@@ -130,7 +130,7 @@ class AtomicBitmap {
   }
 
   /// Sets every bit that is set in `other` (same size required) — how
-  /// the trimming engine folds a round's frontier into its retired set.
+  /// the streaming engine folds a round's frontier into its visited set.
   void or_with(const AtomicBitmap& other) {
     FB_CHECK_EQ(bits_, other.bits_);
     for (std::uint64_t w = 0; w < words_; ++w) {

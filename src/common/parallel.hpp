@@ -3,15 +3,22 @@
 // An ExecContext either borrows a pool (parallel scatter/gather) or
 // holds none (the serial path, byte-for-byte the single-threaded
 // engine). parallel_for_ranges splits an index range into contiguous
-// per-worker pieces; OrderedGate retires concurrently-produced chunk
-// results strictly in submission order — PR 2's byte-identical in-order
-// merge, extracted as a primitive so the scatter phase's update shuffle
-// and stay streams stay deterministic at every thread count.
+// per-worker pieces; run_ordered is the engines' one scan pipeline:
+// units are loaded and worked on concurrently and retired strictly in
+// unit order through an OrderedGate, which keeps the scatter phase's
+// update shuffle and stay survivors deterministic at every thread
+// count.
 #pragma once
 
+#include <algorithm>
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <future>
+#include <mutex>
+#include <optional>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.hpp"
@@ -100,7 +107,7 @@ void parallel_for_ranges(ThreadPool& pool, std::uint64_t n, unsigned pieces,
   join_all(futures);
 }
 
-/// Serialises chunk hand-offs in ticket order: producer c blocks in
+/// Serialises hand-offs in ticket order: producer c blocks in
 /// wait_turn(c) until every ticket below c has completed. Safe to drive
 /// from ThreadPool tasks BECAUSE the pool pops tasks FIFO: when ticket
 /// c's task runs, every lower ticket's task has already started, so the
@@ -130,5 +137,63 @@ class OrderedGate {
   std::condition_variable cv_;
   std::uint64_t next_ = 0;
 };
+
+/// Runs units [0, num_units) through load -> work -> retire. Units are
+/// cut into groups of `group_units` consecutive units (at least one);
+/// `load(first, n)` builds a group's state (its reads, its staging
+/// buffers) and returns it, `work(group, u)` processes unit u, and
+/// `retire(group, u)` hands unit u on.
+///
+/// Serial context: everything runs inline, one group at a time. With a
+/// pool, each group is one pool task, so loads and work of different
+/// groups overlap, while retire runs strictly in unit order, one call
+/// at a time (an OrderedGate ticket per unit) — whatever retire touches
+/// needs no lock. If a step throws, its task skips the rest of its work
+/// but still completes every ticket it owes, so later units never
+/// deadlock; the first exception is rethrown after every task has
+/// joined.
+template <typename Load, typename Work, typename Retire>
+void run_ordered(const ExecContext& exec, std::uint64_t num_units,
+                 std::uint64_t group_units, Load&& load, Work&& work,
+                 Retire&& retire) {
+  using Group = std::invoke_result_t<Load&, std::uint64_t, std::uint64_t>;
+  group_units = std::max<std::uint64_t>(1, group_units);
+  OrderedGate gate;
+  const auto run_group = [&](std::uint64_t first) {
+    const std::uint64_t end = std::min(num_units, first + group_units);
+    std::exception_ptr failure;
+    const auto attempt = [&failure](auto&& step) {
+      if (failure) return;
+      try {
+        step();
+      } catch (...) {
+        failure = std::current_exception();
+      }
+    };
+    std::optional<Group> group;
+    attempt([&] { group.emplace(load(first, end - first)); });
+    for (std::uint64_t u = first; u < end; ++u) {
+      attempt([&] { work(*group, u); });
+      gate.wait_turn(u);
+      attempt([&] { retire(*group, u); });
+      gate.complete(u);
+    }
+    if (failure) std::rethrow_exception(failure);
+  };
+
+  if (!exec.parallel()) {
+    for (std::uint64_t first = 0; first < num_units; first += group_units) {
+      run_group(first);
+    }
+    return;
+  }
+  std::vector<std::future<void>> tasks;
+  tasks.reserve((num_units + group_units - 1) / group_units);
+  for (std::uint64_t first = 0; first < num_units; first += group_units) {
+    tasks.push_back(
+        exec.pool->submit([&run_group, first] { run_group(first); }));
+  }
+  join_all(tasks);
+}
 
 }  // namespace fbfs

@@ -1,98 +1,23 @@
-// Bounded queues for the engine pipelines.
+// The bounded queue behind the AsyncWriter's work feed.
 //
-// SpscQueue  — wait-free single-producer/single-consumer ring; the
-//              scatter thread feeds the update shuffler through one.
-// MpscQueue  — mutex+condvar multi-producer/single-consumer queue; the
-//              AsyncWriter's work feed (any thread appends, one writer
-//              thread drains).
+// MpscQueue — mutex+condvar multi-producer/single-consumer queue: any
+//             thread appends, the one writer thread drains.
 //
-// Both are closable: close() wakes blocked consumers, pop() drains the
+// It is closable: close() wakes blocked consumers, pop() drains the
 // remaining items and then returns false, and push() on a closed queue
 // is a checked programming error.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
-#include <vector>
 
 #include "common/check.hpp"
 
 namespace fbfs {
-
-template <typename T>
-class SpscQueue {
- public:
-  explicit SpscQueue(std::size_t capacity) : ring_(capacity + 1) {
-    FB_CHECK_MSG(capacity > 0, "SpscQueue capacity must be positive");
-  }
-
-  std::size_t capacity() const { return ring_.size() - 1; }
-
-  bool try_push(T value) {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    const std::size_t next = advance(tail);
-    if (next == head_.load(std::memory_order_acquire)) return false;  // full
-    ring_[tail] = std::move(value);
-    tail_.store(next, std::memory_order_release);
-    return true;
-  }
-
-  /// Blocks while full. Pushing into a closed queue is a checked error.
-  void push(T value) {
-    FB_CHECK_MSG(!closed(), "push into closed SpscQueue");
-    while (!try_push(std::move(value))) {
-      FB_CHECK_MSG(!closed(), "push into closed SpscQueue");
-      std::this_thread::yield();
-    }
-  }
-
-  std::optional<T> try_pop() {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    if (head == tail_.load(std::memory_order_acquire)) return std::nullopt;
-    std::optional<T> out(std::move(ring_[head]));
-    head_.store(advance(head), std::memory_order_release);
-    return out;
-  }
-
-  /// Blocks while empty; returns false once the queue is closed and
-  /// fully drained.
-  bool pop(T& out) {
-    for (;;) {
-      if (auto item = try_pop()) {
-        out = std::move(*item);
-        return true;
-      }
-      if (closed()) {
-        // Drain anything pushed between the failed try_pop and close().
-        if (auto item = try_pop()) {
-          out = std::move(*item);
-          return true;
-        }
-        return false;
-      }
-      std::this_thread::yield();
-    }
-  }
-
-  void close() { closed_.store(true, std::memory_order_release); }
-  bool closed() const { return closed_.load(std::memory_order_acquire); }
-
- private:
-  std::size_t advance(std::size_t i) const {
-    return i + 1 == ring_.size() ? 0 : i + 1;
-  }
-
-  std::vector<T> ring_;
-  alignas(64) std::atomic<std::size_t> head_{0};  // consumer cursor
-  alignas(64) std::atomic<std::size_t> tail_{0};  // producer cursor
-  std::atomic<bool> closed_{false};
-};
 
 template <typename T>
 class MpscQueue {

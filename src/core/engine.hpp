@@ -4,14 +4,15 @@
 //   edge trimming       during a partition's scatter scan, edges whose
 //                       source is in the frontier emit their update and
 //                       die (a trimmable program never re-activates a
-//                       scattered source); surviving edges stream
-//                       through AsyncWriter::begin_staged onto the
-//                       plan's stay device as the partition's
-//                       next-iteration input;
+//                       scattered source); the survivors are encoded
+//                       under the stay codec when the scan ends and go
+//                       to the AsyncWriter as one append, staged
+//                       (begin_staged) onto the plan's stay device as
+//                       the partition's next-iteration input;
 //   latency hiding      the stay write proceeds on the writer thread
-//                       while the scatter loop moves on; only the NEXT
-//                       scatter of the same partition needs the file,
-//                       so wait_complete(id, grace_timeout) gates the
+//                       while the round moves on; only the NEXT scatter
+//                       of the same partition needs the file, so
+//                       wait_complete(id, grace_timeout) gates the
 //                       swap there — on timeout the stream is
 //                       cancelled and the previous input file is
 //                       reused (begin_staged's .wip-never-clobbers
@@ -42,17 +43,18 @@
 // Trimming applies only to programs declaring kTrimmable (BFS — see
 // program.hpp for the licence); for the rest core::run runs the
 // untrimmed loop and stays bit-identical to inmem::run by
-// construction. Deadness is engine-level: `retired` accumulates every
-// past frontier, and an edge survives iff its source is neither active
-// nor retired — no peeking into program State.
+// construction. Deadness is engine-level and shares one set with
+// bottom-up claiming: `visited` holds every frontier so far, this
+// round's included, and an edge survives iff its source is not in it —
+// no peeking into program State.
 //
 // Masked programs (graph::MaskedProgram — MultiBfs, the batched
-// multi-source traversal) swap both engine-level bitmaps for the
-// MaskStateTracker's SATURATION set: a vertex every query has seen can
-// never gather anything new, so once it scatters the frontier it is
-// carrying, its out-edges are dead (trim deadness = saturated, NOT
-// has-been-active — an unsaturated vertex re-enters the frontier when
-// a later query reaches it) and bottom-up rounds treat it as claimed.
+// multi-source traversal) use the MaskStateTracker's SATURATION set as
+// that one set instead: a vertex every query has seen can never gather
+// anything new, so once it scatters the frontier it is carrying, its
+// out-edges are dead (trim deadness = saturated, NOT has-been-active —
+// an unsaturated vertex re-enters the frontier when a later query
+// reaches it) and bottom-up rounds treat it as claimed.
 // The direction model additionally sees the round's aggregate frontier
 // mask popcount, so the beta gate reads per-query density.
 //
@@ -162,7 +164,7 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
   // ---- masked-program state (batched multi-source traversal). The
   // tracker mirrors every vertex's seen/frontier mask into flat arrays
   // (refreshed by the init/gather observer hooks) and owns the
-  // saturation bitmap that replaces `retired` AND `visited` below.
+  // saturation bitmap that replaces `visited` below.
   constexpr bool masked = graph::MaskedProgram<P>;
   [[maybe_unused]] std::uint32_t batch_width = 0;
   std::optional<detail::MaskStateTracker<P>> tracker;
@@ -180,20 +182,16 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
 
   // ---- trimming state. Only kTrimmable programs with trimming on ever
   // pay for any of this; for the rest the loop below is the plain
-  // X-Stream scatter/gather. Masked
-  // programs key deadness on the tracker's saturation set instead of a
-  // past-frontiers bitmap (see the header comment).
+  // X-Stream scatter/gather.
   const bool trim_capable = options.trim && P::kTrimmable;
   std::optional<io::AsyncWriter> writer;
-  std::optional<AtomicBitmap> retired;
   if (trim_capable) {
     writer.emplace(options.stay_buffer_bytes, detail::kStayPoolBuffers);
-    if constexpr (!masked) retired.emplace(n);
   }
   std::vector<bool> input_on_stay(num_partitions, false);
   // Codec format of partition p's committed stay file (meaningful only
   // when input_on_stay[p]); raw scans positionally past the header, any
-  // other format decodes up front and scatters the in-memory span.
+  // other format decodes up front and is scanned in memory.
   std::vector<io::codec::Format> stay_format(num_partitions,
                                              io::codec::Format::kRaw);
   std::vector<std::uint64_t> input_edges(pg.edges_per_partition);
@@ -207,29 +205,30 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
   // programs can run bottom-up; for the rest any configured direction
   // silently degrades to top-down and none of this is paid for. The
   // transposed (in-edge) view builds once up front — or loads from its
-  // cache — on the plan's edge device. The bottom-up claimed set:
-  // `visited` (every frontier ever activated) for single-query pulls,
-  // the tracker's saturation bitmap for masked programs — in both
-  // cases, exactly the vertices a bottom-up probe can never gain
-  // anything for, which is also the cost model's `unvisited` term.
+  // cache — on the plan's edge device.
   constexpr bool pull_capable = graph::PullCapable<P>;
   constexpr bool pull_ok = pull_capable || masked;
   const engine::Direction configured =
       pull_ok ? options.direction : engine::Direction::kTopDown;
-  std::optional<AtomicBitmap> visited;
   graph::TransposedView transposed;
-  if constexpr (pull_ok) {
-    if (configured != engine::Direction::kTopDown) {
-      if constexpr (!masked) {
-        visited.emplace(n);
-        visited->or_with(active);
-      }
-      graph::PartitionOptions topts;
-      topts.reader = options.reader.mode;
-      transposed = graph::build_transposed_view(plan, pg, topts);
-    }
+  if (configured != engine::Direction::kTopDown) {
+    graph::PartitionOptions topts;
+    topts.reader = options.reader.mode;
+    transposed = graph::build_transposed_view(plan, pg, topts);
   }
-  // The bottom-up claimed set (null when direction state is off).
+
+  // ---- the dead set, one for trimming and bottom-up alike: `visited`
+  // (every frontier ever activated, this round's included) for
+  // single-query programs, the tracker's saturation bitmap for masked
+  // ones. Either way it holds exactly the vertices whose out-edges are
+  // dead at scatter time and that a bottom-up probe can never gain
+  // anything for, which is also the cost model's `unvisited` term. Null
+  // when neither trimming nor a bottom-up direction needs it.
+  std::optional<AtomicBitmap> visited;
+  if (!masked && (trim_capable || configured != engine::Direction::kTopDown)) {
+    visited.emplace(n);
+    visited->or_with(active);
+  }
   const AtomicBitmap* const claimed = [&]() -> const AtomicBitmap* {
     if constexpr (masked) return &tracker->saturated;
     return visited ? &*visited : nullptr;
@@ -423,30 +422,11 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
                 options.trim_min_dead_fraction *
                     static_cast<double>(input_edges[p]);
         detail::StayTrimSink sink;
-        sink.counting = trim_capable;
+        sink.dead = trim_capable ? claimed : nullptr;
         sink.collecting = trim_this_scan;
-        sink.buffered = options.stay_codec != io::codec::Policy::kRaw;
-        sink.masked = masked;
-        if (trim_capable) {
-          if constexpr (masked) {
-            sink.retired = &tracker->saturated;
-          } else {
-            sink.retired = &*retired;
-          }
-        }
+        io::AsyncWriter::StreamId stay_id = 0;
         if (trim_this_scan) {
-          sink.id = writer->begin_staged(plan.stay(), stay_file_name(pg, p));
-          sink.writer = &*writer;
-          sink.alive = true;
-          if (!sink.buffered) {
-            // Streamed-raw stays are self-describing too: header first,
-            // survivors appended behind it as they retire.
-            const io::codec::FileHeader header =
-                io::codec::raw_stream_header<graph::Edge>();
-            if (!writer->append_raw(sink.id, &header, sizeof(header))) {
-              sink.alive = false;
-            }
-          }
+          stay_id = writer->begin_staged(plan.stay(), stay_file_name(pg, p));
           ++result.trims_started;
           ++stats.trims_started;
         }
@@ -454,34 +434,28 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
         metrics::ScopedPhase scatter_timer(collector,
                                            metrics::Phase::kScatter);
         // Scans partition p's current input with `source` building each
-        // active-source update.
+        // active-source update. The input (a decoded stay included) and
+        // the scan's readers are gone before the stay stream can commit
+        // a rename.
         const auto scan = [&](const auto& source) {
-          if (input_on_stay[p] &&
-              stay_format[p] != io::codec::Format::kRaw) {
-            // An encoded stay file has no per-chunk byte offsets to
-            // slice, so it decodes whole and scatters as a span (same
-            // windows, same ordered hand-off).
-            const std::vector<graph::Edge> stay_edges =
-                io::codec::read_all<graph::Edge>(plan.stay(),
-                                                 stay_file_name(pg, p),
-                                                 options.reader,
-                                                 input_edges[p]);
-            return detail::scatter_span<P>(exec, stay_edges, layout, source,
-                                           active, program, options.reader,
-                                           options.sieve_updates, fanout,
-                                           sink, collector);
+          detail::ScanInput input;
+          input.records = input_edges[p];
+          if (!input_on_stay[p]) {
+            input.device = &plan.edges();
+            input.name = pg.partition_file(p);
+          } else if (stay_format[p] == io::codec::Format::kRaw) {
+            input.device = &plan.stay();
+            input.name = stay_file_name(pg, p);
+            input.offset = io::codec::kHeaderBytes;
+          } else {
+            input.decoded = io::codec::read_all<graph::Edge>(
+                plan.stay(), stay_file_name(pg, p), options.reader,
+                input_edges[p]);
           }
-          io::Device& input_dev =
-              input_on_stay[p] ? plan.stay() : plan.edges();
-          const std::string input_name =
-              input_on_stay[p] ? stay_file_name(pg, p) : pg.partition_file(p);
-          const std::uint64_t base_offset =
-              input_on_stay[p] ? io::codec::kHeaderBytes : 0;
           return detail::scatter_partition<P>(
-              exec, input_dev, input_name, base_offset, input_edges[p],
-              layout, source, active, program, options.reader,
+              exec, input, layout, source, active, program, options.reader,
               options.sieve_updates, fanout, sink, collector);
-        };  // readers close before the stream can commit a rename
+        };
         detail::ScatterResult scattered;
         if constexpr (pull_ok) {
           // State-free: the pull hooks rebuild every update from the
@@ -505,39 +479,32 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
         stats.edges_scanned += scattered.scanned;
         stats.edges_probed += scattered.probed;
         stats.updates_sieved += scattered.sieved;
-        if (trim_capable) dead_seen[p] = sink.dead_total;
+        dead_seen[p] = scattered.dead;
         if (trim_this_scan) {
-          const std::uint64_t survivors = input_edges[p] - sink.dead_total;
-          io::codec::Format format = io::codec::Format::kRaw;
-          if (sink.buffered && sink.alive) {
-            // Buffered stay codec: encode the whole survivor stream now
-            // and hand the device write to the async writer as one
-            // append (still .wip-staged, still cancellable).
-            FB_CHECK_EQ(sink.staged.size(), survivors);
-            io::codec::EncodeOptions eopts;
-            eopts.policy = options.stay_codec;
-            // Multi-edges must keep their multiplicity (a collapsed
-            // duplicate would change scanned counts and PageRank
-            // contributions), so the bitmap format never applies.
-            eopts.allow_bitmap = false;
-            eopts.range_begin = 0;
-            eopts.range_end = n;
-            const io::codec::EncodedBlob blob =
-                io::codec::encode_records<graph::Edge>(sink.staged, eopts);
-            format = blob.format;
-            if (!writer->append_raw(sink.id, blob.bytes.data(),
-                                    blob.bytes.size())) {
-              sink.alive = false;
-            }
-          }
-          if (sink.alive) {
-            writer->finish(sink.id);
+          // Encode the whole survivor stream under the stay codec and
+          // hand the device write to the async writer as one append
+          // (still .wip-staged, still cancellable).
+          const std::uint64_t survivors = input_edges[p] - scattered.dead;
+          FB_CHECK_EQ(sink.staged.size(), survivors);
+          io::codec::EncodeOptions eopts;
+          eopts.policy = options.stay_codec;
+          // Multi-edges must keep their multiplicity (a collapsed
+          // duplicate would change scanned counts and PageRank
+          // contributions), so the bitmap format never applies.
+          eopts.allow_bitmap = false;
+          eopts.range_begin = 0;
+          eopts.range_end = n;
+          const io::codec::EncodedBlob blob =
+              io::codec::encode_records<graph::Edge>(sink.staged, eopts);
+          if (writer->append_raw(stay_id, blob.bytes.data(),
+                                 blob.bytes.size())) {
+            writer->finish(stay_id);
           } else {
-            writer->cancel(sink.id);  // no-op if already failed
+            writer->cancel(stay_id);  // no-op if already failed
           }
           stats.stay_edges_written += survivors;
           result.stay_edges_written += survivors;
-          pending[p] = detail::PendingTrim{sink.id, survivors, format};
+          pending[p] = detail::PendingTrim{stay_id, survivors, blob.format};
         }
       }
       {
@@ -583,17 +550,12 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
       stats.gather_seconds = gather_clock.seconds();
     }
 
-    // This round's frontier has scattered: those sources are dead for
-    // every future round of a trimmable program. (Masked deadness is
-    // saturation, which the gather observer just refreshed.)
-    if constexpr (!masked) {
-      if (trim_capable) retired->or_with(active);
-    }
-
     ++result.iterations;
     std::swap(active, next_active);
-    // The freshly activated vertices are claimed from here on — exactly
-    // what the next bottom-up probe and the cost model must see.
+    // The freshly activated vertices are claimed from here on, and dead
+    // once they scatter — exactly what the next round's bottom-up
+    // probe, trim sink and cost model must see. (Masked deadness is
+    // saturation, which the gather observer just refreshed.)
     if (visited) visited->or_with(active);
     stats.activated = active.count_set();
     stats.seconds = round_clock.seconds();

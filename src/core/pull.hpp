@@ -1,15 +1,13 @@
 // The bottom-up scatter of core::run's direction-optimizing rounds:
 // still-unclaimed vertices scan their in-edges (the cached transposed
-// view, graph::build_transposed_view) and probe the frontier. It shares
-// the staging stage, the update fan-out and the ordered hand-off with
-// the top-down scan in scatter.hpp.
+// view, graph::build_transposed_view) and probe the frontier. Its own
+// parts are the block index, the skip schedule and the per-block pull;
+// the staging stage, the update fan-out and the ordered runner
+// (run_ordered) are the top-down scan's, from scatter.hpp.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <future>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -101,8 +99,7 @@ ScatterResult pull_partition(
   // One block's pull loop; all run state is local, so every block is
   // self-contained whatever read unit delivered it.
   const auto process_block = [&](std::span<const graph::Edge> window,
-                                 ScatterStage<P>& stage,
-                                 std::uint64_t& probed) {
+                                 ScatterStage<P>& stage) {
     graph::VertexId last_dst = 0;
     bool have_run = false;
     bool claimed = false;
@@ -121,7 +118,7 @@ ScatterResult pull_partition(
         if constexpr (kMasked) delivered = claimed ? 0 : seen_masks[e.dst];
       }
       if (claimed) continue;
-      ++probed;
+      ++stage.counts.probed;
       if (!active.test(e.src)) continue;
       typename P::Update u;
       if constexpr (kMasked) {
@@ -150,10 +147,10 @@ ScatterResult pull_partition(
   const std::uint64_t unit_blocks = std::max<std::uint64_t>(
       1, reader.buffer_bytes / (kBlock * sizeof(graph::Edge)));
   std::vector<ReadUnit> units;
-  std::uint64_t skipped = 0;
+  ScatterResult total;
   for (std::uint64_t b = 0; b < blocks.size(); ++b) {
     if (block_skippable(b)) {
-      skipped += block_count(b);
+      total.skipped += block_count(b);
       continue;
     }
     if (!units.empty() &&
@@ -165,160 +162,45 @@ ScatterResult pull_partition(
     }
   }
 
-  // Reads units[first_unit .. first_unit+n) into per-unit buffers as
-  // ONE batched submission — every unit keeps its own File and one
-  // positional read covering exactly its coalesced blocks, so the
-  // modelled backend (whose read_batch is an in-order read_at loop over
-  // fresh file ids) charges exactly what the old per-unit readers did,
-  // while a real backend pushes the whole group down one ring
-  // submission.
-  const auto read_unit_group =
-      [&](std::size_t first_unit, std::size_t n,
-          std::vector<std::vector<graph::Edge>>& buffers) {
-        buffers.assign(n, {});
-        std::vector<std::unique_ptr<io::File>> files;
-        std::vector<io::ReadRequest> requests;
-        files.reserve(n);
-        requests.reserve(n);
-        for (std::size_t k = 0; k < n; ++k) {
-          const ReadUnit& unit = units[first_unit + k];
-          std::uint64_t unit_records = 0;
-          for (std::uint64_t b = 0; b < unit.num_blocks; ++b) {
-            unit_records += block_count(unit.first_block + b);
-          }
-          buffers[k].resize(static_cast<std::size_t>(unit_records));
-          files.push_back(input_dev.open(input_name));
-          requests.push_back(
-              {files.back().get(),
-               unit.first_block * kBlock * sizeof(graph::Edge),
-               buffers[k].data(),
-               static_cast<std::size_t>(unit_records * sizeof(graph::Edge)),
-               0});
-        }
-        input_dev.read_batch(requests);
-        for (std::size_t k = 0; k < n; ++k) {
-          FB_CHECK_MSG(requests[k].got == requests[k].bytes,
-                       input_name << " ends inside its block index ("
-                                  << (requests[k].bytes - requests[k].got)
-                                  << " bytes short)");
-        }
-      };
-
-  // Pulls one delivered unit, re-windowing on the block boundaries the
-  // view fixed at build time.
-  const auto process_unit = [&](const ReadUnit& unit,
-                                std::span<const graph::Edge> records,
-                                ScatterStage<P>& stage, std::uint64_t& scanned,
-                                std::uint64_t& probed) {
+  // The scan on run_ordered: each group reads its units' blocks with
+  // one batched submission, the units pull block by block, and retire
+  // in file order — same records, same per-block windows, so the update
+  // files match at every thread count.
+  using Group = ScanGroup<P>;
+  const auto load = [&](std::uint64_t first, std::uint64_t n) {
+    std::vector<Extent> extents;
+    for (std::uint64_t u = first; u < first + n; ++u) {
+      std::uint64_t records = 0;
+      for (std::uint64_t b = 0; b < units[u].num_blocks; ++b) {
+        records += block_count(units[u].first_block + b);
+      }
+      extents.push_back(
+          {units[u].first_block * kBlock * sizeof(graph::Edge), records});
+    }
+    return Group{ScatterStage<P>(program, layout, /*sieve=*/false), first,
+                 read_extents(input_dev, input_name, extents)};
+  };
+  // Re-windows the unit on the block boundaries the view fixed at build
+  // time.
+  const auto work = [&](Group& group, std::uint64_t u) {
+    const std::span<const graph::Edge> records = group.reads[u - group.first];
     std::size_t off = 0;
-    for (std::uint64_t b = 0; b < unit.num_blocks; ++b) {
+    for (std::uint64_t b = 0; b < units[u].num_blocks; ++b) {
       const std::size_t n =
-          static_cast<std::size_t>(block_count(unit.first_block + b));
-      process_block(records.subspan(off, n), stage, probed);
+          static_cast<std::size_t>(block_count(units[u].first_block + b));
+      process_block(records.subspan(off, n), group.stage);
       off += n;
     }
-    scanned += records.size();
+    group.stage.counts.scanned += records.size();
   };
-
-  // Group size: a real device keeps queue_depth unit reads in flight
-  // per submission; the modelled timeline is serial, so groups stay
-  // size 1 and the historical read/flush interleaving (and with it the
-  // charge sequence on a shared update device) is untouched.
-  const std::size_t group_units =
-      input_dev.backend_kind() == io::BackendKind::kReal
-          ? std::max<std::size_t>(1, input_dev.backend_options().queue_depth)
-          : 1;
-
-  if (!exec.parallel()) {
-    ScatterStage<P> stage(program, layout, /*sieve=*/false);
-    std::uint64_t scanned = 0;
-    std::uint64_t probed = 0;
-    std::vector<std::vector<graph::Edge>> buffers;
-    for (std::size_t g = 0; g < units.size(); g += group_units) {
-      const std::size_t n = std::min(group_units, units.size() - g);
-      read_unit_group(g, n, buffers);
-      for (std::size_t k = 0; k < n; ++k) {
-        process_unit(units[g + k], buffers[k], stage, scanned, probed);
-        {
-          metrics::ScopedPhase flush_timer(collector,
-                                           metrics::Phase::kShuffleFlush);
-          stage.flush_serial(fanout);
-        }
-      }
-    }
-    if (collector != nullptr) {
-      collector->live().add_edges_scanned(scanned);
-      collector->live().add_edges_probed(probed);
-      collector->live().add_updates(stage.emitted, 0);
-    }
-    return {scanned, stage.emitted, 0, probed, skipped};
-  }
-
-  // Parallel: one task per unit group, retiring unit-by-unit through
-  // the ordered hand-off in file order — same records, same per-block
-  // windows, so the update files match the serial bytes.
-  const std::size_t num_groups =
-      units.empty() ? 0 : (units.size() + group_units - 1) / group_units;
-  OrderedGate gate;
-  std::atomic<std::uint64_t> scanned_total{0};
-  std::atomic<std::uint64_t> emitted{0};
-  std::atomic<std::uint64_t> probed_total{0};
-  std::vector<std::future<void>> tasks;
-  tasks.reserve(num_groups);
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    tasks.push_back(exec.pool->submit([&, g] {
-      const std::size_t first_unit = g * group_units;
-      const std::size_t n = std::min(group_units, units.size() - first_unit);
-      const auto abandon_from = [&](std::size_t from) {
-        for (std::size_t c = from; c < first_unit + n; ++c) {
-          gate.wait_turn(c);
-          gate.complete(c);
-        }
-      };
-      std::vector<std::vector<graph::Edge>> buffers;
-      try {
-        read_unit_group(first_unit, n, buffers);
-      } catch (...) {
-        abandon_from(first_unit);
-        throw;
-      }
-      for (std::size_t k = 0; k < n; ++k) {
-        const std::size_t c = first_unit + k;
-        ScatterStage<P> stage(program, layout, /*sieve=*/false);
-        std::uint64_t scanned = 0;
-        std::uint64_t probed = 0;
-        try {
-          process_unit(units[c], buffers[k], stage, scanned, probed);
-        } catch (...) {
-          abandon_from(c);
-          throw;
-        }
-        gate.wait_turn(c);
-        try {
-          metrics::ScopedPhase flush_timer(collector,
-                                           metrics::Phase::kShuffleFlush);
-          stage.flush_locked(fanout);
-        } catch (...) {
-          gate.complete(c);
-          abandon_from(c + 1);
-          throw;
-        }
-        gate.complete(c);
-        scanned_total.fetch_add(scanned, std::memory_order_relaxed);
-        emitted.fetch_add(stage.emitted, std::memory_order_relaxed);
-        probed_total.fetch_add(probed, std::memory_order_relaxed);
-        if (collector != nullptr) {
-          collector->live().add_edges_scanned(scanned);
-          collector->live().add_edges_probed(probed);
-          collector->live().add_updates(stage.emitted, 0);
-        }
-      }
-    }));
-  }
-  join_all(tasks);
-  return {scanned_total.load(std::memory_order_relaxed),
-          emitted.load(std::memory_order_relaxed), 0,
-          probed_total.load(std::memory_order_relaxed), skipped};
+  const auto retire = [&](Group& group, std::uint64_t) {
+    metrics::ScopedPhase flush_timer(collector, metrics::Phase::kShuffleFlush);
+    group.stage.flush(fanout, total);
+  };
+  run_ordered(exec, units.size(), read_group_units(input_dev), load, work,
+              retire);
+  add_live_counts(collector, total);
+  return total;
 }
 
 }  // namespace fbfs::core::detail

@@ -4,22 +4,21 @@
 // source, builds the update each active-source edge carries, and
 // shuffles it in place into the update file of the partition owning the
 // target. The pieces, in pipeline order: the update fan-out (P open
-// writers on the updates device); the stay-stream trim sink that sees
-// every scanned edge; the update sources (state-loading or state-free);
-// the per-worker staging buffers with the sieve; and the partition
-// scans, serial or chunked over a pool, whose ordered hand-off keeps
-// update and stay files byte-identical at every thread count. The
-// bottom-up scan lives in pull.hpp; the passes over vertex state
-// (init, gather, collect) live in vertex_state.hpp.
+// writers on the updates device); the trim sink, which holds the dead
+// set and receives a trimming scan's survivors; the update sources
+// (state-loading or state-free); the staging stage with the sieve; and
+// the partition scan. A scan is cut into fixed-size units that
+// run_ordered (common/parallel.hpp) loads and works on concurrently and
+// retires strictly in scan order, so update files and stay survivors
+// are byte-identical at every thread count. The bottom-up scan in
+// pull.hpp runs on the same stage, fan-out and runner; the passes over
+// vertex state (init, gather, collect) live in vertex_state.hpp.
 #pragma once
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <future>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -31,7 +30,6 @@
 #include "graph/partitioner.hpp"
 #include "graph/program.hpp"
 #include "metrics/collector.hpp"
-#include "storage/async_writer.hpp"
 #include "storage/codec.hpp"
 #include "storage/reader_factory.hpp"
 #include "storage/storage_plan.hpp"
@@ -47,25 +45,15 @@ namespace detail {
 
 /// P update writers held open across one scatter phase; writer q
 /// receives every update addressed into partition q, in source-partition
-/// order. Parallel scatter workers flush their staged per-destination
-/// buffers through append_batch_locked, a short critical section per
-/// writer. Each writer is a CodecWriter: raw policy streams exactly as
-/// the old RecordWriter fan-out did, the other policies pick each
-/// partition's cheapest on-disk format at close().
+/// order. Appends come only from a scan's retire step, which run_ordered
+/// serialises in scan order, so the writers need no lock. Each writer is
+/// a CodecWriter: raw policy streams straight to the file, the other
+/// policies pick each partition's cheapest on-disk format at close().
 template <typename Update>
 struct UpdateFanout {
   std::vector<std::unique_ptr<io::codec::CodecWriter<Update>>> writers;
-  std::vector<std::unique_ptr<std::mutex>> locks;
-
-  void append(std::uint32_t q, const Update& u) { writers[q]->append(u); }
 
   void append_batch(std::uint32_t q, std::span<const Update> batch) {
-    writers[q]->append_batch(batch);
-  }
-
-  void append_batch_locked(std::uint32_t q, std::span<const Update> batch) {
-    if (batch.empty()) return;
-    std::lock_guard<std::mutex> guard(*locks[q]);
     writers[q]->append_batch(batch);
   }
 
@@ -114,72 +102,25 @@ UpdateFanout<Update> open_update_fanout(
     fanout.writers.push_back(
         std::make_unique<io::codec::CodecWriter<Update>>(
             plan.updates(), update_file_name(pg, q), update_buffer, opts));
-    fanout.locks.push_back(std::make_unique<std::mutex>());
   }
   return fanout;
 }
 
-/// scatter_partition's edge observer: counts dead edges and feeds the
-/// partition's ONE staged stay stream with survivors. A run that does
-/// not trim leaves `counting` off, so observe() returns at once.
-/// ChunkState carries what one chunk accumulates; flush() is only ever
-/// called in input order — serially, or inside the parallel scatter's
-/// ordered hand-off, whose gate mutex sequences the calls — so the
-/// plain (non-atomic) members are race-free and the stay file receives
-/// survivors in scan order at every thread count.
+/// A top-down scan's view of trimming. `dead` is the engine's dead set
+/// (null when the run cannot trim): a trimmable program never
+/// reactivates a vertex it has scattered, so an edge whose source is in
+/// it is dead. When `collecting` (this scan trims), the survivors land
+/// in `staged` in scan order; the engine encodes and writes them as the
+/// partition's next input once the scan ends.
 struct StayTrimSink {
-  struct ChunkState {
-    std::vector<graph::Edge> survivors;
-    std::uint64_t dead = 0;
-  };
-
-  bool counting = false;    // trim-capable run: count dead edges
-  bool collecting = false;  // trimming this scan: stage survivors
-  /// Non-raw stay codec: survivors accumulate in `staged` (in scan
-  /// order, flush() being input-ordered) and the engine encodes +
-  /// appends the whole stream at finish time, instead of streaming
-  /// chunks through the async writer as they retire.
-  bool buffered = false;
-  /// Masked programs: deadness is saturation alone (`retired` points at
-  /// the tracker's saturated set). An active-but-unsaturated source
-  /// must SURVIVE — a later query can put it back in the frontier —
-  /// where the single-query rule would kill it.
-  bool masked = false;
-  const AtomicBitmap* retired = nullptr;
-  io::AsyncWriter* writer = nullptr;
-  io::AsyncWriter::StreamId id = 0;
-  bool alive = false;
-  std::uint64_t dead_total = 0;
+  const AtomicBitmap* dead = nullptr;
+  bool collecting = false;
   std::vector<graph::Edge> staged;
 
-  ChunkState make_chunk_state() const { return {}; }
-
-  void observe(const graph::Edge& e, bool src_active,
-               ChunkState& chunk) const {
-    if (!counting) return;
-    const bool dead =
-        masked ? retired->test(e.src) : (src_active || retired->test(e.src));
-    if (dead) {
-      ++chunk.dead;
-    } else if (collecting) {
-      chunk.survivors.push_back(e);
-    }
-  }
-
-  void flush(ChunkState& chunk) {
-    dead_total += chunk.dead;
-    chunk.dead = 0;
-    if (chunk.survivors.empty()) return;
-    if (buffered) {
-      staged.insert(staged.end(), chunk.survivors.begin(),
-                    chunk.survivors.end());
-    } else if (alive &&
-               !writer->append_raw(
-                   id, chunk.survivors.data(),
-                   chunk.survivors.size() * sizeof(graph::Edge))) {
-      alive = false;  // stream cancelled/failed under us
-    }
-    chunk.survivors.clear();
+  /// Appends a unit's survivors at its retire (and empties them).
+  void take(std::vector<graph::Edge>& survivors) {
+    staged.insert(staged.end(), survivors.begin(), survivors.end());
+    survivors.clear();
   }
 };
 
@@ -237,15 +178,27 @@ struct ScatterResult {
   /// (the frontier-density-aware reader). scanned + skipped covers the
   /// input file.
   std::uint64_t skipped = 0;
+  /// Scanned edges whose source is in the trim sink's dead set (0 when
+  /// the run cannot trim).
+  std::uint64_t dead = 0;
 };
 
-/// One worker's staging state for a scatter window: per-destination-
-/// partition update buckets, plus (when sieving) a dst -> bucket-slot
-/// map over the CURRENT window. A window is one staging-buffer
-/// lifetime — a serial reader batch or a parallel chunk, both exactly
-/// `reader.buffer_bytes / sizeof(Edge)` records — so the sieve sees
-/// identical windows at every thread count and the update files stay
-/// byte-identical. Within a window the first update to a destination
+/// Adds a finished scan's counters to the live op counters.
+inline void add_live_counts(metrics::Collector* collector,
+                            const ScatterResult& r) {
+  if (collector == nullptr) return;
+  collector->live().add_edges_scanned(r.scanned);
+  collector->live().add_edges_probed(r.probed);
+  collector->live().add_updates(r.emitted, r.sieved);
+}
+
+/// The staging state of one scan unit: per-destination-partition update
+/// buckets, (when sieving) a dst -> bucket-slot map over the unit, the
+/// unit's trim survivors, and its counters. A unit is one staging-buffer
+/// lifetime — exactly `reader.buffer_bytes / sizeof(Edge)` records in a
+/// top-down scan at every thread count — so the sieve sees identical
+/// windows whatever the schedule and the update files stay
+/// byte-identical. Within a unit the first update to a destination
 /// claims the slot; a later non-dominated update is folded into the
 /// champion IN that slot via program.sieve_merge (file position = first
 /// sighting, value = the fold: min-folds replace, mask folds OR), and
@@ -260,8 +213,8 @@ struct ScatterStage {
   bool sieve;
   std::vector<std::vector<Update>> buckets;
   std::unordered_map<graph::VertexId, std::uint32_t> window;
-  std::uint64_t emitted = 0;
-  std::uint64_t sieved = 0;
+  std::vector<graph::Edge> survivors;
+  ScatterResult counts;
 
   ScatterStage(const P& program, const graph::PartitionLayout& layout,
                bool sieve)
@@ -271,7 +224,7 @@ struct ScatterStage {
         buckets(layout.num_partitions()) {}
 
   void stage(const Update& u) {
-    ++emitted;
+    ++counts.emitted;
     std::vector<Update>& bucket = buckets[layout.owner(u.dst)];
     if constexpr (graph::SieveCapable<P>) {
       if (sieve) {
@@ -280,7 +233,7 @@ struct ScatterStage {
         if (!inserted) {
           Update& champion = bucket[it->second];
           if (!program.dominates(champion, u)) program.sieve_merge(champion, u);
-          ++sieved;
+          ++counts.sieved;
           return;
         }
       }
@@ -288,311 +241,220 @@ struct ScatterStage {
     bucket.push_back(u);
   }
 
-  /// Scatter `batch` into the buckets (each active-source edge's update
-  /// built by `source`, a StateScatter or RoundScatter) and show every
-  /// edge to `trim`.
+  /// Scatters `batch` into the buckets (each active-source edge's update
+  /// built by `source`, a StateScatter or RoundScatter) and sorts every
+  /// edge into dead or surviving by `trim`'s dead set.
   template <typename Source>
   void process(std::span<const graph::Edge> batch, const Source& source,
-               const AtomicBitmap& active, StayTrimSink& trim,
-               StayTrimSink::ChunkState& chunk) {
+               const AtomicBitmap& active, const StayTrimSink& trim) {
+    counts.scanned += batch.size();
+    counts.probed += batch.size();
     for (const graph::Edge& e : batch) {
-      const bool src_active = P::kScatterAllVertices || active.test(e.src);
-      if (src_active) {
+      if (P::kScatterAllVertices || active.test(e.src)) {
         Update u;
         if (source(e, u)) {
           stage(u);
         } else {
-          ++sieved;
+          ++counts.sieved;
         }
       }
-      trim.observe(e, src_active, chunk);
-    }
-  }
-
-  /// Serial window retirement: append + clear, ready for the next batch.
-  template <typename Fanout>
-  void flush_serial(Fanout& fanout) {
-    for (std::uint32_t q = 0; q < buckets.size(); ++q) {
-      if (!buckets[q].empty()) {
-        fanout.append_batch(q, buckets[q]);
-        buckets[q].clear();
+      if (trim.dead == nullptr) continue;
+      if (trim.dead->test(e.src)) {
+        ++counts.dead;
+      } else if (trim.collecting) {
+        survivors.push_back(e);
       }
     }
-    window.clear();
   }
 
-  /// Parallel retirement: the stage is per-chunk, appended once under
-  /// the ordered hand-off and then discarded.
-  template <typename Fanout>
-  void flush_locked(Fanout& fanout) {
+  /// Retires the unit's updates: appends each destination's bucket to
+  /// the fan-out, adds the counters to `total`, and empties the buckets
+  /// for the next unit (the caller takes `survivors`). Only a scan's
+  /// ordered retire calls it, so every update file receives the units in
+  /// scan order.
+  void flush(UpdateFanout<Update>& fanout, ScatterResult& total) {
     for (std::uint32_t q = 0; q < buckets.size(); ++q) {
-      fanout.append_batch_locked(q, buckets[q]);
+      if (buckets[q].empty()) continue;
+      fanout.append_batch(q, buckets[q]);
+      buckets[q].clear();
     }
+    window.clear();
+    total.scanned += counts.scanned;
+    total.emitted += counts.emitted;
+    total.sieved += counts.sieved;
+    total.probed += counts.probed;
+    total.dead += counts.dead;
+    counts = {};
   }
 };
 
-/// One partition's scatter: scans `num_records` edges from
-/// `input_name` starting at byte `base_offset` (0 for headerless edge
-/// partition files, codec::kHeaderBytes for raw codec streams), builds
-/// the update of every active-source edge (or every edge, for
-/// kScatterAllVertices programs) through `source` — StateScatter or
-/// RoundScatter, see above — routes emitted updates into the
-/// fan-out — sieving dominated duplicates at the staging buffers when
-/// `sieve_updates` and the program allows — and shows every edge + its
-/// activity to `trim`.
-///
-/// With a collector, the fan-out flushes are timed as shuffle-flush
-/// latencies and the scan feeds the live op counters. The counting
-/// itself is plain local increments either way; only the flush to the
-/// LiveOps atomics is gated on the collector, so a null collector costs
-/// one pointer test per batch/chunk — no clock reads, no atomics.
-///
-/// Serial (no pool): one streaming reader honouring `reader` (including
-/// prefetch mode), retiring each delivered batch immediately — the
-/// single-threaded engine's exact behaviour. Parallel: the stream is
-/// cut into fixed-size record chunks fanned over the pool; each chunk
-/// task re-reads its own slice through a plain positional reader,
-/// stages updates in per-destination-partition buffers, then retires
-/// through an OrderedGate in chunk order. Because every update file
-/// only sees its own updates, in scan order, and survivors append in
-/// scan order too, update files and stay files are byte-identical at
-/// every thread count.
-template <graph::GraphProgram P, typename Source>
-ScatterResult scatter_partition(
-    const ExecContext& exec, io::Device& input_dev,
-    const std::string& input_name, std::uint64_t base_offset,
-    std::uint64_t num_records, const graph::PartitionLayout& layout,
-    const Source& source, const AtomicBitmap& active, const P& program,
-    const io::ReaderOptions& reader, bool sieve_updates,
-    UpdateFanout<typename P::Update>& fanout, StayTrimSink& trim,
-    metrics::Collector* collector = nullptr) {
-  if (!exec.parallel()) {
-    io::ReaderOptions opts = reader;
-    opts.offset = base_offset;
-    // Prefetch mode sizes its ring to a real device's queue depth (the
-    // fetcher submits all free slots as one ring batch); on the
-    // modelled device this keeps the historical double-buffering.
-    opts.match_device(input_dev);
-    auto edges =
-        io::open_record_reader<graph::Edge>(input_dev, input_name, opts);
-    ScatterStage<P> stage(program, layout, sieve_updates);
-    auto chunk = trim.make_chunk_state();
-    std::uint64_t scanned = 0;
-    for (auto batch = edges->next_batch(); !batch.empty();
-         batch = edges->next_batch()) {
-      scanned += batch.size();
-      stage.process(batch, source, active, trim, chunk);
-      {
-        metrics::ScopedPhase flush_timer(collector,
-                                         metrics::Phase::kShuffleFlush);
-        stage.flush_serial(fanout);
-        trim.flush(chunk);
-      }
-    }
-    if (collector != nullptr) {
-      collector->live().add_edges_scanned(scanned);
-      collector->live().add_edges_probed(scanned);
-      collector->live().add_updates(stage.emitted, stage.sieved);
-    }
-    return {scanned, stage.emitted, stage.sieved, scanned};
-  }
+/// A unit's place in a file: `records` edges from byte `offset`.
+struct Extent {
+  std::uint64_t offset = 0;
+  std::uint64_t records = 0;
+};
 
-  const std::uint64_t chunk_records = std::max<std::uint64_t>(
-      1, reader.buffer_bytes / sizeof(graph::Edge));
-  const std::uint64_t num_chunks =
-      (num_records + chunk_records - 1) / chunk_records;
-  // On a real-backend device a task owns a run of consecutive chunks
-  // and submits their positional reads as ONE ring batch (queue_depth
-  // reads in flight per submission). The modelled timeline is serial,
-  // so groups stay size 1 there and the per-chunk read/charge sequence
-  // is exactly the historical one.
-  const std::uint64_t group_chunks =
-      input_dev.backend_kind() == io::BackendKind::kReal
-          ? std::max<std::uint64_t>(1, input_dev.backend_options().queue_depth)
-          : 1;
-  const std::uint64_t num_groups =
-      num_chunks == 0 ? 0 : (num_chunks + group_chunks - 1) / group_chunks;
-  OrderedGate gate;
-  std::atomic<std::uint64_t> scanned{0};
-  std::atomic<std::uint64_t> emitted{0};
-  std::atomic<std::uint64_t> sieved{0};
-  std::vector<std::future<void>> groups;
-  groups.reserve(num_groups);
-  for (std::uint64_t g = 0; g < num_groups; ++g) {
-    groups.push_back(exec.pool->submit([&, g] {
-      const std::uint64_t first_chunk = g * group_chunks;
-      const std::uint64_t n_chunks =
-          std::min(group_chunks, num_chunks - first_chunk);
-      // Completes tickets `from` .. end-of-group so the ordered
-      // hand-off chain stays alive when this task throws; join_all
-      // surfaces the failure.
-      const auto abandon_from = [&](std::uint64_t from) {
-        for (std::uint64_t c = from; c < first_chunk + n_chunks; ++c) {
-          gate.wait_turn(c);
-          gate.complete(c);
-        }
-      };
-      // Each chunk is still one positional read on its own File (the
-      // modelled head/seek accounting cannot tell batched submission
-      // from the old per-chunk readers); the group's reads go down as a
-      // single read_batch.
-      std::vector<std::unique_ptr<io::File>> files;
-      std::vector<std::vector<graph::Edge>> buffers(n_chunks);
-      try {
-        std::vector<io::ReadRequest> requests;
-        files.reserve(n_chunks);
-        requests.reserve(n_chunks);
-        for (std::uint64_t k = 0; k < n_chunks; ++k) {
-          const std::uint64_t first = (first_chunk + k) * chunk_records;
-          const std::uint64_t count =
-              std::min(chunk_records, num_records - first);
-          buffers[k].resize(static_cast<std::size_t>(count));
-          files.push_back(input_dev.open(input_name));
-          requests.push_back(
-              {files.back().get(),
-               base_offset + first * sizeof(graph::Edge), buffers[k].data(),
-               static_cast<std::size_t>(count * sizeof(graph::Edge)), 0});
-        }
-        input_dev.read_batch(requests);
-        for (std::uint64_t k = 0; k < n_chunks; ++k) {
-          FB_CHECK_MSG(requests[k].got == requests[k].bytes,
-                       input_name << " ends inside chunk " << first_chunk + k
-                                  << " (" << (requests[k].bytes -
-                                              requests[k].got)
-                                  << " bytes short)");
-        }
-      } catch (...) {
-        abandon_from(first_chunk);
-        throw;
-      }
-      for (std::uint64_t k = 0; k < n_chunks; ++k) {
-        const std::uint64_t c = first_chunk + k;
-        const std::uint64_t count = buffers[k].size();
-        ScatterStage<P> stage(program, layout, sieve_updates);
-        auto chunk = trim.make_chunk_state();
-        try {
-          stage.process(std::span<const graph::Edge>(buffers[k]), source,
-                        active, trim, chunk);
-        } catch (...) {
-          abandon_from(c);
-          throw;
-        }
-        gate.wait_turn(c);
-        try {
-          metrics::ScopedPhase flush_timer(collector,
-                                           metrics::Phase::kShuffleFlush);
-          stage.flush_locked(fanout);
-          trim.flush(chunk);
-        } catch (...) {
-          gate.complete(c);
-          abandon_from(c + 1);
-          throw;
-        }
-        gate.complete(c);
-        scanned.fetch_add(count, std::memory_order_relaxed);
-        emitted.fetch_add(stage.emitted, std::memory_order_relaxed);
-        sieved.fetch_add(stage.sieved, std::memory_order_relaxed);
-        if (collector != nullptr) {
-          collector->live().add_edges_scanned(count);
-          collector->live().add_edges_probed(count);
-          collector->live().add_updates(stage.emitted, stage.sieved);
-        }
-      }
-    }));
+/// Reads each extent of `name` into its own buffer with one positional
+/// read on its own File, all submitted as one read_batch: a real
+/// backend keeps the group in flight together, and the modelled one (an
+/// in-order read_at loop over fresh files) charges each read exactly as
+/// a separate reader would.
+inline std::vector<std::vector<graph::Edge>> read_extents(
+    io::Device& device, const std::string& name,
+    std::span<const Extent> extents) {
+  std::vector<std::vector<graph::Edge>> buffers(extents.size());
+  std::vector<std::unique_ptr<io::File>> files;
+  std::vector<io::ReadRequest> requests;
+  files.reserve(extents.size());
+  requests.reserve(extents.size());
+  for (std::size_t k = 0; k < extents.size(); ++k) {
+    buffers[k].resize(static_cast<std::size_t>(extents[k].records));
+    files.push_back(device.open(name));
+    requests.push_back(
+        {files.back().get(), extents[k].offset, buffers[k].data(),
+         static_cast<std::size_t>(extents[k].records * sizeof(graph::Edge)),
+         0});
   }
-  join_all(groups);
-  const std::uint64_t total = scanned.load(std::memory_order_relaxed);
-  return {total, emitted.load(std::memory_order_relaxed),
-          sieved.load(std::memory_order_relaxed), total};
+  device.read_batch(requests);
+  for (const io::ReadRequest& r : requests) {
+    FB_CHECK_MSG(r.got == r.bytes, name << " ends inside a scan unit at byte "
+                                        << r.offset << " ("
+                                        << (r.bytes - r.got)
+                                        << " bytes short)");
+  }
+  return buffers;
 }
 
-/// scatter_partition over an in-memory edge span — the path for stay
-/// files whose codec format is not raw (the whole file decodes up
-/// front; a compressed stream has no per-chunk byte offsets to slice).
-/// Windowing, ordering, and the sieve all match scatter_partition
-/// exactly: serial slices and parallel chunks are both
-/// `reader.buffer_bytes / sizeof(Edge)` records, and parallel chunks
-/// retire through the same ordered hand-off.
+/// One runner group of a scan (see run_ordered): the stage its units
+/// share — they run one after another in the group's task — and, for
+/// positional scans, each unit's edges as read_extents delivered them.
+template <graph::GraphProgram P>
+struct ScanGroup {
+  ScatterStage<P> stage;
+  std::uint64_t first = 0;  // the group's first unit
+  std::vector<std::vector<graph::Edge>> reads;
+};
+
+/// Units a scan of `device` reads per read_batch: a real device keeps
+/// queue_depth unit reads in flight per submission; the modelled
+/// timeline is serial, so there each unit is its own read and the
+/// historical read/flush interleaving (and with it the charge sequence
+/// on a shared update device) is untouched.
+inline std::uint64_t read_group_units(const io::Device& device) {
+  return device.backend_kind() == io::BackendKind::kReal
+             ? std::max<std::uint64_t>(1, device.backend_options().queue_depth)
+             : 1;
+}
+
+/// A top-down scan's input: `records` edges of file `name` on `device`,
+/// starting at byte `offset` (0 for the headerless partition files,
+/// codec::kHeaderBytes for raw stays) — or, with no device, a stay
+/// already decoded into `decoded` (an encoded stay has no per-unit byte
+/// offsets to read).
+struct ScanInput {
+  io::Device* device = nullptr;
+  std::string name;
+  std::uint64_t offset = 0;
+  std::uint64_t records = 0;
+  std::vector<graph::Edge> decoded;
+};
+
+/// One partition's scatter: scans `input`, builds the update of every
+/// active-source edge (or every edge, for kScatterAllVertices programs)
+/// through `source` — StateScatter or RoundScatter, see above — routes
+/// emitted updates into the fan-out — sieving dominated duplicates at
+/// the staging buffers when `sieve_updates` and the program allows —
+/// and sorts every edge by `trim`'s dead set. With a collector, the
+/// retire steps are timed as shuffle-flush latencies and the finished
+/// scan feeds the live op counters.
+///
+/// The scan is cut into units of `reader.buffer_bytes / sizeof(Edge)`
+/// records and runs on run_ordered. Serial (no pool): one streaming
+/// reader honouring `reader` (including prefetch mode) delivers each
+/// unit as one batch, and one stage serves the whole scan. Parallel:
+/// every unit gets its own File and positional read, grouped per
+/// read_batch by read_group_units, and each group task stages its own
+/// units. A decoded stay is sliced in memory either way. Every unit
+/// retires in scan order, so update files and stay survivors are
+/// byte-identical at every thread count.
 template <graph::GraphProgram P, typename Source>
-ScatterResult scatter_span(
-    const ExecContext& exec, std::span<const graph::Edge> edges,
+ScatterResult scatter_partition(
+    const ExecContext& exec, const ScanInput& input,
     const graph::PartitionLayout& layout, const Source& source,
     const AtomicBitmap& active, const P& program,
     const io::ReaderOptions& reader, bool sieve_updates,
     UpdateFanout<typename P::Update>& fanout, StayTrimSink& trim,
     metrics::Collector* collector = nullptr) {
-  const std::uint64_t num_records = edges.size();
-  const std::uint64_t chunk_records = std::max<std::uint64_t>(
+  const std::uint64_t unit_records = std::max<std::uint64_t>(
       1, reader.buffer_bytes / sizeof(graph::Edge));
+  const std::uint64_t num_units =
+      (input.records + unit_records - 1) / unit_records;
+  const auto unit_size = [&](std::uint64_t u) {
+    return std::min(unit_records, input.records - u * unit_records);
+  };
 
+  std::unique_ptr<io::RecordSource<graph::Edge>> stream;
+  std::uint64_t group_units = 1;
   if (!exec.parallel()) {
-    ScatterStage<P> stage(program, layout, sieve_updates);
-    auto chunk = trim.make_chunk_state();
-    for (std::uint64_t first = 0; first < num_records;
-         first += chunk_records) {
-      const std::uint64_t count =
-          std::min(chunk_records, num_records - first);
-      stage.process(edges.subspan(first, count), source, active, trim, chunk);
-      {
-        metrics::ScopedPhase flush_timer(collector,
-                                         metrics::Phase::kShuffleFlush);
-        stage.flush_serial(fanout);
-        trim.flush(chunk);
-      }
+    group_units = num_units;
+    if (input.device != nullptr) {
+      io::ReaderOptions opts = reader;
+      opts.offset = input.offset;
+      // Prefetch mode sizes its ring to a real device's queue depth (the
+      // fetcher submits all free slots as one ring batch); on the
+      // modelled device this keeps the historical double-buffering.
+      opts.match_device(*input.device);
+      stream = io::open_record_reader<graph::Edge>(*input.device, input.name,
+                                                   opts);
     }
-    if (collector != nullptr) {
-      collector->live().add_edges_scanned(num_records);
-      collector->live().add_edges_probed(num_records);
-      collector->live().add_updates(stage.emitted, stage.sieved);
-    }
-    return {num_records, stage.emitted, stage.sieved, num_records};
+  } else if (input.device != nullptr) {
+    group_units = read_group_units(*input.device);
   }
 
-  const std::uint64_t num_chunks =
-      num_records == 0 ? 0 : (num_records + chunk_records - 1) / chunk_records;
-  OrderedGate gate;
-  std::atomic<std::uint64_t> emitted{0};
-  std::atomic<std::uint64_t> sieved{0};
-  std::vector<std::future<void>> chunks;
-  chunks.reserve(num_chunks);
-  for (std::uint64_t c = 0; c < num_chunks; ++c) {
-    chunks.push_back(exec.pool->submit([&, c] {
-      const std::uint64_t first = c * chunk_records;
-      const std::uint64_t count =
-          std::min(chunk_records, num_records - first);
-      ScatterStage<P> stage(program, layout, sieve_updates);
-      auto chunk = trim.make_chunk_state();
-      try {
-        stage.process(edges.subspan(first, count), source, active, trim,
-                      chunk);
-      } catch (...) {
-        gate.wait_turn(c);
-        gate.complete(c);
-        throw;
+  using Group = ScanGroup<P>;
+  const auto load = [&](std::uint64_t first, std::uint64_t n) {
+    Group group{ScatterStage<P>(program, layout, sieve_updates), first, {}};
+    if (input.device != nullptr && stream == nullptr) {
+      std::vector<Extent> extents;
+      for (std::uint64_t u = first; u < first + n; ++u) {
+        extents.push_back(
+            {input.offset + u * unit_records * sizeof(graph::Edge),
+             unit_size(u)});
       }
-      gate.wait_turn(c);
-      try {
-        metrics::ScopedPhase flush_timer(collector,
-                                         metrics::Phase::kShuffleFlush);
-        stage.flush_locked(fanout);
-        trim.flush(chunk);
-      } catch (...) {
-        gate.complete(c);
-        throw;
-      }
-      gate.complete(c);
-      emitted.fetch_add(stage.emitted, std::memory_order_relaxed);
-      sieved.fetch_add(stage.sieved, std::memory_order_relaxed);
-      if (collector != nullptr) {
-        collector->live().add_edges_scanned(count);
-        collector->live().add_edges_probed(count);
-        collector->live().add_updates(stage.emitted, stage.sieved);
-      }
-    }));
+      group.reads = read_extents(*input.device, input.name, extents);
+    }
+    return group;
+  };
+  const auto work = [&](Group& group, std::uint64_t u) {
+    std::span<const graph::Edge> edges;
+    if (stream != nullptr) {
+      edges = stream->next_batch();
+    } else if (input.device == nullptr) {
+      edges = std::span<const graph::Edge>(input.decoded)
+                  .subspan(u * unit_records, unit_size(u));
+    } else {
+      edges = group.reads[u - group.first];
+    }
+    group.stage.process(edges, source, active, trim);
+  };
+  ScatterResult total;
+  const auto retire = [&](Group& group, std::uint64_t) {
+    metrics::ScopedPhase flush_timer(collector, metrics::Phase::kShuffleFlush);
+    group.stage.flush(fanout, total);
+    trim.take(group.stage.survivors);
+  };
+  run_ordered(exec, num_units, group_units, load, work, retire);
+  if (stream != nullptr) {
+    // The stream's end-of-file read. Records past the expected count
+    // are counted, so the engine's scanned-vs-expected CHECK catches a
+    // stream that runs long as well as one that ends early.
+    for (auto rest = stream->next_batch(); !rest.empty();
+         rest = stream->next_batch()) {
+      total.scanned += rest.size();
+    }
   }
-  join_all(chunks);
-  return {num_records, emitted.load(std::memory_order_relaxed),
-          sieved.load(std::memory_order_relaxed), num_records};
+  add_live_counts(collector, total);
+  return total;
 }
 
 }  // namespace detail

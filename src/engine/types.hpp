@@ -88,7 +88,7 @@ struct Options {
   /// Worker threads for the scatter/gather phases. 1 = the serial
   /// engine (no pool); 0 = one per hardware thread. States, outputs,
   /// update files, and stay files are bit-identical at every count
-  /// (chunk-ordered hand-off; see core/scatter.hpp).
+  /// (the scans' ordered retire; see core/scatter.hpp).
   std::uint32_t num_threads = 1;
 
   // ---- FastBFS knobs, read by core::run. Kind::kXstream forces trim

@@ -7,7 +7,7 @@
 // pushes the source's whole frontier mask along each out-edge; gather is
 // an idempotent, order-free OR-fold — `fresh = mask & ~seen` — so the
 // program runs unmodified through every existing engine layer: the
-// chunk-ordered update shuffle, the staging sieve (subset dominance +
+// unit-ordered update shuffle, the staging sieve (subset dominance +
 // mask-OR merge), the codec auto-selection, core's trimming (a vertex is
 // retired once seen by ALL queries), and bottom-up rounds (a dst is
 // claimed once its mask saturates).

@@ -10,7 +10,6 @@ CollectorOptions collector_options_from_config(const Config& config) {
       config.get_u64_or("metrics.histogram_shards", opts.histogram_shards));
   opts.sampler_interval_seconds = config.get_f64_or(
       "metrics.sampler_interval", opts.sampler_interval_seconds);
-  opts.live_ops = config.get_bool_or("metrics.live_ops", opts.live_ops);
   return opts;
 }
 

@@ -48,13 +48,10 @@ struct CollectorOptions {
   /// > 0 starts the background sampler thread logging a live rate line
   /// (FASTBFS_LOG=info) every interval.
   double sampler_interval_seconds = 0.0;
-  /// Scale live-op rates in the sampler line by FASTBFS_TIME_SCALE?
-  /// Kept simple: rates are reported as measured.
-  bool live_ops = true;
 };
 
-/// Reads the `metrics.*` keys: histogram_shards (count),
-/// sampler_interval (seconds; 0 disables the sampler), live_ops (bool).
+/// Reads the `metrics.*` keys: histogram_shards (count) and
+/// sampler_interval (seconds; 0 disables the sampler).
 CollectorOptions collector_options_from_config(const Config& config);
 
 class Collector {

@@ -39,8 +39,7 @@
 // the same order as the gather phase's in-memory update batch). Policy
 // kRaw streams straight through a StreamWriter — the header goes first
 // with sentinel counts and the reader derives the record count from the
-// file size, which is what keeps core's async stay streaming path
-// append-only.
+// file size, which is what keeps the raw writer append-only.
 //
 // Readers come back through open_reader<T>() as the same type-erased
 // RecordSource<T> the ReaderFactory hands out, built over

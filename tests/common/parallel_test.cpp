@@ -1,13 +1,18 @@
 // Work-batching helpers the parallel engines are built on: range
-// splitting, pool fan-out with exception propagation, and the
-// OrderedGate that keeps chunked output byte-deterministic.
+// splitting, pool fan-out with exception propagation, the OrderedGate,
+// and the run_ordered scan runner that keeps unit output
+// byte-deterministic.
 #include "common/parallel.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace fbfs {
@@ -82,6 +87,91 @@ TEST(OrderedGate, RetiresTicketsInSubmissionOrderOnThePool) {
   join_all(tasks);
   ASSERT_EQ(log.size(), kTickets);
   for (std::uint64_t c = 0; c < kTickets; ++c) EXPECT_EQ(log[c], c);
+}
+
+TEST(RunOrdered, RetiresEveryUnitOnceInUnitOrder) {
+  ThreadPool pool(4);
+  for (const ExecContext exec : {ExecContext{}, ExecContext{&pool}}) {
+    for (const std::uint64_t group : {1u, 3u}) {
+      for (const std::uint64_t units : {0u, 1u, 10u, 37u}) {
+        SCOPED_TRACE("T=" + std::to_string(exec.threads()) + " group=" +
+                     std::to_string(group) + " units=" +
+                     std::to_string(units));
+        std::vector<int> worked(units, 0);  // one slot per unit: no race
+        std::vector<std::uint64_t> retired;
+        run_ordered(
+            exec, units, group,
+            [&](std::uint64_t first, std::uint64_t n) {
+              EXPECT_EQ(first % group, 0u);
+              EXPECT_EQ(n, std::min(group, units - first));
+              return first;
+            },
+            [&](std::uint64_t& first, std::uint64_t u) {
+              EXPECT_GE(u, first);
+              EXPECT_LT(u, first + group);
+              // Early units work longest, so later groups finish first.
+              std::this_thread::sleep_for(
+                  std::chrono::microseconds((units - u) % 4 * 100));
+              ++worked[u];
+            },
+            [&](std::uint64_t&, std::uint64_t u) {
+              EXPECT_EQ(worked[u], 1);
+              retired.push_back(u);  // retire is serialised: no lock
+            });
+        ASSERT_EQ(retired.size(), units);
+        for (std::uint64_t u = 0; u < units; ++u) EXPECT_EQ(retired[u], u);
+      }
+    }
+  }
+}
+
+TEST(RunOrdered, AThrowingStepJoinsEveryTaskAndRethrows) {
+  // Unit 13 of 37 fails in groups of 3, so its group is units 12..14.
+  // Whichever step throws, the call returns (every ticket is completed)
+  // and rethrows; whatever retired did so in order, including every
+  // unit before the failing group.
+  ThreadPool pool(4);
+  const ExecContext exec{&pool};
+  constexpr std::uint64_t kUnits = 37;
+  constexpr std::uint64_t kGroup = 3;
+  constexpr std::uint64_t kFailing = 13;
+  constexpr std::uint64_t kGroupFirst = kFailing / kGroup * kGroup;
+  for (const char* step : {"load", "work", "retire"}) {
+    SCOPED_TRACE(step);
+    const std::string failing_step = step;
+    std::vector<std::uint64_t> retired;
+    EXPECT_THROW(
+        run_ordered(
+            exec, kUnits, kGroup,
+            [&](std::uint64_t first, std::uint64_t) {
+              if (failing_step == "load" && first == kGroupFirst) {
+                throw std::runtime_error("load failed");
+              }
+              return first;
+            },
+            [&](std::uint64_t&, std::uint64_t u) {
+              if (failing_step == "work" && u == kFailing) {
+                throw std::runtime_error("work failed");
+              }
+            },
+            [&](std::uint64_t&, std::uint64_t u) {
+              if (failing_step == "retire" && u == kFailing) {
+                throw std::runtime_error("retire failed");
+              }
+              retired.push_back(u);
+            }),
+        std::runtime_error);
+    EXPECT_TRUE(std::is_sorted(retired.begin(), retired.end()));
+    EXPECT_EQ(std::adjacent_find(retired.begin(), retired.end()),
+              retired.end());
+    ASSERT_GE(retired.size(), kGroupFirst);
+    for (std::uint64_t u = 0; u < kGroupFirst; ++u) EXPECT_EQ(retired[u], u);
+    // Nothing of the failing group retires from the failing unit on.
+    for (std::uint64_t u = kFailing; u < kGroupFirst + kGroup; ++u) {
+      EXPECT_EQ(std::find(retired.begin(), retired.end(), u), retired.end())
+          << "unit " << u;
+    }
+  }
 }
 
 TEST(ResolveThreadCount, ZeroMeansHardwareConcurrency) {

@@ -1,62 +1,15 @@
-// Queue contracts, including the threaded handoffs the TSan CI job
+// MpscQueue contracts, including the threaded handoffs the TSan CI job
 // exercises.
 #include "common/queue.hpp"
 
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <chrono>
 #include <thread>
 #include <vector>
 
 namespace fbfs {
 namespace {
-
-TEST(SpscQueue, FifoWithinCapacity) {
-  SpscQueue<int> q(4);
-  EXPECT_EQ(q.capacity(), 4u);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_TRUE(q.try_push(3));
-  EXPECT_TRUE(q.try_push(4));
-  EXPECT_FALSE(q.try_push(5));  // full
-  EXPECT_EQ(q.try_pop(), 1);
-  EXPECT_EQ(q.try_pop(), 2);
-  EXPECT_TRUE(q.try_push(5));
-  EXPECT_EQ(q.try_pop(), 3);
-  EXPECT_EQ(q.try_pop(), 4);
-  EXPECT_EQ(q.try_pop(), 5);
-  EXPECT_EQ(q.try_pop(), std::nullopt);
-}
-
-TEST(SpscQueue, ProducerConsumerPreservesOrder) {
-  constexpr int kItems = 200'000;
-  SpscQueue<int> q(64);
-  std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) q.push(i);
-    q.close();
-  });
-  int expected = 0;
-  int item = 0;
-  while (q.pop(item)) {
-    ASSERT_EQ(item, expected);
-    ++expected;
-  }
-  EXPECT_EQ(expected, kItems);
-  producer.join();
-}
-
-TEST(SpscQueue, CloseDrainsThenStops) {
-  SpscQueue<int> q(8);
-  q.push(1);
-  q.push(2);
-  q.close();
-  int item = 0;
-  EXPECT_TRUE(q.pop(item));
-  EXPECT_EQ(item, 1);
-  EXPECT_TRUE(q.pop(item));
-  EXPECT_EQ(item, 2);
-  EXPECT_FALSE(q.pop(item));
-}
 
 TEST(MpscQueue, TryPushRespectsCapacity) {
   MpscQueue<int> q(2);
@@ -105,15 +58,6 @@ TEST(MpscQueue, CloseWakesBlockedConsumer) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   q.close();
   consumer.join();
-}
-
-TEST(SpscQueue, MoveOnlyPayload) {
-  SpscQueue<std::unique_ptr<int>> q(2);
-  q.push(std::make_unique<int>(42));
-  auto out = q.try_pop();
-  ASSERT_TRUE(out.has_value());
-  ASSERT_TRUE(*out != nullptr);
-  EXPECT_EQ(**out, 42);
 }
 
 }  // namespace

@@ -58,6 +58,9 @@ void expect_codec_equivalent(io::Device& dev, const GraphMeta& meta,
         options.stay_codec = policy;  // what the config default resolves to
         options.sieve_updates = sieve;
         options.num_threads = threads;
+        // T > 1 cuts scans into 1 KiB (128-edge) units, so the workers
+        // retire many units of one partition concurrently.
+        if (threads > 1) options.reader.buffer_bytes = 1024;
         const auto streamed = core::run(pg, plan, program, options);
 
         ASSERT_EQ(streamed.iterations, reference.iterations);
@@ -134,6 +137,7 @@ TEST(CoreCodecEquivalence, EncodedStaysSurviveZeroGraceCancellation) {
       options.stay_codec = policy;
       options.sieve_updates = true;
       options.num_threads = threads;
+      if (threads > 1) options.reader.buffer_bytes = 1024;  // 128-edge units
       const auto streamed = core::run(pg, plan, BfsProgram{}, options);
       ASSERT_EQ(streamed.iterations, reference.iterations);
       ASSERT_EQ(std::memcmp(streamed.states.data(), reference.states.data(),

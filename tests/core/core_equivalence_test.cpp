@@ -84,6 +84,9 @@ void expect_equivalent(io::Device& dev, const GraphMeta& meta,
         options.trim = cfg.trim;
         options.grace_timeout_seconds = cfg.grace_seconds;
         options.num_threads = threads;
+        // T > 1 cuts scans into 1 KiB (128-edge) units, so the workers
+        // retire many units of one partition concurrently.
+        if (threads > 1) options.reader.buffer_bytes = 1024;
         const auto streamed = core::run(pg, plan, program, options);
 
         ASSERT_EQ(streamed.iterations, reference.iterations);

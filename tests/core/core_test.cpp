@@ -250,7 +250,9 @@ TEST(CoreEngine, StayWriteFaultFallsBackToPreviousInput) {
 
   rig.stay.inject_write_faults(1'000'000);
   engine::Options options;
-  options.stay_buffer_bytes = 4096;  // force mid-scan flushes into faults
+  // Small pool buffers: each survivor append becomes many device
+  // writes, and every one of them faults.
+  options.stay_buffer_bytes = 4096;
   const auto result = core::run(pg, rig.plan, BfsProgram{}, options);
 
   EXPECT_GT(result.trims_started, 0u);
@@ -305,11 +307,11 @@ TEST(CoreEngine, GraceTimeoutCancelsAndFallsBack) {
 }
 
 TEST(CoreEngine, MultiThreadedForcedCancellationIsBitIdentical) {
-  // The satellite case trim-on x multi-thread x forced cancellation:
-  // chunk workers feed the stay stream through the ordered hand-off,
-  // the crawling stay device never commits before the next scan, the
-  // zero grace cancels every stream — and the fallback to the previous
-  // input still cannot change a bit.
+  // The case trim-on x multi-thread x forced cancellation: unit
+  // workers stage the survivors through the ordered retire, the
+  // crawling stay device never commits before the next scan, the zero
+  // grace cancels every stream — and the fallback to the previous input
+  // still cannot change a bit.
   TempDir dir("core");
   io::DeviceModel crawl;
   crawl.name = "crawl";
@@ -338,9 +340,9 @@ TEST(CoreEngine, MultiThreadedForcedCancellationIsBitIdentical) {
 }
 
 TEST(CoreEngine, MultiThreadedStayWriteFaultFallsBack) {
-  // Same dying-stay-disk scenario as above, but with chunk workers
-  // appending survivors: the append failure surfaces inside the ordered
-  // hand-off, the stream auto-cancels, and the outputs stay exact.
+  // Same dying-stay-disk scenario as above, but with unit workers
+  // staging the survivors: the survivor append at scan end hits the
+  // faults, the stream auto-cancels, and the outputs stay exact.
   DedicatedRig rig;
   const GraphMeta meta = rmat_graph(rig.edges);
   const auto reference = inmem::run_graph(rig.edges, meta, BfsProgram{});
@@ -348,7 +350,7 @@ TEST(CoreEngine, MultiThreadedStayWriteFaultFallsBack) {
 
   rig.stay.inject_write_faults(1'000'000);
   engine::Options options;
-  options.stay_buffer_bytes = 4096;  // force mid-scan flushes into faults
+  options.stay_buffer_bytes = 4096;  // many faulting writes per append
   options.num_threads = 4;
   const auto result = core::run(pg, rig.plan, BfsProgram{}, options);
 
@@ -362,38 +364,72 @@ TEST(CoreEngine, MultiThreadedStayWriteFaultFallsBack) {
 }
 
 TEST(CoreEngine, StayFilesAreByteIdenticalAcrossThreadCounts) {
-  // The ordered stay hand-off's contract checked on the files
-  // themselves: with a generous grace every trim commits, and the stay
-  // files a kept run leaves behind must match byte-for-byte between the
-  // serial engine and 4 workers.
-  auto run_kept = [](std::uint32_t threads, DedicatedRig& rig,
-                     std::vector<std::vector<std::byte>>& stay_bytes) {
+  // The ordered retire's contract checked on the files themselves: with
+  // a generous grace every trim commits, and the stay and update files a
+  // kept run leaves behind must match byte-for-byte between the serial
+  // engine and 4 workers. 1 KiB reader buffers cut each scan into
+  // 128-edge units, so the workers retire many units of one partition
+  // concurrently. The run stops after three rounds, while its update
+  // files still hold updates. The stay codec follows the update codec:
+  // the raw arm scans stays positionally, the varint arm decodes them.
+  struct Files {
+    std::vector<std::vector<std::byte>> stay, updates;
+  };
+  const auto read_file = [](io::Device& dev, const std::string& name) {
+    std::vector<std::byte> bytes;
+    if (dev.exists(name)) {
+      bytes.resize(dev.file_size(name));
+      auto file = dev.open(name, /*truncate=*/false);
+      EXPECT_EQ(file->read_at(0, bytes.data(), bytes.size()), bytes.size());
+    }
+    return bytes;
+  };
+  const auto run_kept = [&](io::codec::Policy codec, std::uint32_t threads,
+                            DedicatedRig& rig) {
     const GraphMeta meta = rmat_graph(rig.edges);
     const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 2);
     engine::Options options;
     options.keep_files = true;
+    options.max_iterations = 3;
+    options.reader.buffer_bytes = 1024;
+    options.update_codec = codec;
+    options.stay_codec = codec;
+    options.sieve_updates = true;
     options.num_threads = threads;
     const auto result = core::run(pg, rig.plan, BfsProgram{}, options);
     EXPECT_GT(result.trims_committed, 0u);
+    Files files;
     for (std::uint32_t p = 0; p < 2; ++p) {
-      const std::string name = core::stay_file_name(pg, p);
-      std::vector<std::byte> bytes;
-      if (rig.stay.exists(name)) {
-        bytes.resize(rig.stay.file_size(name));
-        auto file = rig.stay.open(name, /*truncate=*/false);
-        EXPECT_EQ(file->read_at(0, bytes.data(), bytes.size()), bytes.size());
-      }
-      stay_bytes.push_back(std::move(bytes));
+      files.stay.push_back(read_file(rig.stay, core::stay_file_name(pg, p)));
+      files.updates.push_back(
+          read_file(rig.updates, core::update_file_name(pg, p)));
     }
+    return files;
   };
-  DedicatedRig serial_rig, threaded_rig;
-  std::vector<std::vector<std::byte>> serial_bytes, threaded_bytes;
-  run_kept(1, serial_rig, serial_bytes);
-  run_kept(4, threaded_rig, threaded_bytes);
-  ASSERT_EQ(serial_bytes.size(), threaded_bytes.size());
-  for (std::size_t p = 0; p < serial_bytes.size(); ++p) {
-    EXPECT_FALSE(serial_bytes[p].empty()) << "stay file " << p;
-    EXPECT_EQ(serial_bytes[p], threaded_bytes[p]) << "stay file " << p;
+  for (const io::codec::Policy codec :
+       {io::codec::Policy::kRaw, io::codec::Policy::kVarint}) {
+    SCOPED_TRACE(io::codec::to_string(codec));
+    DedicatedRig serial_rig, threaded_rig;
+    const Files serial = run_kept(codec, 1, serial_rig);
+    const Files threaded = run_kept(codec, 4, threaded_rig);
+    for (std::uint32_t p = 0; p < 2; ++p) {
+      EXPECT_GT(serial.stay[p].size(), io::codec::kHeaderBytes)
+          << "stay file " << p;
+      EXPECT_EQ(serial.stay[p], threaded.stay[p]) << "stay file " << p;
+      if (codec == io::codec::Policy::kRaw) {
+        // Stays are written whole at scan end, so even a raw one
+        // carries its exact record count.
+        io::codec::FileHeader header;
+        ASSERT_GE(serial.stay[p].size(), sizeof(header));
+        std::memcpy(&header, serial.stay[p].data(), sizeof(header));
+        const std::uint64_t records =
+            (serial.stay[p].size() - sizeof(header)) / sizeof(graph::Edge);
+        EXPECT_EQ(header.record_count, records) << "stay file " << p;
+      }
+      EXPECT_GT(serial.updates[p].size(), io::codec::kHeaderBytes)
+          << "update file " << p;
+      EXPECT_EQ(serial.updates[p], threaded.updates[p]) << "update file " << p;
+    }
   }
 }
 

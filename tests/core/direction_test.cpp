@@ -185,6 +185,9 @@ void expect_direction_matrix(io::Device& dev, const GraphMeta& meta,
         options.trim = trim;
         options.num_threads = threads;
         options.direction = direction;
+        // T > 1 cuts scans into 1 KiB (128-edge) units, so the workers
+        // retire many units of one partition concurrently.
+        if (threads > 1) options.reader.buffer_bytes = 1024;
         const auto streamed = core::run(pg, plan, program, options);
 
         // States are the invariant: bit-identical, every cell.

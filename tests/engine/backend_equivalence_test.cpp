@@ -121,6 +121,10 @@ engine::Options opts(std::uint32_t threads, bool trim,
   o.num_threads = threads;
   o.trim = trim;
   o.direction = direction;
+  // T > 1 cuts scans into 1 KiB (128-edge) units: the workers retire
+  // many units of one partition concurrently, and a real device reads
+  // them in queue-depth groups per batch.
+  if (threads > 1) o.reader.buffer_bytes = 1024;
   return o;
 }
 

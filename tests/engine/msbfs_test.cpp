@@ -309,6 +309,9 @@ engine::Options matrix_options(std::uint32_t threads, bool trim,
   options.num_threads = threads;
   options.trim = trim;
   options.direction = direction;
+  // T > 1 cuts scans into 1 KiB (128-edge) units, so the workers retire
+  // many units of one partition concurrently.
+  if (threads > 1) options.reader.buffer_bytes = 1024;
   // Sieve + codec auto on throughout: the matrix must hold with the
   // mask-subset sieve and whatever format the codec picks.
   options.sieve_updates = true;

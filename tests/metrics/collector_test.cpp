@@ -67,19 +67,16 @@ GraphMeta rmat_graph(io::Device& dev) {
 TEST(Collector, OptionsComeFromConfigKeys) {
   const Config config = Config::parse_string(
       "metrics.histogram_shards = 8\n"
-      "metrics.sampler_interval = 0.5\n"
-      "metrics.live_ops = false\n");
+      "metrics.sampler_interval = 0.5\n");
   const metrics::CollectorOptions opts =
       metrics::collector_options_from_config(config);
   EXPECT_EQ(opts.histogram_shards, 8u);
   EXPECT_DOUBLE_EQ(opts.sampler_interval_seconds, 0.5);
-  EXPECT_FALSE(opts.live_ops);
   // Defaults: 16 shards, sampler off.
   const metrics::CollectorOptions defaults =
       metrics::collector_options_from_config(Config{});
   EXPECT_EQ(defaults.histogram_shards, 16u);
   EXPECT_DOUBLE_EQ(defaults.sampler_interval_seconds, 0.0);
-  EXPECT_TRUE(defaults.live_ops);
 }
 
 TEST(Collector, EndIterationDrainsPhaseShardsIntoRows) {

@@ -62,6 +62,9 @@ void expect_codec_equivalent(io::Device& dev, const GraphMeta& meta,
         options.update_codec = policy;
         options.sieve_updates = sieve;
         options.num_threads = threads;
+        // T > 1 cuts scans into 1 KiB (128-edge) units, so the workers
+        // retire many units of one partition concurrently.
+        if (threads > 1) options.reader.buffer_bytes = 1024;
         const auto streamed =
             engine::run(Kind::kXstream, pg, plan, program, options);
 

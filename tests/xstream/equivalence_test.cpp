@@ -73,6 +73,9 @@ void expect_equivalent(io::Device& dev, const GraphMeta& meta,
         options.reader.mode = mode;
         options.max_iterations = max_iterations;
         options.num_threads = threads;
+        // T > 1 cuts scans into 1 KiB (128-edge) units, so the workers
+        // retire many units of one partition concurrently.
+        if (threads > 1) options.reader.buffer_bytes = 1024;
         const auto streamed =
             engine::run(engine::Kind::kXstream, pg, plan, program, options);
 

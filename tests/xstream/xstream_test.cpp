@@ -186,8 +186,10 @@ TEST(XStream, UpdateShuffleIsByteIdenticalAcrossThreadCounts) {
   // rather than the folded states: the update files a scatter phase
   // leaves behind (PageRank scatters every round, so the LAST round's
   // files are non-trivial) and the final state files must be
-  // byte-identical at T=1 and T=4 — the chunk-ordered hand-off makes
-  // per-file append order independent of scheduling.
+  // byte-identical at T=1 and T=4 — the ordered retire makes per-file
+  // append order independent of scheduling. 1 KiB reader buffers cut
+  // each scan into 128-edge units, so the workers retire many units of
+  // one partition concurrently.
   TempDir dir("xstream");
   io::Device t1_dev(dir.str() + "/t1", io::DeviceModel::unthrottled());
   io::Device t4_dev(dir.str() + "/t4", io::DeviceModel::unthrottled());
@@ -207,6 +209,7 @@ TEST(XStream, UpdateShuffleIsByteIdenticalAcrossThreadCounts) {
   engine::Options options;
   options.keep_files = true;
   options.max_iterations = 3;
+  options.reader.buffer_bytes = 1024;
   options.num_threads = 1;
   const auto serial = engine::run(Kind::kXstream, pgs[0],
                                   io::StoragePlan::single(t1_dev), program,
