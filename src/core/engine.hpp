@@ -3,12 +3,13 @@
 //
 //   edge trimming       during a partition's scatter scan, edges whose
 //                       source is in the frontier emit their update and
-//                       die (a trimmable program never re-activates a
-//                       scattered source); the survivors are encoded
-//                       under the stay codec when the scan ends and go
-//                       to the AsyncWriter as one append, staged
-//                       (begin_staged) onto the plan's stay device as
-//                       the partition's next-iteration input;
+//                       die (BFS levels are set once, so a scattered
+//                       source never needs its out-edges again); the
+//                       survivors are encoded under the stay codec
+//                       when the scan ends and go to the AsyncWriter as
+//                       one append, staged (begin_staged) onto the
+//                       plan's stay device as the partition's
+//                       next-iteration input;
 //   latency hiding      the stay write proceeds on the writer thread
 //                       while the round moves on; only the NEXT scatter
 //                       of the same partition needs the file, so
@@ -40,13 +41,14 @@
 // StoragePlan: edges / state / updates / stay are separate roles, so
 // the paper's dual-disk placement is one plan away.
 //
-// Trimming applies only to programs declaring kTrimmable (BFS — see
-// program.hpp for the licence); for the rest core::run runs the
-// untrimmed loop and stays bit-identical to inmem::run by
-// construction. Deadness is engine-level and shares one set with
-// bottom-up claiming: `visited` holds every frontier so far, this
-// round's included, and an edge survives iff its source is not in it —
-// no peeking into program State.
+// Trimming and bottom-up rounds apply only to the programs with set-once
+// levels — the PullCapable and masked ones (program.hpp). SSSP's sources
+// re-activate, so its runs take the untrimmed top-down loop whatever the
+// options say, and stay bit-identical to inmem::run by construction.
+// Deadness is engine-level and shares one set with bottom-up claiming:
+// `visited` holds every frontier so far, this round's included, and an
+// edge survives iff its source is not in it — no peeking into program
+// State.
 //
 // Masked programs (graph::MaskedProgram — MultiBfs, the batched
 // multi-source traversal) use the MaskStateTracker's SATURATION set as
@@ -58,12 +60,15 @@
 // The direction model additionally sees the round's aggregate frontier
 // mask popcount, so the beta gate reads per-query density.
 //
-// State-free top-down scatter: for PullCapable and masked programs the
-// top-down scan never loads the partition's state file. The pull hooks
-// rebuild each active source's update from the round number (plus the
-// tracker's frontier mask), byte-identical to scatter by their
-// contracts (program.hpp), so the state device is read only by gather
-// and the final collect. Other programs scatter over loaded states.
+// State-free scatter: for PullCapable and masked programs neither
+// direction ever loads a state file to scatter. The pull hooks rebuild
+// each active source's update from the round number (plus the tracker's
+// frontier mask), byte-identical to scatter by their contracts
+// (program.hpp), so the state device is read only by gather and the
+// final collect. SSSP scatters over its partition's loaded states.
+// Init reads no edge file: it only writes the initial states. Every
+// scanned edge's partition is CHECKed by the scan itself (its source
+// top-down, its destination bottom-up).
 //
 // Round accounting and stop rules are EXACTLY inmem::run's (change
 // both or neither).
@@ -144,10 +149,6 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
                          const engine::Options& options = {}) {
   using State = typename P::State;
   using Update = typename P::Update;
-  FB_CHECK_MSG(!P::kRequiresUndirected || pg.meta.undirected,
-               P::kName << " requires a symmetric edge list, but "
-                        << pg.meta.name
-                        << " is directed (symmetrize_edge_list)");
   const graph::PartitionLayout& layout = pg.layout;
   const std::uint32_t num_partitions = layout.num_partitions();
   const std::uint64_t n = layout.num_vertices();
@@ -171,19 +172,25 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
   if constexpr (masked) {
     batch_width = static_cast<std::uint32_t>(std::popcount(program.full_mask()));
     tracker.emplace(program, n);
-    detail::init_partition_states(pg, plan, options.reader,
-                                  options.write_buffer_bytes, program, active,
-                                  exec, &result.arrivals, &*tracker);
+    detail::init_partition_states(pg, plan, options.write_buffer_bytes,
+                                  program, active, exec, &result.arrivals,
+                                  &*tracker);
   } else {
-    detail::init_partition_states(pg, plan, options.reader,
-                                  options.write_buffer_bytes, program, active,
-                                  exec);
+    detail::init_partition_states(pg, plan, options.write_buffer_bytes,
+                                  program, active, exec);
   }
 
-  // ---- trimming state. Only kTrimmable programs with trimming on ever
-  // pay for any of this; for the rest the loop below is the plain
-  // X-Stream scatter/gather.
-  const bool trim_capable = options.trim && P::kTrimmable;
+  // ---- the set-once programs. Only PullCapable and masked programs
+  // can trim or run bottom-up; for SSSP trimming is off and any
+  // configured direction silently degrades to top-down, so none of the
+  // trimming or direction state below is paid for.
+  constexpr bool pull_ok = graph::PullCapable<P> || masked;
+  const bool trim_capable = options.trim && pull_ok;
+  const engine::Direction configured =
+      pull_ok ? options.direction : engine::Direction::kTopDown;
+
+  // ---- trimming state. Only runs with trimming on pay for any of this;
+  // for the rest the loop below is the plain X-Stream scatter/gather.
   std::optional<io::AsyncWriter> writer;
   if (trim_capable) {
     writer.emplace(options.stay_buffer_bytes, detail::kStayPoolBuffers);
@@ -201,15 +208,9 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
   std::vector<std::uint64_t> dead_seen(num_partitions, 0);
   std::vector<std::optional<detail::PendingTrim>> pending(num_partitions);
 
-  // ---- direction state (ROADMAP item 4). Only PullCapable and masked
-  // programs can run bottom-up; for the rest any configured direction
-  // silently degrades to top-down and none of this is paid for. The
+  // ---- direction state. Top-down runs pay for none of this. The
   // transposed (in-edge) view builds once up front — or loads from its
   // cache — on the plan's edge device.
-  constexpr bool pull_capable = graph::PullCapable<P>;
-  constexpr bool pull_ok = pull_capable || masked;
-  const engine::Direction configured =
-      pull_ok ? options.direction : engine::Direction::kTopDown;
   graph::TransposedView transposed;
   if (configured != engine::Direction::kTopDown) {
     graph::PartitionOptions topts;
@@ -284,9 +285,7 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
     stats.iteration = result.iterations;
     const metrics::RoleSnapshots io_before = plan.stats_snapshot();
     const double frontier_fraction =
-        P::kScatterAllVertices
-            ? 1.0
-            : static_cast<double>(active.count_set()) / static_cast<double>(n);
+        static_cast<double>(active.count_set()) / static_cast<double>(n);
 
     // Masked programs: the round's aggregate mask shape — the direction
     // model's per-query densities, the batch columns in the stats row,
@@ -311,59 +310,56 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
     // recorded in the round's stats either way, so an ablation can see
     // the margin the model acted on.
     engine::Direction mode = engine::Direction::kTopDown;
-    if constexpr (pull_ok) {
-      if (configured != engine::Direction::kTopDown) {
-        DirectionInputs din;
-        din.num_vertices = n;
-        din.total_edges = pg.meta.num_edges;
-        din.frontier = active.count_set();
-        din.unvisited = n - claimed->count_set();
-        din.edge_bytes = sizeof(graph::Edge);
-        din.update_bytes = sizeof(Update);
-        if constexpr (masked) {
-          din.frontier_bits = round_masks.frontier_bits;
-          din.active_queries = stats.queries_active;
-        }
-        for (std::uint32_t p = 0; p < num_partitions; ++p) {
-          if (P::kScatterAllVertices ||
-              active.any_in_range(layout.begin(p), layout.end(p))) {
-            din.topdown_scan_edges += input_edges[p];
-          }
-          if (!claimed->all_in_range(layout.begin(p), layout.end(p))) {
-            din.bottomup_scan_edges += transposed.in_edges_per_partition[p];
-          }
-        }
-        DirectionCosts costs;
-        mode = decide_direction(configured, din, kDirectionAlpha,
-                                kDirectionBeta, &costs);
-        stats.modelled_topdown_bytes = costs.topdown_bytes;
-        stats.modelled_bottomup_bytes = costs.bottomup_bytes;
-        stats.bottomup = mode == engine::Direction::kBottomUp;
+    if (configured != engine::Direction::kTopDown) {
+      DirectionInputs din;
+      din.num_vertices = n;
+      din.total_edges = pg.meta.num_edges;
+      din.frontier = active.count_set();
+      din.unvisited = n - claimed->count_set();
+      din.edge_bytes = sizeof(graph::Edge);
+      din.update_bytes = sizeof(Update);
+      if constexpr (masked) {
+        din.frontier_bits = round_masks.frontier_bits;
+        din.active_queries = stats.queries_active;
       }
+      for (std::uint32_t p = 0; p < num_partitions; ++p) {
+        if (active.any_in_range(layout.begin(p), layout.end(p))) {
+          din.topdown_scan_edges += input_edges[p];
+        }
+        if (!claimed->all_in_range(layout.begin(p), layout.end(p))) {
+          din.bottomup_scan_edges += transposed.in_edges_per_partition[p];
+        }
+      }
+      DirectionCosts costs;
+      mode = decide_direction(configured, din, kDirectionAlpha,
+                              kDirectionBeta, &costs);
+      stats.modelled_topdown_bytes = costs.topdown_bytes;
+      stats.modelled_bottomup_bytes = costs.bottomup_bytes;
+      stats.bottomup = mode == engine::Direction::kBottomUp;
     }
 
     // Scatter.
     {
       Stopwatch scatter_clock;
       auto fanout = detail::open_update_fanout<Update>(
-          pg, plan, options.write_buffer_bytes, options.update_codec,
-          graph::kIdempotentGatherV<P>);
+          pg, plan, options.write_buffer_bytes, options.update_codec);
+      // The state-free sources build every update from the round number
+      // alone; masked programs add the tracker's flat mask arrays, and
+      // single-query pulls get empty spans they never read.
+      std::span<const std::uint64_t> frontier_masks;
+      std::span<const std::uint64_t> seen_masks;
+      if constexpr (masked) {
+        frontier_masks = tracker->frontier;
+        seen_masks = tracker->seen;
+      }
       if constexpr (pull_ok) {
         if (mode == engine::Direction::kBottomUp) {
-          // Bottom-up: scan the transposed files of partitions that
-          // still hold unclaimed vertices and let those vertices probe
-          // the frontier. Pending trims of the FORWARD inputs stay
-          // pending (nothing reads them this round, so their streams
-          // just get more time), and no trim sink runs — the transposed
-          // view is never trimmed. Masked programs hand the pull the
-          // tracker's flat mask arrays; single-query pulls pass empty
-          // spans the pull never reads.
-          std::span<const std::uint64_t> frontier_masks;
-          std::span<const std::uint64_t> seen_masks;
-          if constexpr (masked) {
-            frontier_masks = tracker->frontier;
-            seen_masks = tracker->seen;
-          }
+          // Bottom-up: scan the transposed files of partitions that still
+          // hold unclaimed vertices and let those vertices probe the
+          // frontier. Pending trims of the FORWARD inputs stay pending
+          // (nothing reads them this round, so their streams just get more
+          // time), and no trim sink runs — the transposed view is never
+          // trimmed.
           for (std::uint32_t q = 0; q < num_partitions; ++q) {
             if (claimed->all_in_range(layout.begin(q), layout.end(q))) {
               ++stats.partitions_skipped;
@@ -383,8 +379,7 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
                 transposed.in_edges_per_partition[q],
                 std::span<const graph::TransposedBlock>(transposed.blocks[q]),
                 layout, q, active, *claimed, program, result.iterations,
-                options.reader, frontier_masks, seen_masks, fanout,
-                collector);
+                options.reader, frontier_masks, seen_masks, fanout, collector);
             FB_CHECK_MSG(
                 pulled.scanned + pulled.skipped ==
                     transposed.in_edges_per_partition[q],
@@ -395,16 +390,14 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
                                         << transposed.in_edges_per_partition[q]);
             stats.edges_scanned += pulled.scanned;
             stats.edges_probed += pulled.probed;
-            stats.edge_bytes_skipped +=
-                pulled.skipped * sizeof(graph::Edge);
+            stats.edge_bytes_skipped += pulled.skipped * sizeof(graph::Edge);
           }
         }
       }
       // Top-down (the entire loop no-ops after a bottom-up pull above).
       for (std::uint32_t p = 0;
            mode != engine::Direction::kBottomUp && p < num_partitions; ++p) {
-        if (!P::kScatterAllVertices &&
-            !active.any_in_range(layout.begin(p), layout.end(p))) {
+        if (!active.any_in_range(layout.begin(p), layout.end(p))) {
           // A pending trim of a skipped partition stays pending: the
           // stream gets more time, and nothing needs its file yet.
           ++stats.partitions_skipped;
@@ -439,6 +432,7 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
         // a rename.
         const auto scan = [&](const auto& source) {
           detail::ScanInput input;
+          input.partition = p;
           input.records = input_edges[p];
           if (!input_on_stay[p]) {
             input.device = &plan.edges();
@@ -458,13 +452,8 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
         };
         detail::ScatterResult scattered;
         if constexpr (pull_ok) {
-          // State-free: the pull hooks rebuild every update from the
-          // round number (and the tracker's frontier masks), so the
-          // partition's state file is never read here.
-          std::span<const std::uint64_t> frontier_masks;
-          if constexpr (masked) frontier_masks = tracker->frontier;
-          scattered = scan(detail::RoundScatter<P>{
-              program, result.iterations, frontier_masks});
+          scattered = scan(detail::RoundScatter<P>{program, result.iterations,
+                                                   frontier_masks});
         } else {
           const std::vector<State> states = io::codec::read_all<State>(
               plan.state(), state_file_name(pg, p), options.reader,
@@ -489,8 +478,8 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
           io::codec::EncodeOptions eopts;
           eopts.policy = options.stay_codec;
           // Multi-edges must keep their multiplicity (a collapsed
-          // duplicate would change scanned counts and PageRank
-          // contributions), so the bitmap format never applies.
+          // duplicate would change scanned and dead counts), so the
+          // bitmap format never applies.
           eopts.allow_bitmap = false;
           eopts.range_begin = 0;
           eopts.range_end = n;
@@ -516,7 +505,7 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
       }
       stats.scatter_seconds = scatter_clock.seconds();
     }
-    if (stats.updates_emitted == 0 && !P::kScatterAllVertices) {
+    if (stats.updates_emitted == 0) {
       // The uncounted final round may still have resolved or started
       // trims; fold its counters into the epilogue row so the run
       // totals keep reconciling against the per-iteration rows.
@@ -563,7 +552,7 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
     detail::log_iteration(P::kName, stats);
     result.per_iteration.push_back(stats);
     if (collector != nullptr) collector->end_iteration(stats);
-    if (!P::kScatterAllVertices && !active.any()) break;
+    if (!active.any()) break;
   }
 
   // ---- settle the trims the run ended on, collect, tidy.

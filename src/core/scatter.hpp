@@ -81,14 +81,13 @@ struct UpdateFanout {
   }
 };
 
-/// `allow_bitmap` is the per-program licence for the duplicate-
-/// collapsing bitmap format — pass graph::kIdempotentGatherV<P>.
+/// Update files always allow the duplicate-collapsing bitmap format:
+/// every program's gather is idempotent (graph/program.hpp).
 template <typename Update>
 UpdateFanout<Update> open_update_fanout(
     const graph::PartitionedGraph& pg, const io::StoragePlan& plan,
     std::size_t write_buffer_bytes,
-    io::codec::Policy policy = io::codec::Policy::kRaw,
-    bool allow_bitmap = false) {
+    io::codec::Policy policy = io::codec::Policy::kRaw) {
   const std::uint32_t num_partitions = pg.layout.num_partitions();
   const std::size_t update_buffer = std::max<std::size_t>(
       sizeof(Update), write_buffer_bytes / num_partitions);
@@ -96,7 +95,7 @@ UpdateFanout<Update> open_update_fanout(
   for (std::uint32_t q = 0; q < num_partitions; ++q) {
     io::codec::EncodeOptions opts;
     opts.policy = policy;
-    opts.allow_bitmap = allow_bitmap;
+    opts.allow_bitmap = true;
     opts.range_begin = pg.layout.begin(q);
     opts.range_end = pg.layout.end(q);
     fanout.writers.push_back(
@@ -107,9 +106,9 @@ UpdateFanout<Update> open_update_fanout(
 }
 
 /// A top-down scan's view of trimming. `dead` is the engine's dead set
-/// (null when the run cannot trim): a trimmable program never
-/// reactivates a vertex it has scattered, so an edge whose source is in
-/// it is dead. When `collecting` (this scan trims), the survivors land
+/// (null when the run does not trim, as SSSP's never do): levels are
+/// set once, so an edge whose source is in it can never carry a useful
+/// update again. When `collecting` (this scan trims), the survivors land
 /// in `staged` in scan order; the engine encodes and writes them as the
 /// partition's next input once the scan ends.
 struct StayTrimSink {
@@ -125,12 +124,12 @@ struct StayTrimSink {
 };
 
 /// How a top-down scan builds the update an active source's out-edge
-/// carries. StateScatter is the general path: program.scatter over the
-/// scanned partition's loaded states. RoundScatter is the state-free
-/// path for PullCapable and MaskedProgram programs, whose
+/// carries. StateScatter is the general path (SSSP): program.scatter
+/// over the scanned partition's loaded states. RoundScatter is the
+/// state-free path for PullCapable and MaskedProgram programs, whose
 /// contracts make pull(e, round) / pull_masked(e, round,
 /// frontier_mask(src)) byte-identical to scatter(e, state) for an
-/// active source — so the partition's state file never needs loading.
+/// active source — so the partition's state file is never loaded.
 template <graph::GraphProgram P>
 struct StateScatter {
   const P& program;
@@ -202,8 +201,8 @@ inline void add_live_counts(metrics::Collector* collector,
 /// claims the slot; a later non-dominated update is folded into the
 /// champion IN that slot via program.sieve_merge (file position = first
 /// sighting, value = the fold: min-folds replace, mask folds OR), and
-/// either way the later record is dropped. Exact only for
-/// SieveCapable programs — the sieve flag is dead for the rest.
+/// either way the later record is dropped — exact by the dominates /
+/// sieve_merge contract (graph/program.hpp).
 template <graph::GraphProgram P>
 struct ScatterStage {
   using Update = typename P::Update;
@@ -226,31 +225,38 @@ struct ScatterStage {
   void stage(const Update& u) {
     ++counts.emitted;
     std::vector<Update>& bucket = buckets[layout.owner(u.dst)];
-    if constexpr (graph::SieveCapable<P>) {
-      if (sieve) {
-        const auto [it, inserted] = window.try_emplace(
-            graph::VertexId(u.dst), static_cast<std::uint32_t>(bucket.size()));
-        if (!inserted) {
-          Update& champion = bucket[it->second];
-          if (!program.dominates(champion, u)) program.sieve_merge(champion, u);
-          ++counts.sieved;
-          return;
-        }
+    if (sieve) {
+      const auto [it, inserted] = window.try_emplace(
+          graph::VertexId(u.dst), static_cast<std::uint32_t>(bucket.size()));
+      if (!inserted) {
+        Update& champion = bucket[it->second];
+        if (!program.dominates(champion, u)) program.sieve_merge(champion, u);
+        ++counts.sieved;
+        return;
       }
     }
     bucket.push_back(u);
   }
 
-  /// Scatters `batch` into the buckets (each active-source edge's update
-  /// built by `source`, a StateScatter or RoundScatter) and sorts every
-  /// edge into dead or surviving by `trim`'s dead set.
+  /// Scatters `batch`, a slice of partition `partition`'s input, into
+  /// the buckets (each active-source edge's update built by `source`, a
+  /// StateScatter or RoundScatter) and sorts every edge into dead or
+  /// surviving by `trim`'s dead set. Every edge's source must lie in the
+  /// partition's range: a misfiled edge would scatter from the wrong
+  /// partition.
   template <typename Source>
-  void process(std::span<const graph::Edge> batch, const Source& source,
-               const AtomicBitmap& active, const StayTrimSink& trim) {
+  void process(std::span<const graph::Edge> batch, std::uint32_t partition,
+               const Source& source, const AtomicBitmap& active,
+               const StayTrimSink& trim) {
+    const graph::VertexId begin = layout.begin(partition);
+    const graph::VertexId end = layout.end(partition);
     counts.scanned += batch.size();
     counts.probed += batch.size();
     for (const graph::Edge& e : batch) {
-      if (P::kScatterAllVertices || active.test(e.src)) {
+      FB_CHECK_MSG(e.src >= begin && e.src < end,
+                   "edge source " << e.src << " misfiled into partition "
+                                  << partition);
+      if (active.test(e.src)) {
         Update u;
         if (source(e, u)) {
           stage(u);
@@ -346,12 +352,13 @@ inline std::uint64_t read_group_units(const io::Device& device) {
              : 1;
 }
 
-/// A top-down scan's input: `records` edges of file `name` on `device`,
-/// starting at byte `offset` (0 for the headerless partition files,
-/// codec::kHeaderBytes for raw stays) — or, with no device, a stay
-/// already decoded into `decoded` (an encoded stay has no per-unit byte
-/// offsets to read).
+/// A top-down scan's input, partition `partition`'s edges: `records`
+/// edges of file `name` on `device`, starting at byte `offset` (0 for
+/// the headerless partition files, codec::kHeaderBytes for raw stays) —
+/// or, with no device, a stay already decoded into `decoded` (an
+/// encoded stay has no per-unit byte offsets to read).
 struct ScanInput {
+  std::uint32_t partition = 0;
   io::Device* device = nullptr;
   std::string name;
   std::uint64_t offset = 0;
@@ -360,13 +367,12 @@ struct ScanInput {
 };
 
 /// One partition's scatter: scans `input`, builds the update of every
-/// active-source edge (or every edge, for kScatterAllVertices programs)
-/// through `source` — StateScatter or RoundScatter, see above — routes
-/// emitted updates into the fan-out — sieving dominated duplicates at
-/// the staging buffers when `sieve_updates` and the program allows —
-/// and sorts every edge by `trim`'s dead set. With a collector, the
-/// retire steps are timed as shuffle-flush latencies and the finished
-/// scan feeds the live op counters.
+/// active-source edge through `source` — StateScatter or RoundScatter,
+/// see above — routes emitted updates into the
+/// fan-out — sieving dominated duplicates at the staging buffers when
+/// `sieve_updates` — and sorts every edge by `trim`'s dead set. With a
+/// collector, the retire steps are timed as shuffle-flush latencies and
+/// the finished scan feeds the live op counters.
 ///
 /// The scan is cut into units of `reader.buffer_bytes / sizeof(Edge)`
 /// records and runs on run_ordered. Serial (no pool): one streaming
@@ -435,7 +441,7 @@ ScatterResult scatter_partition(
     } else {
       edges = group.reads[u - group.first];
     }
-    group.stage.process(edges, source, active, trim);
+    group.stage.process(edges, input.partition, source, active, trim);
   };
   ScatterResult total;
   const auto retire = [&](Group& group, std::uint64_t) {

@@ -1,11 +1,11 @@
 // Vertex state on the device. core::run keeps one State record file per
 // partition, so resident memory per phase is one partition's states
 // plus stream buffers — the out-of-core regime of the paper. This
-// header holds the passes that read or write those files: init (build
-// each partition's states off its edge file), gather (+ apply: fold a
-// round's update files into the states), and the final id-order
-// collect. It also holds the MaskStateTracker, the engine-side mirror
-// of a masked program's per-vertex masks.
+// header holds the passes that read or write those files: init (write
+// each partition's initial states), gather (fold a round's update files
+// into the states), and the final id-order collect. It also holds the
+// MaskStateTracker, the engine-side mirror of a masked program's
+// per-vertex masks.
 #pragma once
 
 #include <bit>
@@ -117,11 +117,11 @@ struct MaskStateTracker {
   }
 };
 
-/// The init pass: one scan per partition builds local out-degrees off
-/// the partition's own edge file, runs program.init over its vertex
+/// The init pass: per partition, runs program.init over its vertex
 /// range, writes its state file, and marks the initially-active
-/// vertices in `active`. Partitions are independent (own files, atomic
-/// bitmap), so with a pool they run concurrently, one task each.
+/// vertices in `active`. It reads no edge file. Partitions are
+/// independent (own files, atomic bitmap), so with a pool they run
+/// concurrently, one task each.
 /// Masked programs additionally get the initially-active vertices'
 /// arrival records appended to `arrivals` (RunResult::arrivals) in id
 /// order, and `observer` sees each partition's states once they are
@@ -129,7 +129,6 @@ struct MaskStateTracker {
 template <graph::GraphProgram P, typename Observer = NoStateObserver>
 void init_partition_states(const graph::PartitionedGraph& pg,
                            const io::StoragePlan& plan,
-                           const io::ReaderOptions& reader,
                            std::size_t write_buffer_bytes, const P& program,
                            AtomicBitmap& active, const ExecContext& exec = {},
                            std::vector<typename P::Update>* arrivals = nullptr,
@@ -144,23 +143,11 @@ void init_partition_states(const graph::PartitionedGraph& pg,
                                                      : 0);
   const auto init_one = [&](std::uint32_t p) {
     const graph::VertexId begin = layout.begin(p);
-    std::vector<std::uint32_t> degrees(layout.size(p), 0);
-    auto edges = io::open_record_reader<graph::Edge>(
-        plan.edges(), pg.partition_file(p), reader);
-    for (auto batch = edges->next_batch(); !batch.empty();
-         batch = edges->next_batch()) {
-      for (const graph::Edge& e : batch) {
-        FB_CHECK_MSG(layout.owner(e.src) == p,
-                     "edge source " << e.src << " misfiled into partition "
-                                    << p << " of " << pg.meta.name);
-        ++degrees[e.src - begin];
-      }
-    }
     std::vector<State> states(layout.size(p));
     for (std::uint64_t i = 0; i < states.size(); ++i) {
       const graph::VertexId v = begin + static_cast<graph::VertexId>(i);
       bool is_active = false;
-      program.init(v, degrees[i], states[i], is_active);
+      program.init(v, states[i], is_active);
       if (is_active) {
         active.set(v);
         if constexpr (graph::MaskedProgram<P>) {
@@ -193,8 +180,8 @@ void init_partition_states(const graph::PartitionedGraph& pg,
   }
 }
 
-/// Gather (+ apply): partitions with no pending updates keep their
-/// state file untouched unless the program applies every round.
+/// Gather: partitions with no pending updates keep their state file
+/// untouched.
 ///
 /// With a pool, each partition's vertex range is split into contiguous
 /// per-worker subranges: every worker scans the full (in-memory) update
@@ -204,13 +191,13 @@ void init_partition_states(const graph::PartitionedGraph& pg,
 /// the serial loop for any gather, ordered or not — partitioning by
 /// destination preserves per-cell order — though the engine contract
 /// (program.hpp) additionally requires gathers to be order-free exact
-/// reductions. Apply splits over the same subranges.
+/// reductions.
 ///
 /// Masked programs append the arrival record of every vertex this
 /// gather activated to `arrivals` (partitions in order, ids in order
 /// within each — activations only ever land in the gathered partition's
 /// own range), and `observer` (MaskStateTracker) sees each touched
-/// partition's states after gather + apply; skipped partitions keep
+/// partition's states after the gather; skipped partitions keep
 /// their previous (still accurate) mirror entries.
 template <graph::GraphProgram P, typename Observer = NoStateObserver>
 void gather_partitions(const graph::PartitionedGraph& pg,
@@ -226,11 +213,11 @@ void gather_partitions(const graph::PartitionedGraph& pg,
   using Update = typename P::Update;
   const graph::PartitionLayout& layout = pg.layout;
   for (std::uint32_t q = 0; q < layout.num_partitions(); ++q) {
-    if (pending_updates[q] == 0 && !P::kNeedsApply) continue;
+    if (pending_updates[q] == 0) continue;
     const graph::VertexId begin = layout.begin(q);
     std::vector<State> states = io::codec::read_all<State>(
         plan.state(), state_file_name(pg, q), reader, layout.size(q));
-    if (pending_updates[q] > 0) {
+    {
       metrics::ScopedPhase gather_timer(collector, metrics::Phase::kGather);
       if (!exec.parallel()) {
         auto updates = io::codec::open_reader<Update>(
@@ -271,20 +258,6 @@ void gather_partitions(const graph::PartitionedGraph& pg,
                 }
               }
             });
-      }
-    }
-    if constexpr (P::kNeedsApply) {
-      metrics::ScopedPhase apply_timer(collector, metrics::Phase::kApply);
-      const auto apply_range = [&](const IndexRange& r) {
-        for (std::uint64_t i = r.begin; i < r.end; ++i) {
-          program.apply(begin + static_cast<graph::VertexId>(i), states[i]);
-        }
-      };
-      if (!exec.parallel()) {
-        apply_range({0, states.size()});
-      } else {
-        parallel_for_ranges(*exec.pool, states.size(), exec.threads(),
-                            apply_range);
       }
     }
     write_records<State>(plan.state(), state_file_name(pg, q), states,

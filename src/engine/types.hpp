@@ -51,8 +51,8 @@ Kind parse_kind(const std::string& name);
 /// kBottomUp scans in-edges of unvisited vertices and probes the
 /// frontier, emitting at most one update per unvisited vertex per
 /// in-run; kAuto picks per iteration by the modelled byte cost
-/// (core/direction.hpp). Programs without a pull hook
-/// (graph::PullCapable) always run top-down whatever the setting.
+/// (core/direction.hpp). Programs without a pull hook (SSSP) always
+/// run top-down whatever the setting.
 enum class Direction {
   kTopDown = 0,
   kBottomUp = 1,
@@ -77,13 +77,12 @@ struct Options {
   /// Leave state, update and stay files on their devices after the run.
   bool keep_files = false;
   /// On-disk format policy for the per-partition update files
-  /// (storage/codec.hpp). The duplicate-collapsing bitmap format only
-  /// ever applies to idempotent-gather programs; forced formats degrade
-  /// to raw when ineligible, so any policy is safe for any program.
+  /// (storage/codec.hpp). Forced formats degrade to raw when a stream is
+  /// ineligible, so any policy is safe for any round.
   io::codec::Policy update_codec = io::codec::Policy::kRaw;
   /// Drop dominated same-destination updates at the scatter staging
-  /// buffers, before they reach the shuffle writers. Exact for
-  /// SieveCapable programs (min-fold gathers); ignored for the rest.
+  /// buffers, before they reach the shuffle writers. Exact by the
+  /// programs' dominates / sieve_merge contract (graph/program.hpp).
   bool sieve_updates = false;
   /// Worker threads for the scatter/gather phases. 1 = the serial
   /// engine (no pool); 0 = one per hardware thread. States, outputs,
@@ -94,8 +93,8 @@ struct Options {
   // ---- FastBFS knobs, read by core::run. Kind::kXstream forces trim
   // off and direction top-down; inmem ignores them all.
 
-  /// Master switch for edge trimming (only effective for kTrimmable
-  /// programs).
+  /// Master switch for edge trimming (SSSP never trims: its sources
+  /// re-activate).
   bool trim = true;
   /// First round allowed to start a trim (0 = eager).
   std::uint32_t trim_start_round = 0;

@@ -91,39 +91,4 @@ std::vector<Edge> read_all_edges(io::Device& device, const GraphMeta& meta) {
   return edges;
 }
 
-GraphMeta symmetrize_edge_list(io::Device& device, const GraphMeta& meta,
-                               const std::string& out_name) {
-  FB_CHECK_EQ(meta.record_size, sizeof(Edge));
-  GraphMeta out;
-  out.name = out_name;
-  out.num_vertices = meta.num_vertices;
-  out.seed = meta.seed;
-  out.undirected = true;
-
-  auto reader = io::open_record_reader<Edge>(
-      device, meta.edge_file(), io::ReaderOptions::prefetch(kIoBuffer));
-  auto file = device.open(out.edge_file(), /*truncate=*/true);
-  io::RecordWriter<Edge> writer(*file, kIoBuffer);
-  std::uint64_t in_checksum = 0;
-  for (auto batch = reader->next_batch(); !batch.empty();
-       batch = reader->next_batch()) {
-    for (const Edge& e : batch) {
-      in_checksum += edge_digest(e);
-      writer.append(e);
-      out.checksum += edge_digest(e);
-      ++out.num_edges;
-      const Edge reversed{e.dst, e.src};
-      writer.append(reversed);
-      out.checksum += edge_digest(reversed);
-      ++out.num_edges;
-    }
-  }
-  writer.flush();
-  FB_CHECK_MSG(in_checksum == meta.checksum,
-               "edge file of " << meta.name
-                               << " fails its checksum during symmetrize");
-  save_meta(device, out);
-  return out;
-}
-
 }  // namespace fbfs::graph

@@ -1,12 +1,12 @@
 // Binary edge lists and their `.meta` sidecar.
 //
 // A graph named `g` on a Device is two files: `g.edges`, a flat array
-// of Edge (or WeightedEdge) records, and `g.meta`, a key-value sidecar
-// (common::Config format) recording vertex count, edge count, record
-// size, generator seed, directedness, and the multiset checksum of the
-// records. Everything downstream — partitioner, engines, benches —
-// loads the sidecar instead of guessing from file sizes, and can verify
-// the checksum while streaming.
+// of Edge records, and `g.meta`, a key-value sidecar (common::Config
+// format) recording vertex count, edge count, record size, generator
+// seed, directedness, and the multiset checksum of the records.
+// Everything downstream — partitioner, engines, benches — loads the
+// sidecar instead of guessing from file sizes, and can verify the
+// checksum while streaming.
 #pragma once
 
 #include <functional>
@@ -52,13 +52,5 @@ GraphMeta write_generated(
 /// Streams the whole edge file into memory (read-ahead path), verifying
 /// count and checksum against the sidecar.
 std::vector<Edge> read_all_edges(io::Device& device, const GraphMeta& meta);
-
-/// Writes `out_name` holding every edge of `meta` in both directions
-/// (each (u,v) immediately followed by (v,u)), with its sidecar marked
-/// undirected — the conforming input for programs that require a
-/// symmetric graph (WCC). Self-loops and duplicate edges are kept;
-/// label propagation is insensitive to multiplicity.
-GraphMeta symmetrize_edge_list(io::Device& device, const GraphMeta& meta,
-                               const std::string& out_name);
 
 }  // namespace fbfs::graph

@@ -9,8 +9,9 @@
 // program runs unmodified through every existing engine layer: the
 // unit-ordered update shuffle, the staging sieve (subset dominance +
 // mask-OR merge), the codec auto-selection, core's trimming (a vertex is
-// retired once seen by ALL queries), and bottom-up rounds (a dst is
-// claimed once its mask saturates).
+// retired once seen by ALL queries, not once active: it re-enters the
+// frontier whenever a new query reaches it), and bottom-up rounds (a
+// dst is claimed once its mask saturates).
 //
 // The level invariant that makes per-query results exact: every update
 // emitted in round r carries level r+1 (an active source in round r has
@@ -62,18 +63,6 @@ struct MultiBfs {
                 "query masks are one uint64_t");
 
   static constexpr const char* kName = "msbfs";
-  static constexpr bool kScatterAllVertices = false;
-  static constexpr bool kNeedsApply = false;
-  static constexpr bool kRequiresUndirected = false;
-  // NOT the single-query "an active source never re-activates" licence:
-  // a vertex re-enters the frontier whenever a new query reaches it.
-  // core::run therefore keys deadness for masked programs on SATURATION
-  // (seen == full_mask(): no query can ever gather anything new there,
-  // so after the round that scatters its last frontier the out-edges
-  // are dead), not on having-been-active.
-  static constexpr bool kTrimmable = true;
-  // OR-fold with a fresh-bits early-out: duplicate delivery is a no-op.
-  static constexpr bool kIdempotentGather = true;
 
   struct State {
     std::uint64_t seen = 0;      // queries that reached this vertex
@@ -95,8 +84,7 @@ struct MultiBfs {
                        : (std::uint64_t{1} << width) - 1;
   }
 
-  void init(VertexId v, std::uint32_t /*out_degree*/, State& s,
-            bool& active) const {
+  void init(VertexId v, State& s, bool& active) const {
     s.seen = 0;
     s.frontier = 0;
     s.mark = 0;
@@ -123,6 +111,7 @@ struct MultiBfs {
   }
   std::uint64_t frontier_mask(const State& s) const { return s.frontier; }
   std::uint64_t seen_mask(const State& s) const { return s.seen; }
+  /// OR-fold with a fresh-bits early-out: duplicate delivery is a no-op.
   bool gather(const Update& u, State& s) const {
     const std::uint64_t fresh = u.mask & ~s.seen;
     // The early-out must come BEFORE any mutation: top-down rounds
@@ -138,7 +127,6 @@ struct MultiBfs {
     s.frontier |= fresh;
     return true;
   }
-  void apply(VertexId, State&) const {}
   /// Subset dominance: b is redundant after a when it brings no new
   /// query bits. Same-dst updates within one scatter window all carry
   /// the same level (the round invariant above), which is what makes
@@ -149,7 +137,6 @@ struct MultiBfs {
   void sieve_merge(Update& champion, const Update& u) const {
     champion.mask |= u.mask;
   }
-  std::uint64_t output(VertexId, const State& s) const { return s.seen; }
 
   /// The arrival-log record of a vertex the latest init or gather
   /// activated (MaskedProgram): its level and the query bits that first
@@ -184,7 +171,6 @@ struct MultiBfs {
 };
 
 static_assert(GraphProgram<MultiBfs<64>>);
-static_assert(SieveCapable<MultiBfs<64>>);
 static_assert(MaskedProgram<MultiBfs<64>>);
 static_assert(MaskedProgram<MultiBfs<7>>);
 // Masked programs pull through pull_masked, not the single-query hook.

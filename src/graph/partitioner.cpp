@@ -277,37 +277,4 @@ TransposedView build_transposed_view(const io::StoragePlan& plan,
   return view;
 }
 
-std::vector<std::uint32_t> compute_out_degrees(io::Device& device,
-                                               const GraphMeta& meta) {
-  FB_CHECK_EQ(meta.record_size, sizeof(Edge));
-  std::vector<std::uint32_t> degrees(meta.num_vertices, 0);
-  auto reader = io::open_record_reader<Edge>(
-      device, meta.edge_file(), io::ReaderOptions::prefetch(1 << 20));
-  for (auto batch = reader->next_batch(); !batch.empty();
-       batch = reader->next_batch()) {
-    for (const Edge& e : batch) ++degrees[e.src];
-  }
-  return degrees;
-}
-
-DegreeStats compute_out_degree_stats(io::Device& device,
-                                     const GraphMeta& meta) {
-  const std::vector<std::uint32_t> degrees = compute_out_degrees(device, meta);
-  DegreeStats stats;
-  for (VertexId v = 0; v < degrees.size(); ++v) {
-    if (degrees[v] == 0) continue;
-    ++stats.vertices_with_edges;
-    if (degrees[v] > stats.max_degree) {
-      stats.max_degree = degrees[v];
-      stats.max_degree_vertex = v;
-    }
-  }
-  stats.mean_degree =
-      meta.num_vertices == 0
-          ? 0.0
-          : static_cast<double>(meta.num_edges) /
-                static_cast<double>(meta.num_vertices);
-  return stats;
-}
-
 }  // namespace fbfs::graph

@@ -1,6 +1,5 @@
 // Range partitioner: fans one edge file out to P per-partition edge
-// files in a single streaming pass, plus degree statistics over the
-// same scan.
+// files in a single streaming pass.
 //
 // Partition p owns the contiguous vertex range [begin(p), end(p)); an
 // edge belongs to the partition that owns its *source* (scatter streams
@@ -126,20 +125,5 @@ std::string transposed_meta_file(const PartitionedGraph& pg);
 TransposedView build_transposed_view(const io::StoragePlan& plan,
                                      const PartitionedGraph& pg,
                                      const PartitionOptions& options = {});
-
-struct DegreeStats {
-  std::uint64_t max_degree = 0;
-  VertexId max_degree_vertex = 0;
-  double mean_degree = 0.0;  // over all vertices
-  std::uint64_t vertices_with_edges = 0;
-};
-
-/// Out-degree of every vertex, from one read-ahead scan of the edge
-/// file.
-std::vector<std::uint32_t> compute_out_degrees(io::Device& device,
-                                               const GraphMeta& meta);
-
-DegreeStats compute_out_degree_stats(io::Device& device,
-                                     const GraphMeta& meta);
 
 }  // namespace fbfs::graph

@@ -24,17 +24,6 @@ struct Edge {
 };
 static_assert(std::is_trivially_copyable_v<Edge> && sizeof(Edge) == 8);
 
-/// SSSP input: Edge plus a float weight.
-struct WeightedEdge {
-  VertexId src = 0;
-  VertexId dst = 0;
-  float weight = 0.0f;
-
-  bool operator==(const WeightedEdge&) const = default;
-};
-static_assert(std::is_trivially_copyable_v<WeightedEdge> &&
-              sizeof(WeightedEdge) == 12);
-
 /// Generators and importers push edges through one of these.
 using EdgeSink = std::function<void(const Edge&)>;
 

@@ -1,23 +1,21 @@
 // The exact in-memory reference engine (ROADMAP item 1).
 //
 // Executes any GraphProgram over a Csr with the same synchronous
-// scatter -> gather -> apply rounds as the streaming engine, holding
-// every State and every Update in memory. It is the ground truth the
+// scatter -> gather rounds as the streaming engine, holding every State
+// and every Update in memory, and building each update with
+// program.scatter over the source's State. It is the ground truth the
 // streaming engine (core::run) is validated against: because programs
 // keep gather an order-free fold (program.hpp), both engines produce
 // bit-identical states even though they scatter edges in different
-// orders.
+// orders and core builds BFS updates through the state-free pull
+// hooks.
 //
 // Round semantics (core::run mirrors these exactly — change both or
 // neither):
 //   * scatter reads the states frozen at the start of the round;
-//   * a round that emits no updates ends the run uncounted, unless the
-//     program scatters all vertices every round (PageRank), in which
-//     case gather/apply still run and the round counts;
-//   * a counted round with no newly-activated vertex ends the run
-//     (again: unless the program scatters all vertices);
-//   * the run also ends after options.max_iterations counted rounds —
-//     the stopping rule for kScatterAllVertices programs;
+//   * a round that emits no updates ends the run uncounted;
+//   * a counted round with no newly-activated vertex ends the run;
+//   * the run also ends after options.max_iterations counted rounds;
 //   * masked programs log one program.arrival record per vertex that
 //     init or a gather activated, in id order (RunResult::arrivals).
 #pragma once
@@ -27,7 +25,6 @@
 #include <vector>
 
 #include "common/bitmap.hpp"
-#include "common/check.hpp"
 #include "common/stopwatch.hpp"
 #include "engine/types.hpp"
 #include "graph/csr.hpp"
@@ -54,7 +51,7 @@ engine::RunResult<P> run(const graph::Csr& csr, const P& program,
   AtomicBitmap next_active(n);
   for (graph::VertexId v = 0; v < n; ++v) {
     bool is_active = false;
-    program.init(v, csr.out_degree(v), result.states[v], is_active);
+    program.init(v, result.states[v], is_active);
     if (is_active) active.set(v);
   }
   // Appends the arrival records of the vertices set in `bits`, in id
@@ -80,7 +77,7 @@ engine::RunResult<P> run(const graph::Csr& csr, const P& program,
     {
       metrics::ScopedPhase scatter_timer(collector, metrics::Phase::kScatter);
       for (graph::VertexId v = 0; v < n; ++v) {
-        if (!P::kScatterAllVertices && !active.test(v)) continue;
+        if (!active.test(v)) continue;
         const typename P::State src_state = result.states[v];  // frozen copy
         scanned += csr.out_degree(v);
         for (const graph::VertexId dst : csr.neighbors(v)) {
@@ -98,7 +95,7 @@ engine::RunResult<P> run(const graph::Csr& csr, const P& program,
       collector->live().add_edges_probed(scanned);
       collector->live().add_updates(updates.size(), sieved);
     }
-    if (updates.empty() && !P::kScatterAllVertices) break;
+    if (updates.empty()) break;
     result.updates_emitted += updates.size();
 
     next_active.reset();
@@ -106,12 +103,6 @@ engine::RunResult<P> run(const graph::Csr& csr, const P& program,
       metrics::ScopedPhase gather_timer(collector, metrics::Phase::kGather);
       for (const Update& u : updates) {
         if (program.gather(u, result.states[u.dst])) next_active.set(u.dst);
-      }
-    }
-    if constexpr (P::kNeedsApply) {
-      metrics::ScopedPhase apply_timer(collector, metrics::Phase::kApply);
-      for (graph::VertexId v = 0; v < n; ++v) {
-        program.apply(v, result.states[v]);
       }
     }
     log_arrivals(next_active);
@@ -127,20 +118,16 @@ engine::RunResult<P> run(const graph::Csr& csr, const P& program,
       stats.seconds = round_clock.seconds();
       collector->end_iteration(stats);
     }
-    if (!P::kScatterAllVertices && !active.any()) break;
+    if (!active.any()) break;
   }
   return result;
 }
 
-/// Builds the Csr off `device` (checksum-verified) and runs; CHECKs the
-/// program's undirected requirement against the sidecar.
+/// Builds the Csr off `device` (checksum-verified) and runs.
 template <graph::GraphProgram P>
 engine::RunResult<P> run_graph(io::Device& device,
                                const graph::GraphMeta& meta, const P& program,
                                const engine::Options& options = {}) {
-  FB_CHECK_MSG(!P::kRequiresUndirected || meta.undirected,
-               P::kName << " requires a symmetric edge list, but "
-                        << meta.name << " is directed (symmetrize_edge_list)");
   return run(graph::build_csr(device, meta), program, options);
 }
 

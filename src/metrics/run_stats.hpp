@@ -19,11 +19,12 @@
 namespace fbfs::metrics {
 
 /// The engine phases histograms are kept for. kScatter times one
-/// partition's edge scan (state load included); kShuffleFlush times
-/// each update fan-out flush (one per scatter batch or parallel
-/// chunk); kGather times one partition's update fold (update read
-/// included); kApply one partition's apply pass; kTrimResolve one
-/// pending stay-stream resolution (core only).
+/// partition's edge scan; kShuffleFlush times each update fan-out
+/// flush (one per scatter batch or parallel chunk); kGather times one
+/// partition's update fold (update read included); kTrimResolve one
+/// pending stay-stream resolution (core only). No engine records
+/// kApply (no program has an apply pass); its histogram stays empty
+/// and keeps its slot so reports that list every phase still read it.
 enum class Phase : std::size_t {
   kScatter = 0,
   kShuffleFlush = 1,

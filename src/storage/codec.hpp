@@ -32,7 +32,7 @@
 // varint sizes + n*payload. Policy kAuto takes the cheapest (ties
 // prefer the lower format id, raw first); a forced policy is honoured
 // whenever the stream is eligible and degrades to raw otherwise, so
-// forcing `bitmap` on a non-idempotent program is safe, never wrong.
+// forcing `bitmap` on an ineligible stream is safe, never wrong.
 //
 // Writers buffer records in memory for the non-raw policies (the cost
 // model wants the whole stream; at this repo's partition sizes that is
@@ -204,10 +204,9 @@ inline void restore_record(const std::byte* payload, std::size_t record_size,
 struct EncodeOptions {
   Policy policy = Policy::kRaw;
   /// The caller's proof that collapsing byte-identical duplicate
-  /// destinations is exact — i.e. the program's gather is idempotent
-  /// (min-fold BFS/WCC/SSSP yes; additive PageRank no; edge streams no,
-  /// multi-edges must keep their multiplicity). Without it the bitmap
-  /// format is never chosen.
+  /// destinations is exact — i.e. the stream feeds an idempotent gather
+  /// (update streams yes; edge streams no, multi-edges must keep their
+  /// multiplicity). Without it the bitmap format is never chosen.
   bool allow_bitmap = false;
   /// Destination range the stream may address: the bitmap's bit span
   /// and the varint delta base. Every routed record's dst must lie in

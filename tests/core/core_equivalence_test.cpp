@@ -1,4 +1,4 @@
-// The acceptance suite for the FastBFS engine: every program, on every
+// The acceptance suite for the FastBFS engine: BFS and SSSP, on every
 // generator family, must produce BIT-IDENTICAL results from core::run
 // and the in-memory reference — at multiple partition counts, with
 // trimming off, trimming on, and trimming on with a zero grace timeout
@@ -21,10 +21,7 @@ namespace {
 
 using graph::BfsProgram;
 using graph::GraphMeta;
-using graph::PageRankProgram;
 using graph::SsspProgram;
-using graph::VertexId;
-using graph::WccProgram;
 
 GraphMeta materialize(io::Device& dev, const std::string& name,
                       const graph::ChunkedEdgeSource& source) {
@@ -66,10 +63,8 @@ constexpr TrimConfig kTrimConfigs[] = {
 
 template <graph::GraphProgram P>
 void expect_equivalent(io::Device& dev, const GraphMeta& meta,
-                       const P& program,
-                       std::uint32_t max_iterations = 1'000'000) {
-  const auto reference =
-      inmem::run_graph(dev, meta, program, {.max_iterations = max_iterations});
+                       const P& program) {
+  const auto reference = inmem::run_graph(dev, meta, program);
   const io::StoragePlan plan = io::StoragePlan::single(dev);
   for (const std::uint32_t parts : {2u, 5u}) {
     const graph::PartitionedGraph pg =
@@ -80,7 +75,6 @@ void expect_equivalent(io::Device& dev, const GraphMeta& meta,
                      std::to_string(parts) + ", " + cfg.tag + ", T=" +
                      std::to_string(threads));
         engine::Options options;
-        options.max_iterations = max_iterations;
         options.trim = cfg.trim;
         options.grace_timeout_seconds = cfg.grace_seconds;
         options.num_threads = threads;
@@ -96,16 +90,12 @@ void expect_equivalent(io::Device& dev, const GraphMeta& meta,
             std::memcmp(streamed.states.data(), reference.states.data(),
                         streamed.states.size() * sizeof(typename P::State)),
             0);
-        for (VertexId v = 0; v < streamed.states.size(); ++v) {
-          const auto want = program.output(v, reference.states[v]);
-          const auto got = program.output(v, streamed.states[v]);
-          ASSERT_EQ(std::memcmp(&want, &got, sizeof(want)), 0)
-              << "vertex " << v;
-        }
-        if (!cfg.trim || !P::kTrimmable) {
+        if (!cfg.trim || !graph::PullCapable<P>) {
+          // SSSP re-activates sources: trimming stays off whatever the
+          // options say.
           ASSERT_EQ(streamed.trims_started, 0u);
         } else if (streamed.iterations > 1) {
-          // The eager default really trims on multi-round trimmable runs.
+          // The eager default really trims on multi-round BFS runs.
           ASSERT_GT(streamed.trims_started, 0u);
         }
       }
@@ -133,31 +123,6 @@ TEST(CoreEquivalence, BfsOnGrid) {
   expect_equivalent(dev, grid_meta(dev), BfsProgram{.root = 0});
 }
 
-// ---------------------------------------------------------------- WCC
-
-TEST(CoreEquivalence, WccOnRmatSymmetrized) {
-  TempDir dir("core_equiv");
-  io::Device dev(dir.str(), io::DeviceModel::unthrottled());
-  const GraphMeta sym =
-      graph::symmetrize_edge_list(dev, rmat_meta(dev), "rmat_sym");
-  expect_equivalent(dev, sym, WccProgram{});
-}
-
-TEST(CoreEquivalence, WccOnErdosRenyiSymmetrized) {
-  TempDir dir("core_equiv");
-  io::Device dev(dir.str(), io::DeviceModel::unthrottled());
-  const GraphMeta sym =
-      graph::symmetrize_edge_list(dev, er_meta(dev), "er_sym");
-  expect_equivalent(dev, sym, WccProgram{});
-}
-
-TEST(CoreEquivalence, WccOnGrid) {
-  // The lattice generator already emits both directions.
-  TempDir dir("core_equiv");
-  io::Device dev(dir.str(), io::DeviceModel::unthrottled());
-  expect_equivalent(dev, grid_meta(dev), WccProgram{});
-}
-
 // --------------------------------------------------------------- SSSP
 
 TEST(CoreEquivalence, SsspOnRmat) {
@@ -176,35 +141,6 @@ TEST(CoreEquivalence, SsspOnGrid) {
   TempDir dir("core_equiv");
   io::Device dev(dir.str(), io::DeviceModel::unthrottled());
   expect_equivalent(dev, grid_meta(dev), SsspProgram{.root = 0});
-}
-
-// ----------------------------------------------------------- PageRank
-
-TEST(CoreEquivalence, PageRankOnRmat) {
-  TempDir dir("core_equiv");
-  io::Device dev(dir.str(), io::DeviceModel::unthrottled());
-  const GraphMeta meta = rmat_meta(dev);
-  expect_equivalent(dev, meta,
-                    PageRankProgram{.num_vertices = meta.num_vertices},
-                    /*max_iterations=*/5);
-}
-
-TEST(CoreEquivalence, PageRankOnErdosRenyi) {
-  TempDir dir("core_equiv");
-  io::Device dev(dir.str(), io::DeviceModel::unthrottled());
-  const GraphMeta meta = er_meta(dev);
-  expect_equivalent(dev, meta,
-                    PageRankProgram{.num_vertices = meta.num_vertices},
-                    /*max_iterations=*/5);
-}
-
-TEST(CoreEquivalence, PageRankOnGrid) {
-  TempDir dir("core_equiv");
-  io::Device dev(dir.str(), io::DeviceModel::unthrottled());
-  const GraphMeta meta = grid_meta(dev);
-  expect_equivalent(dev, meta,
-                    PageRankProgram{.num_vertices = meta.num_vertices},
-                    /*max_iterations=*/5);
 }
 
 // --------------------------------------------------- device placement

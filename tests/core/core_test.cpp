@@ -1,6 +1,7 @@
 // Mechanics of the FastBFS engine: trim life cycle (stream → grace →
 // swap/cancel), trim triggers, selective scheduling, the state-free
-// top-down scatter, fault fallback, config plumbing, and file hygiene.
+// top-down scatter, the edge-free init, the scan's misfiled-edge check,
+// fault fallback, config plumbing, and file hygiene.
 // Bit-identity against the reference engine across the full matrix
 // lives in core_equivalence_test.cpp.
 #include <gtest/gtest.h>
@@ -21,7 +22,7 @@ namespace {
 using graph::BfsProgram;
 using graph::GraphMeta;
 using graph::PartitionedGraph;
-using graph::WccProgram;
+using graph::SsspProgram;
 using graph::partition_edge_list;
 
 GraphMeta chain_graph(io::Device& dev, std::uint64_t n) {
@@ -190,14 +191,38 @@ TEST(CoreEngine, TopDownScatterReadsNoStateForPullablePrograms) {
 
 TEST(CoreEngine, NonTrimmableProgramsNeverTrim) {
   DedicatedRig rig;
-  const GraphMeta sym = graph::symmetrize_edge_list(
-      rig.edges, rmat_graph(rig.edges), "rmat_sym");
-  const PartitionedGraph pg = partition_edge_list(rig.plan, sym, 4);
+  const PartitionedGraph pg =
+      partition_edge_list(rig.plan, rmat_graph(rig.edges), 4);
   engine::Options options;
-  options.trim = true;  // requested, but WCC re-activates sources
-  const auto result = core::run(pg, rig.plan, WccProgram{}, options);
+  options.trim = true;  // requested, but SSSP re-activates sources
+  const auto result = core::run(pg, rig.plan, SsspProgram{}, options);
+  EXPECT_GT(result.iterations, 1u);
   EXPECT_EQ(result.trims_started, 0u);
   EXPECT_EQ(rig.stay.stats().bytes_written(), 0u);
+}
+
+TEST(CoreEngine, InitReadsNoEdges) {
+  // Init only writes each partition's initial states: a run capped at
+  // zero rounds reads not one byte off the edge device, yet leaves every
+  // state file behind.
+  DedicatedRig rig;
+  const GraphMeta meta = rmat_graph(rig.edges);
+  const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 4);
+
+  engine::Options options;
+  options.max_iterations = 0;
+  options.keep_files = true;
+  const io::IoStatsSnapshot before = rig.edges.stats().snapshot();
+  const auto result = core::run(pg, rig.plan, BfsProgram{}, options);
+  EXPECT_EQ(rig.edges.stats().snapshot().delta(before).bytes_read, 0u);
+  EXPECT_EQ(result.iterations, 0u);
+  ASSERT_EQ(result.states.size(), meta.num_vertices);
+  EXPECT_EQ(result.states[0].level, 0u);
+  EXPECT_GT(rig.state.stats().bytes_written(), 0u);
+  for (std::uint32_t p = 0; p < 4; ++p) {
+    EXPECT_TRUE(rig.state.exists(core::state_file_name(pg, p)))
+        << "state file " << p;
+  }
 }
 
 TEST(CoreEngine, TrimTriggersGateEagerTrimming) {
@@ -463,6 +488,23 @@ TEST(CoreEngine, StayFileNameEncodesPartitioning) {
   const GraphMeta meta = chain_graph(rig.edges, 8);
   const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 4);
   EXPECT_EQ(core::stay_file_name(pg, 2), "chain.P4.stay2");
+}
+
+TEST(CoreEngineDeath, MisfiledPartitionEdgeIsCaught) {
+  // The top-down scan checks every scanned edge's source against the
+  // scanned partition's range. Record 0 of partition 0's file,
+  // overwritten with an edge out of partition 1, aborts the run in the
+  // first round's scan of partition 0 (it holds the root).
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  DedicatedRig rig;
+  const GraphMeta meta = rmat_graph(rig.edges);
+  const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 4);
+  {
+    auto file = rig.edges.open(pg.partition_file(0), /*truncate=*/false);
+    const graph::Edge misfiled{pg.layout.begin(1), 0};
+    file->write_at(0, &misfiled, sizeof(misfiled));
+  }
+  EXPECT_DEATH((void)core::run(pg, rig.plan, BfsProgram{}, {}), "misfiled");
 }
 
 }  // namespace

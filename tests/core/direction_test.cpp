@@ -25,8 +25,8 @@ using core::DirectionInputs;
 using engine::Direction;
 using graph::BfsProgram;
 using graph::GraphMeta;
+using graph::SsspProgram;
 using graph::VertexId;
-using graph::WccProgram;
 
 // ------------------------------------------------------- cost model
 
@@ -284,23 +284,23 @@ TEST(DirectionEquivalence, AutoNeverFlipsOnHighDiameterGrid) {
 }
 
 TEST(DirectionEquivalence, NonPullProgramDegradesToTopDown) {
-  // WCC has no pull hook: a forced bottom-up run must silently run the
+  // SSSP has no pull hook: a forced bottom-up run must silently run the
   // plain top-down loop and still match the reference exactly.
   TempDir dir("direction");
   io::Device dev(dir.str(), io::DeviceModel::unthrottled());
-  const GraphMeta sym =
-      graph::symmetrize_edge_list(dev, er_meta(dev), "er_sym");
-  const auto reference = inmem::run_graph(dev, sym, WccProgram{}, {});
+  const GraphMeta meta = er_meta(dev);
+  const SsspProgram program{.root = 3};
+  const auto reference = inmem::run_graph(dev, meta, program, {});
   const io::StoragePlan plan = io::StoragePlan::single(dev);
-  const graph::PartitionedGraph pg = graph::partition_edge_list(plan, sym, 4);
+  const graph::PartitionedGraph pg = graph::partition_edge_list(plan, meta, 4);
 
   engine::Options options;
   options.direction = Direction::kBottomUp;
-  const auto streamed = core::run(pg, plan, WccProgram{}, options);
+  const auto streamed = core::run(pg, plan, program, options);
   EXPECT_EQ(streamed.bottomup_rounds, 0u);
   EXPECT_EQ(streamed.iterations, reference.iterations);
   ASSERT_EQ(std::memcmp(streamed.states.data(), reference.states.data(),
-                        streamed.states.size() * sizeof(WccProgram::State)),
+                        streamed.states.size() * sizeof(SsspProgram::State)),
             0);
 }
 

@@ -30,7 +30,6 @@ using engine::Direction;
 using engine::Kind;
 using graph::BfsProgram;
 using graph::GraphMeta;
-using graph::WccProgram;
 
 GraphMeta er_meta(io::Device& dev) {
   const graph::ErdosRenyiSource source(
@@ -68,10 +67,7 @@ RunArtifacts run_on_backend(const std::string& root,
                             Kind kind, const P& program,
                             const engine::Options& options) {
   io::Device dev(root, io::DeviceModel::unthrottled(), backend);
-  GraphMeta meta = er_meta(dev);
-  if (P::kRequiresUndirected) {
-    meta = graph::symmetrize_edge_list(dev, meta, "er_sym");
-  }
+  const GraphMeta meta = er_meta(dev);
   const io::StoragePlan plan = io::StoragePlan::single(dev);
   const graph::PartitionedGraph pg = graph::partition_edge_list(plan, meta, 3);
   const auto result = engine::run(kind, pg, plan, program, options);
@@ -149,11 +145,6 @@ TEST(BackendEquivalence, CoreAcrossThreadsTrimAndDirection) {
       }
     }
   }
-}
-
-TEST(BackendEquivalence, CoreWccParallelTrimmed) {
-  expect_backend_equivalent(WccProgram{}, Kind::kCore,
-                            opts(4, /*trim=*/true));
 }
 
 TEST(BackendEquivalence, RealQueueDepthOneStillMatches) {

@@ -50,7 +50,7 @@ TEST(MultiBfsMechanics, InitSetsOnlyRootBitsAndLevels) {
 
   Msbfs::State s;
   bool active = false;
-  program.init(5, 0, s, active);
+  program.init(5, s, active);
   EXPECT_TRUE(active);
   EXPECT_EQ(s.seen, 0b101u);
   EXPECT_EQ(s.frontier, 0b101u);
@@ -58,7 +58,7 @@ TEST(MultiBfsMechanics, InitSetsOnlyRootBitsAndLevels) {
   EXPECT_TRUE(same_update(program.arrival(5, s),
                           {.dst = 5, .level = 0, .mask = 0b101}));
 
-  program.init(7, 0, s, active);
+  program.init(7, s, active);
   EXPECT_FALSE(active);
   EXPECT_EQ(s.seen, 0u);
   EXPECT_EQ(s.frontier, 0u);

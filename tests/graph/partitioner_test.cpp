@@ -98,28 +98,6 @@ TEST(Partitioner, SinglePartitionReproducesTheInputFile) {
   EXPECT_EQ(back, (std::vector<Edge>{{0, 1}, {3, 2}, {1, 1}}));
 }
 
-TEST(Partitioner, DegreeStatsMatchAHandComputedGraph)  {
-  TempDir dir("partition");
-  io::Device dev = make_device(dir);
-  // Out-degrees: v0 -> 3, v2 -> 1, v1/v3/v4 -> 0.
-  const GraphMeta meta = write_generated(
-      dev, "hand", 5, 1, false, [](const EdgeSink& sink) {
-        sink({0, 1});
-        sink({0, 2});
-        sink({0, 0});
-        sink({2, 4});
-      });
-
-  const std::vector<std::uint32_t> degrees = compute_out_degrees(dev, meta);
-  EXPECT_EQ(degrees, (std::vector<std::uint32_t>{3, 0, 1, 0, 0}));
-
-  const DegreeStats stats = compute_out_degree_stats(dev, meta);
-  EXPECT_EQ(stats.max_degree, 3u);
-  EXPECT_EQ(stats.max_degree_vertex, 0u);
-  EXPECT_EQ(stats.vertices_with_edges, 2u);
-  EXPECT_DOUBLE_EQ(stats.mean_degree, 4.0 / 5.0);
-}
-
 TEST(TransposedView, HoldsEveryEdgeDstSortedInItsOwnersFile) {
   TempDir dir("partition");
   io::Device dev = make_device(dir);

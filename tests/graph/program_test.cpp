@@ -1,14 +1,10 @@
 // GraphProgram semantics, independent of any engine: the scatter /
-// gather / apply contracts each program promises, and the bit-identity
-// rule — gather must be an order-free fold, because the engines deliver
+// gather contracts BFS and SSSP promise, and the sieve predicates that
+// must keep gather an order-free fold, because the engines deliver
 // updates in different orders.
 #include "graph/program.hpp"
 
 #include <gtest/gtest.h>
-
-#include <algorithm>
-#include <random>
-#include <vector>
 
 namespace fbfs::graph {
 namespace {
@@ -17,10 +13,10 @@ TEST(Programs, BfsScatterCarriesNextLevelAndGatherTakesTheMin) {
   const BfsProgram bfs{.root = 3};
   BfsProgram::State s;
   bool active = false;
-  bfs.init(3, 7, s, active);
+  bfs.init(3, s, active);
   EXPECT_TRUE(active);
   EXPECT_EQ(s.level, 0u);
-  bfs.init(2, 7, s, active);
+  bfs.init(2, s, active);
   EXPECT_FALSE(active);
   EXPECT_EQ(s.level, kUnreachedLevel);
 
@@ -41,7 +37,7 @@ TEST(Programs, BfsScatterCarriesNextLevelAndGatherTakesTheMin) {
 TEST(Programs, SievePredicatesAreMinFoldsForTheScalarPrograms) {
   // dominates(a, b) must mean "after delivering a, b is redundant" and
   // sieve_merge(champion, u) must leave the champion equivalent to
-  // delivering both — the sieve's exactness contract (SieveCapable).
+  // delivering both — the sieve's exactness contract (program.hpp).
   const BfsProgram bfs;
   EXPECT_TRUE(bfs.dominates({2, 3}, {2, 3}));   // equal level: redundant
   EXPECT_TRUE(bfs.dominates({2, 3}, {2, 7}));   // worse level: redundant
@@ -50,34 +46,12 @@ TEST(Programs, SievePredicatesAreMinFoldsForTheScalarPrograms) {
   bfs.sieve_merge(bfs_champ, {2, 1});  // min-fold: the winner replaces
   EXPECT_EQ(bfs_champ.level, 1u);
 
-  const WccProgram wcc;
-  EXPECT_TRUE(wcc.dominates({5, 2}, {5, 9}));
-  EXPECT_FALSE(wcc.dominates({5, 2}, {5, 1}));
-  WccProgram::Update wcc_champ{5, 2};
-  wcc.sieve_merge(wcc_champ, {5, 1});
-  EXPECT_EQ(wcc_champ.label, 1u);
-
   const SsspProgram sssp;
   EXPECT_TRUE(sssp.dominates({4, 1.5f}, {4, 2.5f}));
   EXPECT_FALSE(sssp.dominates({4, 1.5f}, {4, 0.5f}));
   SsspProgram::Update sssp_champ{4, 1.5f};
   sssp.sieve_merge(sssp_champ, {4, 0.5f});
   EXPECT_EQ(sssp_champ.dist, 0.5f);
-}
-
-TEST(Programs, WccEveryVertexStartsActiveWithItsOwnLabel) {
-  const WccProgram wcc;
-  WccProgram::State s;
-  bool active = false;
-  wcc.init(17, 0, s, active);
-  EXPECT_TRUE(active);
-  EXPECT_EQ(s.label, 17u);
-  EXPECT_TRUE(WccProgram::kRequiresUndirected);
-
-  WccProgram::State dst{.label = 9};
-  EXPECT_FALSE(wcc.gather({1, 9}, dst));  // equal label: no reactivation
-  EXPECT_TRUE(wcc.gather({1, 2}, dst));
-  EXPECT_EQ(dst.label, 2u);
 }
 
 TEST(Programs, SsspWeightsAreDeterministicPerEdgeAndBounded) {
@@ -93,48 +67,6 @@ TEST(Programs, SsspWeightsAreDeterministicPerEdgeAndBounded) {
   ASSERT_TRUE(sssp.scatter(e, {.dist = 2.5f}, u));
   EXPECT_EQ(u.dst, 29u);
   EXPECT_EQ(u.dist, 2.5f + w);
-}
-
-TEST(Programs, PageRankGatherIsOrderFree) {
-  // The fixed-point accumulator is what buys bit-identical PageRank
-  // across engines: fold the same multiset of updates in shuffled
-  // orders and the state must match exactly.
-  const PageRankProgram pr{.num_vertices = 1000};
-  std::vector<PageRankProgram::Update> updates;
-  std::mt19937 rng(7);
-  for (int i = 0; i < 500; ++i) {
-    PageRankProgram::State src;
-    bool active = false;
-    pr.init(0, 1 + rng() % 40, src, active);
-    PageRankProgram::Update u;
-    ASSERT_TRUE(pr.scatter({0, 1}, src, u));
-    updates.push_back(u);
-  }
-  const auto fold = [&](const std::vector<PageRankProgram::Update>& us) {
-    PageRankProgram::State s{};
-    for (const auto& u : us) pr.gather(u, s);
-    pr.apply(1, s);
-    return s.rank;
-  };
-  const float baseline = fold(updates);
-  for (int round = 0; round < 5; ++round) {
-    std::shuffle(updates.begin(), updates.end(), rng);
-    ASSERT_EQ(fold(updates), baseline);
-  }
-}
-
-TEST(Programs, PageRankApplyResetsTheAccumulator) {
-  const PageRankProgram pr{.num_vertices = 4};
-  PageRankProgram::State s;
-  bool active = false;
-  pr.init(0, 2, s, active);
-  EXPECT_TRUE(active);
-  EXPECT_FLOAT_EQ(s.rank, 0.25f);
-
-  // No inputs: rank decays to the teleport share.
-  pr.apply(0, s);
-  EXPECT_FLOAT_EQ(s.rank, 0.15f / 4);
-  EXPECT_EQ(s.accum, 0u);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 #include <vector>
 
 #include "common/temp_dir.hpp"
@@ -18,10 +18,7 @@ using graph::BfsProgram;
 using graph::Csr;
 using graph::Edge;
 using graph::kUnreachedLevel;
-using graph::PageRankProgram;
 using graph::SsspProgram;
-using graph::VertexId;
-using graph::WccProgram;
 
 TEST(InMem, BfsLevelsOnAHandGraph) {
   //      0 -> 1 -> 2 -> 3      4 -> 0 (4 unreachable from 0)
@@ -60,19 +57,6 @@ TEST(InMem, BfsOnGridMatchesManhattanDistance) {
   EXPECT_EQ(result.iterations, 9u + 7 - 1);
 }
 
-TEST(InMem, WccFindsTheComponents) {
-  // Components {0,1,2}, {3,4}, {5} — symmetric edge list.
-  const Csr csr(6, std::vector<Edge>{{0, 1}, {1, 0}, {1, 2}, {2, 1},
-                                     {3, 4}, {4, 3}});
-  const auto result = run(csr, WccProgram{});
-  EXPECT_EQ(result.states[0].label, 0u);
-  EXPECT_EQ(result.states[1].label, 0u);
-  EXPECT_EQ(result.states[2].label, 0u);
-  EXPECT_EQ(result.states[3].label, 3u);
-  EXPECT_EQ(result.states[4].label, 3u);
-  EXPECT_EQ(result.states[5].label, 5u);
-}
-
 TEST(InMem, SsspPicksTheLighterOfTwoRoutes) {
   // 0 -> 1 -> 3 vs 0 -> 2 -> 3: derived weights decide; the test
   // computes the same weights the program derives.
@@ -88,39 +72,6 @@ TEST(InMem, SsspPicksTheLighterOfTwoRoutes) {
   EXPECT_EQ(result.states[3].dist, std::min(via1, via2));
 }
 
-TEST(InMem, PageRankOnACycleIsUniformAndConserved) {
-  // On a directed cycle every vertex has in/out degree 1: the uniform
-  // distribution is the fixed point, and no rank mass leaks.
-  const std::uint64_t n = 64;
-  std::vector<Edge> edges;
-  for (VertexId v = 0; v < n; ++v) {
-    edges.push_back({v, static_cast<VertexId>((v + 1) % n)});
-  }
-  const Csr csr(n, edges);
-  const auto result =
-      run(csr, PageRankProgram{.num_vertices = n}, {.max_iterations = 10});
-  EXPECT_EQ(result.iterations, 10u);  // fixed rounds, no early stop
-  double sum = 0.0;
-  for (const auto& s : result.states) {
-    EXPECT_NEAR(s.rank, 1.0 / static_cast<double>(n), 1e-6);
-    sum += s.rank;
-  }
-  EXPECT_NEAR(sum, 1.0, 1e-4);
-}
-
-TEST(InMem, PageRankStarConcentratesRankInTheHub) {
-  // Leaves 1..4 all point at 0; 0 points at 1. The hub must outrank
-  // every leaf, and leaves 2..4 (no in-edges) sit at the teleport floor.
-  const Csr csr(5, std::vector<Edge>{{1, 0}, {2, 0}, {3, 0}, {4, 0}, {0, 1}});
-  const auto result =
-      run(csr, PageRankProgram{.num_vertices = 5}, {.max_iterations = 20});
-  const float floor = 0.15f / 5;
-  EXPECT_GT(result.states[0].rank, result.states[1].rank);
-  EXPECT_GT(result.states[1].rank, result.states[2].rank);
-  EXPECT_NEAR(result.states[2].rank, floor, 1e-6);
-  EXPECT_NEAR(result.states[3].rank, result.states[2].rank, 1e-9);
-}
-
 TEST(InMem, IsolatedRootConvergesImmediately) {
   const Csr csr(3, std::vector<Edge>{{1, 2}});
   const auto result = run(csr, BfsProgram{.root = 0});
@@ -128,17 +79,6 @@ TEST(InMem, IsolatedRootConvergesImmediately) {
   EXPECT_EQ(result.updates_emitted, 0u);
   EXPECT_EQ(result.states[0].level, 0u);
   EXPECT_EQ(result.states[1].level, kUnreachedLevel);
-}
-
-TEST(InMemDeath, WccOnADirectedGraphIsRefused) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  TempDir dir("inmem");
-  io::Device dev(dir.str(), io::DeviceModel::unthrottled());
-  const graph::GraphMeta meta = graph::write_generated(
-      dev, "directed", 3, 1, /*undirected=*/false,
-      [](const graph::EdgeSink& sink) { sink({0, 1}); });
-  EXPECT_DEATH(run_graph(dev, meta, WccProgram{}),
-               "requires a symmetric edge list");
 }
 
 }  // namespace

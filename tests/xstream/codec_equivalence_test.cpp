@@ -1,10 +1,9 @@
 // The codec/sieve acceptance matrix for the X-Stream preset
-// (Kind::kXstream): every program, on a small R-MAT, must stay
-// BIT-IDENTICAL to the in-memory
-// reference under every update-codec policy x sieve on/off x serial and
-// parallel scatter. The codec and sieve are pure write-traffic
-// optimisations; if either changes a bit of state or output, it is a
-// bug. Update-file determinism across thread counts (the PR 5
+// (Kind::kXstream): BFS and SSSP, on a small R-MAT, must stay
+// BIT-IDENTICAL to the in-memory reference under every update-codec
+// policy x sieve on/off x serial and parallel scatter. The codec and
+// sieve are pure write-traffic optimisations; if either changes a bit
+// of state, it is a bug. Update-file determinism across thread counts (the PR 5
 // invariant) must also survive the encoded formats.
 #include <gtest/gtest.h>
 
@@ -24,10 +23,7 @@ namespace {
 using engine::Kind;
 using graph::BfsProgram;
 using graph::GraphMeta;
-using graph::PageRankProgram;
 using graph::SsspProgram;
-using graph::VertexId;
-using graph::WccProgram;
 using io::codec::Policy;
 
 GraphMeta rmat_meta(io::Device& dev) {
@@ -44,10 +40,8 @@ constexpr Policy kPolicies[] = {Policy::kRaw, Policy::kBitmap,
 /// the in-memory reference.
 template <graph::GraphProgram P>
 void expect_codec_equivalent(io::Device& dev, const GraphMeta& meta,
-                             const P& program,
-                             std::uint32_t max_iterations = 1'000'000) {
-  const auto reference =
-      inmem::run_graph(dev, meta, program, {.max_iterations = max_iterations});
+                             const P& program) {
+  const auto reference = inmem::run_graph(dev, meta, program);
   const io::StoragePlan plan = io::StoragePlan::single(dev);
   const graph::PartitionedGraph pg = graph::partition_edge_list(plan, meta, 3);
   for (const Policy policy : kPolicies) {
@@ -58,7 +52,6 @@ void expect_codec_equivalent(io::Device& dev, const GraphMeta& meta,
                      (sieve ? ", sieve" : ", no-sieve") + ", T=" +
                      std::to_string(threads));
         engine::Options options;
-        options.max_iterations = max_iterations;
         options.update_codec = policy;
         options.sieve_updates = sieve;
         options.num_threads = threads;
@@ -74,12 +67,6 @@ void expect_codec_equivalent(io::Device& dev, const GraphMeta& meta,
             std::memcmp(streamed.states.data(), reference.states.data(),
                         streamed.states.size() * sizeof(typename P::State)),
             0);
-        for (VertexId v = 0; v < streamed.states.size(); ++v) {
-          const auto want = program.output(v, reference.states[v]);
-          const auto got = program.output(v, streamed.states[v]);
-          ASSERT_EQ(std::memcmp(&want, &got, sizeof(want)), 0)
-              << "vertex " << v;
-        }
       }
     }
   }
@@ -91,35 +78,16 @@ TEST(CodecEquivalence, BfsUnderEveryCodecAndSieve) {
   expect_codec_equivalent(dev, rmat_meta(dev), BfsProgram{.root = 0});
 }
 
-TEST(CodecEquivalence, WccUnderEveryCodecAndSieve) {
-  TempDir dir("codec_equiv");
-  io::Device dev(dir.str(), io::DeviceModel::unthrottled());
-  const GraphMeta sym =
-      graph::symmetrize_edge_list(dev, rmat_meta(dev), "rmat_sym");
-  expect_codec_equivalent(dev, sym, WccProgram{});
-}
-
 TEST(CodecEquivalence, SsspUnderEveryCodecAndSieve) {
   TempDir dir("codec_equiv");
   io::Device dev(dir.str(), io::DeviceModel::unthrottled());
   expect_codec_equivalent(dev, rmat_meta(dev), SsspProgram{.root = 0});
 }
 
-TEST(CodecEquivalence, PageRankUnderEveryCodecAndSieve) {
-  // PageRank's additive gather makes it bitmap-ineligible and
-  // sieve-incapable; both knobs must degrade to no-ops, not corrupt.
-  TempDir dir("codec_equiv");
-  io::Device dev(dir.str(), io::DeviceModel::unthrottled());
-  const GraphMeta meta = rmat_meta(dev);
-  expect_codec_equivalent(dev, meta,
-                          PageRankProgram{.num_vertices = meta.num_vertices},
-                          /*max_iterations=*/5);
-}
-
 TEST(CodecEquivalence, SieveReallyDropsUpdatesOnBfs) {
-  // The sieve is not allowed to be a silent no-op for a SieveCapable
-  // program on a duplicate-heavy graph: updates_sieved must move, and
-  // the per-partition pending counts (= staged updates) must shrink.
+  // The sieve is not allowed to be a silent no-op on a duplicate-heavy
+  // graph: updates_sieved must move, and the per-partition pending
+  // counts (= staged updates) must shrink.
   TempDir dir("codec_equiv");
   io::Device dev(dir.str(), io::DeviceModel::unthrottled());
   const GraphMeta meta = rmat_meta(dev);
