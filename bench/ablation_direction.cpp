@@ -15,6 +15,10 @@
 // noise of top-down's probe count (trim-stream timing is the only
 // nondeterminism).
 //
+// Each arm also reports the edge device's read ops and seeks
+// (edge_read_ops, edge_seeks), which show what the bottom-up reader's
+// schedule costs a disk; they are recorded, not CHECKed.
+//
 // Every configuration is verified bit-identical against the in-memory
 // reference inside run_bfs. Results land in BENCH_pr8.json (--out=FILE);
 // --quick shrinks the graphs for CI.
@@ -94,7 +98,7 @@ int main(int argc, char** argv) {
 
   metrics::Table table({"dataset", "config", "iters", "bu", "scanned",
                         "probed", "probe cut", "updates", "upd cut",
-                        "edges rd", "upd wr"});
+                        "edges rd", "edge ops", "edge seeks", "upd wr"});
   double rmat_probe_cut = 0.0;
   double rmat_update_cut = 0.0;
   double twitter_probe_cut = 0.0;
@@ -118,6 +122,12 @@ int main(int argc, char** argv) {
 
       const std::uint64_t probed = run.edges_probed();
       const std::uint64_t updates = run.updates_emitted();
+      std::uint64_t edge_read_ops = 0;
+      std::uint64_t edge_seeks = 0;
+      for (const auto& it : run.iterations) {
+        edge_read_ops += it.stats.role_io(io::Role::kEdges).read_ops;
+        edge_seeks += it.stats.role_io(io::Role::kEdges).seeks;
+      }
       if (cfg.direction == Direction::kTopDown) {
         topdown_probed = probed;
         topdown_updates = updates;
@@ -150,6 +160,8 @@ int main(int argc, char** argv) {
            metrics::Table::count(updates),
            metrics::Table::percent(update_cut),
            metrics::Table::bytes(run.bytes_read(io::Role::kEdges)),
+           metrics::Table::count(edge_read_ops),
+           metrics::Table::count(edge_seeks),
            metrics::Table::bytes(run.bytes_written(io::Role::kUpdates))});
 
       json.open(cfg.tag);
@@ -159,6 +171,8 @@ int main(int argc, char** argv) {
       json.integer("edges_probed", probed);
       json.integer("updates_emitted", updates);
       json.integer("edge_bytes_read", run.bytes_read(io::Role::kEdges));
+      json.integer("edge_read_ops", edge_read_ops);
+      json.integer("edge_seeks", edge_seeks);
       json.integer("update_bytes_written",
                    run.bytes_written(io::Role::kUpdates));
       json.integer("bytes_moved", run.device_bytes_moved());

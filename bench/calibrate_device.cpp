@@ -13,7 +13,9 @@
 // --dir defaults to a scoped temp directory (measuring the filesystem
 // /tmp lives on); point it at a mount to calibrate that disk. The tool
 // prints the fitted model as a ready-to-paste config snippet and emits
-// the raw measurements as JSON (default BENCH_calibrate.json).
+// the raw measurements as JSON (default BENCH_calibrate.json), with the
+// fitted model's seek-equivalent bytes: the longest gap a bottom-up scan
+// on this disk reads through rather than seeks over.
 //
 // Method:
 //   * seq read/write: stream `--size-mb` in 4 MB ops, best-of-2 MB/s.
@@ -215,6 +217,11 @@ int main(int argc, char** argv) {
                                  ? mb(kSeekOpBytes) / seq.read_mb_s * 1e9
                                  : 0.0;
   const double seek_ns = std::max(0.0, seek.mean_ns - transfer_ns);
+  io::DeviceModel fitted;
+  fitted.name = "calibrated";
+  fitted.read_mb_s = seq.read_mb_s;
+  fitted.write_mb_s = seq.write_mb_s;
+  fitted.seek_ns = static_cast<std::uint64_t>(seek_ns);
 
   metrics::Table qd_table({"queue depth", "random read MB/s", "vs qd=1"});
   std::vector<std::pair<unsigned, double>> qd_curve;
@@ -252,8 +259,9 @@ int main(int argc, char** argv) {
             << "  device.write_mb_s = " << static_cast<std::uint64_t>(
                    seq.write_mb_s)
             << "\n"
-            << "  device.seek_ns = " << static_cast<std::uint64_t>(seek_ns)
-            << "\n";
+            << "  device.seek_ns = " << fitted.seek_ns << "\n"
+            << "  # seek_equivalent_bytes = " << fitted.seek_equivalent_bytes()
+            << " (the longest gap bottom-up reads through)\n";
   if (backend_mode.find("buffered") != std::string::npos) {
     std::cout << "  # NOTE: O_DIRECT refused here — numbers include page "
                  "cache effects\n";
@@ -284,6 +292,7 @@ int main(int argc, char** argv) {
   json.number("read_mb_s", seq.read_mb_s);
   json.number("write_mb_s", seq.write_mb_s);
   json.number("seek_ns", seek_ns);
+  json.integer("seek_equivalent_bytes", fitted.seek_equivalent_bytes());
   json.close();
 
   std::ofstream out(out_path);

@@ -1,13 +1,14 @@
 // The bottom-up scatter of core::run's direction-optimizing rounds:
 // still-unclaimed vertices scan their in-edges (the cached transposed
 // view, graph::build_transposed_view) and probe the frontier. Its own
-// parts are the block index, the skip schedule and the per-block pull;
+// parts are the block index, the read schedule and the per-block pull;
 // the staging stage, the update fan-out and the ordered runner
 // (run_ordered) are the top-down scan's, from scatter.hpp.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -47,19 +48,29 @@ namespace fbfs::core::detail {
 ///
 /// Granularity and the byte-skipping reader: the file is processed in
 /// the transposed view's fixed blocks (graph::kTransposedBlockRecords
-/// records; `blocks` holds each block's dst range). A block whose whole
-/// dst range is already claimed is SKIPPED — its records are counted in
-/// ScatterResult::skipped and its bytes are never read (the
-/// frontier-density-aware reader; conservative, since the range test
-/// also covers ids with no in-edges in the block). Needed blocks are
-/// coalesced into read units of at most `reader.buffer_bytes` and read
-/// with one positional request each (replacing the streaming reader —
-/// read-ahead does not fit a skip-seek scan).
+/// records; `blocks` holds each block's dst range). A block is NEEDED
+/// unless its whole dst range is already claimed (conservative, since
+/// the range test also covers ids with no in-edges in the block). The
+/// reader prices the rest the way the input device does: needed blocks
+/// separated by a gap of skippable blocks no longer than the device's
+/// seek-equivalent bytes (DeviceModel::seek_equivalent_bytes — 26
+/// blocks on the HDD model, none on the SSD or unthrottled ones) form
+/// one SPAN that reads straight through the gap, since reading it costs
+/// less than seeking over it. Only blocks outside every span are
+/// SKIPPED: counted in ScatterResult::skipped, their bytes never read
+/// (the frontier-density-aware reader). Gap blocks are read, counted as
+/// scanned and checked like any other, and emit and probe nothing —
+/// every run in them is already claimed. Each span is cut into read
+/// units of at most `reader.buffer_bytes`, each one positional request
+/// on the scan's one open File (replacing the streaming reader —
+/// read-ahead does not fit a skip-seek scan), so a unit that starts
+/// where the previous one ended continues the device's head.
 ///
 /// Determinism contract, mirroring scatter_partition: the run-tracking
 /// state (current destination, claimed flag, delivered-mask
 /// accumulator) resets at every BLOCK boundary — fixed at view build
-/// time — so serial and parallel runs window identically and a run
+/// time — so serial and parallel runs, and the schedules of devices
+/// with different seek costs, window identically and a run
 /// straddling a boundary re-emits deterministically (byte-identical
 /// records for PullCapable, disjoint-mask records with the same union
 /// for masked programs; both exact under the idempotent gather). The
@@ -138,21 +149,20 @@ ScatterResult pull_partition(
   };
 
   // The skip/read schedule, decided once up front (the claimed set is
-  // frozen for the round): contiguous needed blocks coalesce into read
-  // units of at most unit_blocks, each one positional read.
+  // frozen for the round): a needed block joins the previous one's span
+  // when the gap between them is at most gap_blocks, and spans fill read
+  // units of at most unit_blocks in block order.
   struct ReadUnit {
     std::uint64_t first_block = 0;
     std::uint64_t num_blocks = 0;
   };
-  const std::uint64_t unit_blocks = std::max<std::uint64_t>(
-      1, reader.buffer_bytes / (kBlock * sizeof(graph::Edge)));
+  constexpr std::uint64_t kBlockBytes = kBlock * sizeof(graph::Edge);
+  const std::uint64_t unit_blocks =
+      std::max<std::uint64_t>(1, reader.buffer_bytes / kBlockBytes);
+  const std::uint64_t gap_blocks =
+      input_dev.model().seek_equivalent_bytes() / kBlockBytes;
   std::vector<ReadUnit> units;
-  ScatterResult total;
-  for (std::uint64_t b = 0; b < blocks.size(); ++b) {
-    if (block_skippable(b)) {
-      total.skipped += block_count(b);
-      continue;
-    }
+  const auto read_block = [&](std::uint64_t b) {
     if (!units.empty() &&
         units.back().first_block + units.back().num_blocks == b &&
         units.back().num_blocks < unit_blocks) {
@@ -160,13 +170,32 @@ ScatterResult pull_partition(
     } else {
       units.push_back({b, 1});
     }
+  };
+  ScatterResult total;
+  std::uint64_t next = 0;  // first block neither read nor skipped yet
+  for (std::uint64_t b = 0; b < blocks.size(); ++b) {
+    if (block_skippable(b)) continue;
+    // Blocks [next, b) are the skippable gap since the last needed block.
+    const bool read_through = !units.empty() && b - next <= gap_blocks;
+    for (; next < b; ++next) {
+      if (read_through) {
+        read_block(next);
+      } else {
+        total.skipped += block_count(next);
+      }
+    }
+    read_block(b);
+    next = b + 1;
   }
+  for (; next < blocks.size(); ++next) total.skipped += block_count(next);
 
   // The scan on run_ordered: each group reads its units' blocks with
   // one batched submission, the units pull block by block, and retire
   // in file order — same records, same per-block windows, so the update
-  // files match at every thread count.
+  // files match at every thread count, and on every device (gap blocks
+  // emit nothing).
   using Group = ScanGroup<P>;
+  const std::unique_ptr<io::File> file = input_dev.open(input_name);
   const auto load = [&](std::uint64_t first, std::uint64_t n) {
     std::vector<Extent> extents;
     for (std::uint64_t u = first; u < first + n; ++u) {
@@ -174,11 +203,10 @@ ScatterResult pull_partition(
       for (std::uint64_t b = 0; b < units[u].num_blocks; ++b) {
         records += block_count(units[u].first_block + b);
       }
-      extents.push_back(
-          {units[u].first_block * kBlock * sizeof(graph::Edge), records});
+      extents.push_back({units[u].first_block * kBlockBytes, records});
     }
     return Group{ScatterStage<P>(program, layout, /*sieve=*/false), first,
-                 read_extents(input_dev, input_name, extents)};
+                 read_extents(*file, extents)};
   };
   // Re-windows the unit on the block boundaries the view fixed at build
   // time.

@@ -173,9 +173,10 @@ struct ScatterResult {
   /// probed is the short-circuit's savings made visible.
   std::uint64_t probed = 0;
   /// Edges never READ at all: bottom-up blocks whose whole destination
-  /// range was already claimed are skipped without touching their bytes
-  /// (the frontier-density-aware reader). scanned + skipped covers the
-  /// input file.
+  /// range was already claimed, outside every read span, are skipped
+  /// without touching their bytes (the frontier-density-aware reader;
+  /// such blocks inside a span's seek-sized gap are read and count in
+  /// `scanned`). scanned + skipped covers the input file.
   std::uint64_t skipped = 0;
   /// Scanned edges whose source is in the trim sink's dead set (0 when
   /// the run cannot trim).
@@ -300,33 +301,32 @@ struct Extent {
   std::uint64_t records = 0;
 };
 
-/// Reads each extent of `name` into its own buffer with one positional
-/// read on its own File, all submitted as one read_batch: a real
-/// backend keeps the group in flight together, and the modelled one (an
-/// in-order read_at loop over fresh files) charges each read exactly as
-/// a separate reader would.
+/// Reads each extent of `file` — the scan's one open File, shared by
+/// every worker (reads are positional) — into its own buffer with one
+/// positional read, all submitted as one read_batch: a real backend
+/// keeps the group in flight together on the file's fd, and the
+/// modelled one (an in-order read_at loop) charges each read as the
+/// disk would, so a read starting where the scan's previous one ended
+/// continues the head instead of seeking.
 inline std::vector<std::vector<graph::Edge>> read_extents(
-    io::Device& device, const std::string& name,
-    std::span<const Extent> extents) {
+    io::File& file, std::span<const Extent> extents) {
   std::vector<std::vector<graph::Edge>> buffers(extents.size());
-  std::vector<std::unique_ptr<io::File>> files;
   std::vector<io::ReadRequest> requests;
-  files.reserve(extents.size());
   requests.reserve(extents.size());
   for (std::size_t k = 0; k < extents.size(); ++k) {
     buffers[k].resize(static_cast<std::size_t>(extents[k].records));
-    files.push_back(device.open(name));
     requests.push_back(
-        {files.back().get(), extents[k].offset, buffers[k].data(),
+        {&file, extents[k].offset, buffers[k].data(),
          static_cast<std::size_t>(extents[k].records * sizeof(graph::Edge)),
          0});
   }
-  device.read_batch(requests);
+  file.device().read_batch(requests);
   for (const io::ReadRequest& r : requests) {
-    FB_CHECK_MSG(r.got == r.bytes, name << " ends inside a scan unit at byte "
-                                        << r.offset << " ("
-                                        << (r.bytes - r.got)
-                                        << " bytes short)");
+    FB_CHECK_MSG(r.got == r.bytes, file.name()
+                                       << " ends inside a scan unit at byte "
+                                       << r.offset << " ("
+                                       << (r.bytes - r.got)
+                                       << " bytes short)");
   }
   return buffers;
 }
@@ -378,11 +378,11 @@ struct ScanInput {
 /// records and runs on run_ordered. Serial (no pool): one streaming
 /// reader honouring `reader` (including prefetch mode) delivers each
 /// unit as one batch, and one stage serves the whole scan. Parallel:
-/// every unit gets its own File and positional read, grouped per
-/// read_batch by read_group_units, and each group task stages its own
-/// units. A decoded stay is sliced in memory either way. Every unit
-/// retires in scan order, so update files and stay survivors are
-/// byte-identical at every thread count.
+/// the scan opens its input once and every unit is one positional read
+/// on that File, grouped per read_batch by read_group_units; each group
+/// task stages its own units. A decoded stay is sliced in memory either
+/// way. Every unit retires in scan order, so update files and stay
+/// survivors are byte-identical at every thread count.
 template <graph::GraphProgram P, typename Source>
 ScatterResult scatter_partition(
     const ExecContext& exec, const ScanInput& input,
@@ -400,6 +400,7 @@ ScatterResult scatter_partition(
   };
 
   std::unique_ptr<io::RecordSource<graph::Edge>> stream;
+  std::unique_ptr<io::File> file;  // the parallel scan's input
   std::uint64_t group_units = 1;
   if (!exec.parallel()) {
     group_units = num_units;
@@ -415,19 +416,20 @@ ScatterResult scatter_partition(
     }
   } else if (input.device != nullptr) {
     group_units = read_group_units(*input.device);
+    file = input.device->open(input.name);
   }
 
   using Group = ScanGroup<P>;
   const auto load = [&](std::uint64_t first, std::uint64_t n) {
     Group group{ScatterStage<P>(program, layout, sieve_updates), first, {}};
-    if (input.device != nullptr && stream == nullptr) {
+    if (file != nullptr) {
       std::vector<Extent> extents;
       for (std::uint64_t u = first; u < first + n; ++u) {
         extents.push_back(
             {input.offset + u * unit_records * sizeof(graph::Edge),
              unit_size(u)});
       }
-      group.reads = read_extents(*input.device, input.name, extents);
+      group.reads = read_extents(*file, extents);
     }
     return group;
   };
@@ -435,11 +437,11 @@ ScatterResult scatter_partition(
     std::span<const graph::Edge> edges;
     if (stream != nullptr) {
       edges = stream->next_batch();
-    } else if (input.device == nullptr) {
+    } else if (file != nullptr) {
+      edges = group.reads[u - group.first];
+    } else {
       edges = std::span<const graph::Edge>(input.decoded)
                   .subspan(u * unit_records, unit_size(u));
-    } else {
-      edges = group.reads[u - group.first];
     }
     group.stage.process(edges, input.partition, source, active, trim);
   };

@@ -85,8 +85,8 @@ inline PartitionedGraph partition_edge_list(io::Device& device,
 /// cached on the plan's edge device behind a `.tmeta` sidecar; later
 /// runs at the same partition count load the counts and skip the build.
 /// Fixed record count per transposed-file block: the granularity of the
-/// frontier-density-aware bottom-up reader (pull_partition skips a
-/// block — never reads its bytes — when its whole dst range is already
+/// frontier-density-aware bottom-up reader (pull_partition may skip a
+/// block — never read its bytes — when its whole dst range is already
 /// claimed) and of the pull determinism windows. 4096 edges = 32 KiB.
 inline constexpr std::uint64_t kTransposedBlockRecords = 4096;
 

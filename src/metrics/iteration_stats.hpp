@@ -69,9 +69,11 @@ struct IterationStats {
   /// Direction strategy (core::run; top-down-only engines leave the
   /// whole block default). `bottomup` records the mode this round ran
   /// in; edges_scanned counts edge records the scatter/pull actually
-  /// read; edges_probed counts the bottom-up subset that survived the
-  /// per-vertex claimed short-circuit and probed the frontier bitmap
-  /// (top-down rounds set probed = scanned). The modelled byte costs
+  /// read (a bottom-up round's include the already-claimed blocks it
+  /// reads through rather than seek over); edges_probed counts the
+  /// bottom-up subset that survived the per-vertex claimed
+  /// short-circuit and probed the frontier bitmap (top-down rounds set
+  /// probed = scanned). The modelled byte costs
   /// are the cost model's two sides for this round — what auto
   /// compared, recorded whichever way it decided.
   bool bottomup = false;
@@ -81,7 +83,9 @@ struct IterationStats {
   double modelled_bottomup_bytes = 0.0;
   /// Transposed-view bytes a bottom-up round never read because the
   /// whole block's destination range was already claimed (the
-  /// frontier-density-aware reader; zero for top-down rounds).
+  /// frontier-density-aware reader; zero for top-down rounds). Claimed
+  /// blocks in a gap shorter than the device's seek-equivalent bytes
+  /// are read through instead and count in edges_scanned.
   std::uint64_t edge_bytes_skipped = 0;
 
   /// Batched multi-source traversal (core::run over a masked program —

@@ -71,6 +71,13 @@ DeviceModel DeviceModel::unthrottled() {
   return m;
 }
 
+std::uint64_t DeviceModel::seek_equivalent_bytes() const {
+  if (read_mb_s <= 0.0) return 0;
+  // seek_ns * 1e-9 s at read_mb_s * 1e6 B/s.
+  return static_cast<std::uint64_t>(
+      std::llround(static_cast<double>(seek_ns) * read_mb_s / 1000.0));
+}
+
 std::uint64_t DeviceModel::read_service_ns(std::uint64_t bytes,
                                            bool seek) const {
   return (seek ? seek_ns : 0) + transfer_ns(bytes, read_mb_s);

@@ -84,6 +84,12 @@ struct DeviceModel {
 
   bool throttled() const { return read_mb_s > 0.0 || write_mb_s > 0.0; }
 
+  /// Bytes one seek's latency would transfer at the read bandwidth,
+  /// `seek_ns × read_mb_s / 1000`: reading through a gap of at most this
+  /// many bytes costs no more than seeking over it. Unscaled, like the
+  /// service times below; 0 when either term is 0.
+  std::uint64_t seek_equivalent_bytes() const;
+
   /// Unscaled modelled service time of one operation. Monotone in
   /// `bytes`; `seek` adds the full seek penalty.
   std::uint64_t read_service_ns(std::uint64_t bytes, bool seek) const;

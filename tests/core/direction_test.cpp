@@ -8,8 +8,10 @@
 // nothing (an uncounted round). States must still match bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/temp_dir.hpp"
 #include "core/direction.hpp"
@@ -302,6 +304,86 @@ TEST(DirectionEquivalence, NonPullProgramDegradesToTopDown) {
   ASSERT_EQ(std::memcmp(streamed.states.data(), reference.states.data(),
                         streamed.states.size() * sizeof(SsspProgram::State)),
             0);
+}
+
+TEST(DirectionEquivalence, BottomUpReadsThroughSeekSizedGaps) {
+  // ablation_direction's quick graph: R-MAT scale 14, edge factor 16,
+  // P = 4, from the highest out-degree vertex. Each transposed partition
+  // spans 16 blocks, and bottom-up rounds leave claimed blocks between
+  // needed ones. The HDD model reads through gaps of up to 26 blocks;
+  // the unthrottled device skips them as before. Only the reads may
+  // differ: answers, directions, probes and update files may not.
+  TempDir dir("direction");
+  io::Device unthrottled(dir.str(), io::DeviceModel::unthrottled());
+  const graph::RmatSource source(
+      {.scale = 14, .edge_factor = 16, .seed = 20160523});
+  std::vector<std::uint32_t> out_degree(source.num_vertices(), 0);
+  const GraphMeta meta = graph::write_generated(
+      unthrottled, "rmat", source.num_vertices(), source.seed(),
+      source.undirected(), [&](const graph::EdgeSink& sink) {
+        source.generate([&](const graph::Edge& e) {
+          ++out_degree[e.src];
+          sink(e);
+        });
+      });
+  const BfsProgram program{.root = static_cast<VertexId>(
+      std::max_element(out_degree.begin(), out_degree.end()) -
+      out_degree.begin())};
+  const auto reference = inmem::run_graph(unthrottled, meta, program, {});
+  const graph::PartitionedGraph pg = graph::partition_edge_list(
+      io::StoragePlan::single(unthrottled), meta, 4);
+  // The same files, priced as a disk (accounting only: no sleeping).
+  io::DeviceModel hdd_model = io::DeviceModel::hdd();
+  hdd_model.time_scale = 0.0;
+  io::Device hdd(dir.str(), hdd_model);
+
+  for (const Direction direction : {Direction::kBottomUp, Direction::kAuto}) {
+    for (const std::uint32_t threads : {1u, 4u}) {
+      // 64 KiB units hold 2 blocks, so spans split across units.
+      for (const std::size_t buffer :
+           {io::ReaderOptions{}.buffer_bytes, std::size_t{64} << 10}) {
+        SCOPED_TRACE(std::string("direction=") + engine::to_string(direction) +
+                     ", T=" + std::to_string(threads) +
+                     ", buffer=" + std::to_string(buffer));
+        engine::Options options;
+        options.direction = direction;
+        options.num_threads = threads;
+        options.reader.buffer_bytes = buffer;
+        const auto on_hdd =
+            core::run(pg, io::StoragePlan::single(hdd), program, options);
+        const auto on_unthrottled = core::run(
+            pg, io::StoragePlan::single(unthrottled), program, options);
+
+        for (const auto* result : {&on_hdd, &on_unthrottled}) {
+          ASSERT_EQ(result->states.size(), reference.states.size());
+          ASSERT_EQ(std::memcmp(result->states.data(),
+                                reference.states.data(),
+                                reference.states.size() *
+                                    sizeof(BfsProgram::State)),
+                    0);
+        }
+        ASSERT_EQ(on_hdd.per_iteration.size(),
+                  on_unthrottled.per_iteration.size());
+        std::uint64_t hdd_seeks = 0;
+        std::uint64_t unthrottled_seeks = 0;
+        for (std::size_t i = 0; i < on_hdd.per_iteration.size(); ++i) {
+          const auto& h = on_hdd.per_iteration[i];
+          const auto& u = on_unthrottled.per_iteration[i];
+          SCOPED_TRACE("round " + std::to_string(i));
+          EXPECT_EQ(h.bottomup, u.bottomup);
+          EXPECT_EQ(h.updates_emitted, u.updates_emitted);
+          EXPECT_EQ(h.edges_probed, u.edges_probed);
+          EXPECT_EQ(h.update_codec_bytes, u.update_codec_bytes);
+          hdd_seeks += h.role_io(io::Role::kEdges).seeks;
+          unthrottled_seeks += u.role_io(io::Role::kEdges).seeks;
+        }
+        if (direction == Direction::kBottomUp && threads == 1) {
+          EXPECT_GT(on_hdd.bottomup_rounds, 0u);
+          EXPECT_LT(hdd_seeks, unthrottled_seeks);
+        }
+      }
+    }
+  }
 }
 
 TEST(DirectionEquivalence, TrimTotalsReconcileWithIterationRows) {

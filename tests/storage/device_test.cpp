@@ -36,15 +36,24 @@ TEST(DeviceModel, FactoriesMatchTheDesignTable) {
   EXPECT_DOUBLE_EQ(hdd.write_mb_s, 105.0);
   EXPECT_EQ(hdd.seek_ns, 8'000'000u);
   EXPECT_TRUE(hdd.throttled());
+  // 8 ms at 110 MB/s: the gap the bottom-up reader reads through.
+  EXPECT_EQ(hdd.seek_equivalent_bytes(), 880'000u);
 
   const DeviceModel ssd = DeviceModel::ssd();
   EXPECT_DOUBLE_EQ(ssd.read_mb_s, 250.0);
   EXPECT_DOUBLE_EQ(ssd.write_mb_s, 200.0);
   EXPECT_EQ(ssd.seek_ns, 60'000u);
+  EXPECT_EQ(ssd.seek_equivalent_bytes(), 15'000u);
 
   const DeviceModel open = DeviceModel::unthrottled();
   EXPECT_FALSE(open.throttled());
   EXPECT_EQ(open.read_service_ns(1 << 20, true), 0u);
+  EXPECT_EQ(open.seek_equivalent_bytes(), 0u);
+
+  // A seek cost with no read bandwidth prices no gap either.
+  DeviceModel seek_only;
+  seek_only.seek_ns = 8'000'000;
+  EXPECT_EQ(seek_only.seek_equivalent_bytes(), 0u);
 }
 
 TEST(DeviceModel, ServiceTimeIsMonotoneInBytesAndSeekAddsLatency) {
