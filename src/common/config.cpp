@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -123,6 +124,15 @@ std::uint64_t Config::get_u64(const std::string& key) const {
 std::uint64_t Config::get_u64_or(const std::string& key,
                                  std::uint64_t fallback) const {
   return has(key) ? get_u64(key) : fallback;
+}
+
+std::uint32_t Config::get_u32_or(const std::string& key,
+                                 std::uint32_t fallback) const {
+  if (!has(key)) return fallback;
+  const std::uint64_t value = get_u64(key);
+  FB_CHECK_MSG(value <= std::numeric_limits<std::uint32_t>::max(),
+               "config key " << key << " does not fit in 32 bits: " << value);
+  return static_cast<std::uint32_t>(value);
 }
 
 double Config::get_f64(const std::string& key) const {

@@ -41,6 +41,11 @@ class Config {
   std::uint64_t get_u64(const std::string& key) const;
   std::uint64_t get_u64_or(const std::string& key,
                            std::uint64_t fallback) const;
+  /// A u64 that must fit in 32 bits (iteration caps, round numbers,
+  /// partition counts): aborts naming the key on a wider value instead
+  /// of truncating it.
+  std::uint32_t get_u32_or(const std::string& key,
+                           std::uint32_t fallback) const;
   double get_f64(const std::string& key) const;
   double get_f64_or(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key) const;

@@ -110,9 +110,8 @@ inline DirectionCosts model_direction_costs(const DirectionInputs& in) {
 inline constexpr double kDirectionAlpha = 1.0;
 inline constexpr double kDirectionBeta = 0.1;
 
-/// The per-round decision. Forced modes pass through (the engine
-/// degrades a forced bottom-up to top-down only when the program has no
-/// pull hook); auto applies the byte model behind the beta growth gate.
+/// The per-round decision. Forced modes pass through; auto applies the
+/// byte model behind the beta growth gate.
 inline engine::Direction decide_direction(engine::Direction configured,
                                           const DirectionInputs& in,
                                           double alpha, double beta,

@@ -41,14 +41,12 @@
 // StoragePlan: edges / state / updates / stay are separate roles, so
 // the paper's dual-disk placement is one plan away.
 //
-// Trimming and bottom-up rounds apply only to the programs with set-once
-// levels — the PullCapable and masked ones (program.hpp). SSSP's sources
-// re-activate, so its runs take the untrimmed top-down loop whatever the
-// options say, and stay bit-identical to inmem::run by construction.
-// Deadness is engine-level and shares one set with bottom-up claiming:
-// `visited` holds every frontier so far, this round's included, and an
-// edge survives iff its source is not in it — no peeking into program
-// State.
+// Every program has set-once levels (graph::GraphProgram requires a
+// state-free hook; program.hpp), so trimming and bottom-up rounds run
+// exactly as the options say. Deadness is engine-level and shares one
+// set with bottom-up claiming: `visited` holds every frontier so far,
+// this round's included, and an edge survives iff its source is not in
+// it — no peeking into program State.
 //
 // Masked programs (graph::MaskedProgram — MultiBfs, the batched
 // multi-source traversal) use the MaskStateTracker's SATURATION set as
@@ -60,15 +58,14 @@
 // The direction model additionally sees the round's aggregate frontier
 // mask popcount, so the beta gate reads per-query density.
 //
-// State-free scatter: for PullCapable and masked programs neither
-// direction ever loads a state file to scatter. The pull hooks rebuild
-// each active source's update from the round number (plus the tracker's
-// frontier mask), byte-identical to scatter by their contracts
-// (program.hpp), so the state device is read only by gather and the
-// final collect. SSSP scatters over its partition's loaded states.
-// Init reads no edge file: it only writes the initial states. Every
-// scanned edge's partition is CHECKed by the scan itself (its source
-// top-down, its destination bottom-up).
+// State-free scatter: neither direction ever loads a state file to
+// scatter. The pull hooks rebuild each active source's update from the
+// round number (plus the tracker's frontier mask), byte-identical to
+// scatter by their contracts (program.hpp), so the state device is read
+// only by gather and the final collect. Init reads no edge file: it
+// only writes the initial states. Every scanned edge's partition is
+// CHECKed by the scan itself (its source top-down, its destination
+// bottom-up).
 //
 // Round accounting and stop rules are EXACTLY inmem::run's (change
 // both or neither).
@@ -147,7 +144,6 @@ template <graph::GraphProgram P>
 engine::RunResult<P> run(const graph::PartitionedGraph& pg,
                          const io::StoragePlan& plan, const P& program,
                          const engine::Options& options = {}) {
-  using State = typename P::State;
   using Update = typename P::Update;
   const graph::PartitionLayout& layout = pg.layout;
   const std::uint32_t num_partitions = layout.num_partitions();
@@ -164,35 +160,23 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
 
   // ---- masked-program state (batched multi-source traversal). The
   // tracker mirrors every vertex's seen/frontier mask into flat arrays
-  // (refreshed by the init/gather observer hooks) and owns the
-  // saturation bitmap that replaces `visited` below.
+  // (refreshed by the init and gather passes) and owns the saturation
+  // bitmap that replaces `visited` below.
   constexpr bool masked = graph::MaskedProgram<P>;
   [[maybe_unused]] std::uint32_t batch_width = 0;
   std::optional<detail::MaskStateTracker<P>> tracker;
   if constexpr (masked) {
     batch_width = static_cast<std::uint32_t>(std::popcount(program.full_mask()));
     tracker.emplace(program, n);
-    detail::init_partition_states(pg, plan, options.write_buffer_bytes,
-                                  program, active, exec, &result.arrivals,
-                                  &*tracker);
-  } else {
-    detail::init_partition_states(pg, plan, options.write_buffer_bytes,
-                                  program, active, exec);
   }
-
-  // ---- the set-once programs. Only PullCapable and masked programs
-  // can trim or run bottom-up; for SSSP trimming is off and any
-  // configured direction silently degrades to top-down, so none of the
-  // trimming or direction state below is paid for.
-  constexpr bool pull_ok = graph::PullCapable<P> || masked;
-  const bool trim_capable = options.trim && pull_ok;
-  const engine::Direction configured =
-      pull_ok ? options.direction : engine::Direction::kTopDown;
+  detail::init_partition_states(pg, plan, options.write_buffer_bytes, program,
+                                active, exec, &result.arrivals,
+                                tracker ? &*tracker : nullptr);
 
   // ---- trimming state. Only runs with trimming on pay for any of this;
   // for the rest the loop below is the plain X-Stream scatter/gather.
   std::optional<io::AsyncWriter> writer;
-  if (trim_capable) {
+  if (options.trim) {
     writer.emplace(options.stay_buffer_bytes, detail::kStayPoolBuffers);
   }
   std::vector<bool> input_on_stay(num_partitions, false);
@@ -212,7 +196,7 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
   // transposed (in-edge) view builds once up front — or loads from its
   // cache — on the plan's edge device.
   graph::TransposedView transposed;
-  if (configured != engine::Direction::kTopDown) {
+  if (options.direction != engine::Direction::kTopDown) {
     graph::PartitionOptions topts;
     topts.reader = options.reader.mode;
     transposed = graph::build_transposed_view(plan, pg, topts);
@@ -226,7 +210,8 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
   // anything for, which is also the cost model's `unvisited` term. Null
   // when neither trimming nor a bottom-up direction needs it.
   std::optional<AtomicBitmap> visited;
-  if (!masked && (trim_capable || configured != engine::Direction::kTopDown)) {
+  if (!masked &&
+      (options.trim || options.direction != engine::Direction::kTopDown)) {
     visited.emplace(n);
     visited->or_with(active);
   }
@@ -310,7 +295,7 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
     // recorded in the round's stats either way, so an ablation can see
     // the margin the model acted on.
     engine::Direction mode = engine::Direction::kTopDown;
-    if (configured != engine::Direction::kTopDown) {
+    if (options.direction != engine::Direction::kTopDown) {
       DirectionInputs din;
       din.num_vertices = n;
       din.total_edges = pg.meta.num_edges;
@@ -331,7 +316,7 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
         }
       }
       DirectionCosts costs;
-      mode = decide_direction(configured, din, kDirectionAlpha,
+      mode = decide_direction(options.direction, din, kDirectionAlpha,
                               kDirectionBeta, &costs);
       stats.modelled_topdown_bytes = costs.topdown_bytes;
       stats.modelled_bottomup_bytes = costs.bottomup_bytes;
@@ -352,46 +337,44 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
         frontier_masks = tracker->frontier;
         seen_masks = tracker->seen;
       }
-      if constexpr (pull_ok) {
-        if (mode == engine::Direction::kBottomUp) {
-          // Bottom-up: scan the transposed files of partitions that still
-          // hold unclaimed vertices and let those vertices probe the
-          // frontier. Pending trims of the FORWARD inputs stay pending
-          // (nothing reads them this round, so their streams just get more
-          // time), and no trim sink runs — the transposed view is never
-          // trimmed.
-          for (std::uint32_t q = 0; q < num_partitions; ++q) {
-            if (claimed->all_in_range(layout.begin(q), layout.end(q))) {
-              ++stats.partitions_skipped;
-              if (collector != nullptr) {
-                collector->live().add_partition_skipped();
-              }
-              continue;
-            }
-            ++stats.partitions_scattered;
+      if (mode == engine::Direction::kBottomUp) {
+        // Bottom-up: scan the transposed files of partitions that still
+        // hold unclaimed vertices and let those vertices probe the
+        // frontier. Pending trims of the FORWARD inputs stay pending
+        // (nothing reads them this round, so their streams just get more
+        // time), and no trim sink runs — the transposed view is never
+        // trimmed.
+        for (std::uint32_t q = 0; q < num_partitions; ++q) {
+          if (claimed->all_in_range(layout.begin(q), layout.end(q))) {
+            ++stats.partitions_skipped;
             if (collector != nullptr) {
-              collector->live().add_partition_scattered();
+              collector->live().add_partition_skipped();
             }
-            metrics::ScopedPhase scatter_timer(collector,
-                                               metrics::Phase::kScatter);
-            const detail::ScatterResult pulled = detail::pull_partition<P>(
-                exec, plan.edges(), graph::transposed_file(pg, q),
-                transposed.in_edges_per_partition[q],
-                std::span<const graph::TransposedBlock>(transposed.blocks[q]),
-                layout, q, active, *claimed, program, result.iterations,
-                options.reader, frontier_masks, seen_masks, fanout, collector);
-            FB_CHECK_MSG(
-                pulled.scanned + pulled.skipped ==
-                    transposed.in_edges_per_partition[q],
-                "transposed partition " << q << " of " << pg.meta.name
-                                        << " covered " << pulled.scanned
-                                        << " + " << pulled.skipped
-                                        << " edges, expected "
-                                        << transposed.in_edges_per_partition[q]);
-            stats.edges_scanned += pulled.scanned;
-            stats.edges_probed += pulled.probed;
-            stats.edge_bytes_skipped += pulled.skipped * sizeof(graph::Edge);
+            continue;
           }
+          ++stats.partitions_scattered;
+          if (collector != nullptr) {
+            collector->live().add_partition_scattered();
+          }
+          metrics::ScopedPhase scatter_timer(collector,
+                                             metrics::Phase::kScatter);
+          const detail::ScatterResult pulled = detail::pull_partition<P>(
+              exec, plan.edges(), graph::transposed_file(pg, q),
+              transposed.in_edges_per_partition[q],
+              std::span<const graph::TransposedBlock>(transposed.blocks[q]),
+              layout, q, active, *claimed, program, result.iterations,
+              options.reader, frontier_masks, seen_masks, fanout, collector);
+          FB_CHECK_MSG(
+              pulled.scanned + pulled.skipped ==
+                  transposed.in_edges_per_partition[q],
+              "transposed partition " << q << " of " << pg.meta.name
+                                      << " covered " << pulled.scanned
+                                      << " + " << pulled.skipped
+                                      << " edges, expected "
+                                      << transposed.in_edges_per_partition[q]);
+          stats.edges_scanned += pulled.scanned;
+          stats.edges_probed += pulled.probed;
+          stats.edge_bytes_skipped += pulled.skipped * sizeof(graph::Edge);
         }
       }
       // Top-down (the entire loop no-ops after a bottom-up pull above).
@@ -409,13 +392,13 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
         resolve_pending(p, &stats);
 
         const bool trim_this_scan =
-            trim_capable && result.iterations >= options.trim_start_round &&
+            options.trim && result.iterations >= options.trim_start_round &&
             frontier_fraction >= options.trim_min_frontier_fraction &&
             static_cast<double>(dead_seen[p]) >=
                 options.trim_min_dead_fraction *
                     static_cast<double>(input_edges[p]);
         detail::StayTrimSink sink;
-        sink.dead = trim_capable ? claimed : nullptr;
+        sink.dead = options.trim ? claimed : nullptr;
         sink.collecting = trim_this_scan;
         io::AsyncWriter::StreamId stay_id = 0;
         if (trim_this_scan) {
@@ -426,11 +409,12 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
 
         metrics::ScopedPhase scatter_timer(collector,
                                            metrics::Phase::kScatter);
-        // Scans partition p's current input with `source` building each
-        // active-source update. The input (a decoded stay included) and
-        // the scan's readers are gone before the stay stream can commit
-        // a rename.
-        const auto scan = [&](const auto& source) {
+        // Scans partition p's current input, building each active-source
+        // update from the round number. The input (a decoded stay
+        // included) and the scan's readers are gone before the stay
+        // stream can commit a rename.
+        detail::ScatterResult scattered;
+        {
           detail::ScanInput input;
           input.partition = p;
           input.records = input_edges[p];
@@ -446,20 +430,12 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
                 plan.stay(), stay_file_name(pg, p), options.reader,
                 input_edges[p]);
           }
-          return detail::scatter_partition<P>(
-              exec, input, layout, source, active, program, options.reader,
-              options.sieve_updates, fanout, sink, collector);
-        };
-        detail::ScatterResult scattered;
-        if constexpr (pull_ok) {
-          scattered = scan(detail::RoundScatter<P>{program, result.iterations,
-                                                   frontier_masks});
-        } else {
-          const std::vector<State> states = io::codec::read_all<State>(
-              plan.state(), state_file_name(pg, p), options.reader,
-              layout.size(p));
-          scattered =
-              scan(detail::StateScatter<P>{program, states, layout.begin(p)});
+          scattered = detail::scatter_partition<P>(
+              exec, input, layout,
+              detail::RoundScatter<P>{program, result.iterations,
+                                      frontier_masks},
+              active, program, options.reader, options.sieve_updates, fanout,
+              sink, collector);
         }
         FB_CHECK_MSG(scattered.scanned == input_edges[p],
                      "partition " << p << " input of " << pg.meta.name
@@ -525,17 +501,11 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
     next_active.reset();
     {
       Stopwatch gather_clock;
-      if constexpr (masked) {
-        detail::gather_partitions(pg, plan, options.reader,
-                                  options.write_buffer_bytes, program,
-                                  pending_updates, next_active, exec,
-                                  collector, &result.arrivals, &*tracker);
-      } else {
-        detail::gather_partitions(pg, plan, options.reader,
-                                  options.write_buffer_bytes, program,
-                                  pending_updates, next_active, exec,
-                                  collector);
-      }
+      detail::gather_partitions(pg, plan, options.reader,
+                                options.write_buffer_bytes, program,
+                                pending_updates, next_active, exec, collector,
+                                &result.arrivals,
+                                tracker ? &*tracker : nullptr);
       stats.gather_seconds = gather_clock.seconds();
     }
 
@@ -544,7 +514,7 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
     // The freshly activated vertices are claimed from here on, and dead
     // once they scatter — exactly what the next round's bottom-up
     // probe, trim sink and cost model must see. (Masked deadness is
-    // saturation, which the gather observer just refreshed.)
+    // saturation, which the gather pass just refreshed.)
     if (visited) visited->or_with(active);
     stats.activated = active.count_set();
     stats.seconds = round_clock.seconds();

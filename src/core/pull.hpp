@@ -77,7 +77,6 @@ namespace fbfs::core::detail {
 /// staging sieve stays off here: claiming already dedupes within a
 /// block.
 template <graph::GraphProgram P>
-  requires(graph::PullCapable<P> || graph::MaskedProgram<P>)
 ScatterResult pull_partition(
     const ExecContext& exec, io::Device& input_dev,
     const std::string& input_name, std::uint64_t num_records,

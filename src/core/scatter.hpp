@@ -5,12 +5,12 @@
 // shuffles it in place into the update file of the partition owning the
 // target. The pieces, in pipeline order: the update fan-out (P open
 // writers on the updates device); the trim sink, which holds the dead
-// set and receives a trimming scan's survivors; the update sources
-// (state-loading or state-free); the staging stage with the sieve; and
-// the partition scan. A scan is cut into fixed-size units that
-// run_ordered (common/parallel.hpp) loads and works on concurrently and
-// retires strictly in scan order, so update files and stay survivors
-// are byte-identical at every thread count. The bottom-up scan in
+// set and receives a trimming scan's survivors; the state-free update
+// source; the staging stage with the sieve; and the partition scan. A
+// scan is cut into fixed-size units that run_ordered
+// (common/parallel.hpp) loads and works on concurrently and retires
+// strictly in scan order, so update files and stay survivors are
+// byte-identical at every thread count. The bottom-up scan in
 // pull.hpp runs on the same stage, fan-out and runner; the passes over
 // vertex state (init, gather, collect) live in vertex_state.hpp.
 #pragma once
@@ -106,11 +106,11 @@ UpdateFanout<Update> open_update_fanout(
 }
 
 /// A top-down scan's view of trimming. `dead` is the engine's dead set
-/// (null when the run does not trim, as SSSP's never do): levels are
-/// set once, so an edge whose source is in it can never carry a useful
-/// update again. When `collecting` (this scan trims), the survivors land
-/// in `staged` in scan order; the engine encodes and writes them as the
-/// partition's next input once the scan ends.
+/// (null when the run does not trim): levels are set once, so an edge
+/// whose source is in it can never carry a useful update again. When
+/// `collecting` (this scan trims), the survivors land in `staged` in
+/// scan order; the engine encodes and writes them as the partition's
+/// next input once the scan ends.
 struct StayTrimSink {
   const AtomicBitmap* dead = nullptr;
   bool collecting = false;
@@ -124,25 +124,11 @@ struct StayTrimSink {
 };
 
 /// How a top-down scan builds the update an active source's out-edge
-/// carries. StateScatter is the general path (SSSP): program.scatter
-/// over the scanned partition's loaded states. RoundScatter is the
-/// state-free path for PullCapable and MaskedProgram programs, whose
-/// contracts make pull(e, round) / pull_masked(e, round,
-/// frontier_mask(src)) byte-identical to scatter(e, state) for an
-/// active source — so the partition's state file is never loaded.
+/// carries: the program's state-free hook, whose contract makes
+/// pull(e, round) / pull_masked(e, round, frontier_mask(src))
+/// byte-identical to scatter(e, state) for an active source — so the
+/// partition's state file is never loaded.
 template <graph::GraphProgram P>
-struct StateScatter {
-  const P& program;
-  std::span<const typename P::State> states;  // the partition's, in id order
-  graph::VertexId part_begin = 0;
-
-  bool operator()(const graph::Edge& e, typename P::Update& out) const {
-    return program.scatter(e, states[e.src - part_begin], out);
-  }
-};
-
-template <graph::GraphProgram P>
-  requires(graph::PullCapable<P> || graph::MaskedProgram<P>)
 struct RoundScatter {
   const P& program;
   std::uint32_t round = 0;
@@ -240,14 +226,12 @@ struct ScatterStage {
   }
 
   /// Scatters `batch`, a slice of partition `partition`'s input, into
-  /// the buckets (each active-source edge's update built by `source`, a
-  /// StateScatter or RoundScatter) and sorts every edge into dead or
-  /// surviving by `trim`'s dead set. Every edge's source must lie in the
-  /// partition's range: a misfiled edge would scatter from the wrong
-  /// partition.
-  template <typename Source>
+  /// the buckets (each active-source edge's update built by `source`)
+  /// and sorts every edge into dead or surviving by `trim`'s dead set.
+  /// Every edge's source must lie in the partition's range: a misfiled
+  /// edge would scatter from the wrong partition.
   void process(std::span<const graph::Edge> batch, std::uint32_t partition,
-               const Source& source, const AtomicBitmap& active,
+               const RoundScatter<P>& source, const AtomicBitmap& active,
                const StayTrimSink& trim) {
     const graph::VertexId begin = layout.begin(partition);
     const graph::VertexId end = layout.end(partition);
@@ -367,8 +351,7 @@ struct ScanInput {
 };
 
 /// One partition's scatter: scans `input`, builds the update of every
-/// active-source edge through `source` — StateScatter or RoundScatter,
-/// see above — routes emitted updates into the
+/// active-source edge through `source`, routes emitted updates into the
 /// fan-out — sieving dominated duplicates at the staging buffers when
 /// `sieve_updates` — and sorts every edge by `trim`'s dead set. With a
 /// collector, the retire steps are timed as shuffle-flush latencies and
@@ -383,10 +366,10 @@ struct ScanInput {
 /// task stages its own units. A decoded stay is sliced in memory either
 /// way. Every unit retires in scan order, so update files and stay
 /// survivors are byte-identical at every thread count.
-template <graph::GraphProgram P, typename Source>
+template <graph::GraphProgram P>
 ScatterResult scatter_partition(
     const ExecContext& exec, const ScanInput& input,
-    const graph::PartitionLayout& layout, const Source& source,
+    const graph::PartitionLayout& layout, const RoundScatter<P>& source,
     const AtomicBitmap& active, const P& program,
     const io::ReaderOptions& reader, bool sieve_updates,
     UpdateFanout<typename P::Update>& fanout, StayTrimSink& trim,

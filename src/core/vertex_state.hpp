@@ -13,7 +13,6 @@
 #include <future>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "common/bitmap.hpp"
@@ -48,23 +47,17 @@ void write_records(io::Device& device, const std::string& name,
   writer.close();
 }
 
-/// State-observer hook of init_partition_states / gather_partitions:
-/// the default observes nothing and costs nothing (the hook is guarded
-/// by `if constexpr` on the observer type, so non-masked instantiations
-/// compile exactly as before).
-struct NoStateObserver {};
-
 /// Engine-side mirror of a masked program's per-vertex masks
 /// (graph::MaskedProgram — MultiBfs). The engine keeps vertex State on
 /// device between phases, but trimming, bottom-up claiming, and the
 /// direction model need O(1) access to every vertex's seen/frontier
 /// mask each round; the tracker shadows them in flat arrays, refreshed
-/// by the observer hook whenever a partition's states are (re)written.
-/// Observed partitions cover disjoint vertex ranges, so concurrent
-/// observe_range calls (the parallel init pass) never touch the same
-/// slot; `saturated` is the trim/claim bitmap — a vertex every query
-/// has seen can never gather anything new, its out-edges are dead and
-/// bottom-up rounds skip its in-edge runs. Saturation is monotone, so
+/// by the init and gather passes whenever a partition's states are
+/// (re)written. Observed partitions cover disjoint vertex ranges, so
+/// concurrent observe_range calls (the parallel init pass) never touch
+/// the same slot; `saturated` is the trim/claim bitmap — a vertex every
+/// query has seen can never gather anything new, its out-edges are dead
+/// and bottom-up rounds skip its in-edge runs. Saturation is monotone, so
 /// bits are only ever added.
 ///
 /// Partitions gather_partitions skips (no pending updates) keep stale
@@ -124,15 +117,15 @@ struct MaskStateTracker {
 /// concurrently, one task each.
 /// Masked programs additionally get the initially-active vertices'
 /// arrival records appended to `arrivals` (RunResult::arrivals) in id
-/// order, and `observer` sees each partition's states once they are
+/// order, and `tracker` sees each partition's states once they are
 /// final.
-template <graph::GraphProgram P, typename Observer = NoStateObserver>
+template <graph::GraphProgram P>
 void init_partition_states(const graph::PartitionedGraph& pg,
                            const io::StoragePlan& plan,
                            std::size_t write_buffer_bytes, const P& program,
                            AtomicBitmap& active, const ExecContext& exec = {},
                            std::vector<typename P::Update>* arrivals = nullptr,
-                           Observer* observer = nullptr) {
+                           MaskStateTracker<P>* tracker = nullptr) {
   using State = typename P::State;
   using Update = typename P::Update;
   const graph::PartitionLayout& layout = pg.layout;
@@ -159,9 +152,9 @@ void init_partition_states(const graph::PartitionedGraph& pg,
     }
     write_records<State>(plan.state(), state_file_name(pg, p), states,
                          write_buffer_bytes);
-    if constexpr (!std::is_same_v<Observer, NoStateObserver>) {
-      if (observer != nullptr) {
-        observer->observe_range(begin, std::span<const State>(states));
+    if constexpr (graph::MaskedProgram<P>) {
+      if (tracker != nullptr) {
+        tracker->observe_range(begin, std::span<const State>(states));
       }
     }
   };
@@ -196,10 +189,10 @@ void init_partition_states(const graph::PartitionedGraph& pg,
 /// Masked programs append the arrival record of every vertex this
 /// gather activated to `arrivals` (partitions in order, ids in order
 /// within each — activations only ever land in the gathered partition's
-/// own range), and `observer` (MaskStateTracker) sees each touched
-/// partition's states after the gather; skipped partitions keep
-/// their previous (still accurate) mirror entries.
-template <graph::GraphProgram P, typename Observer = NoStateObserver>
+/// own range), and `tracker` sees each touched partition's states
+/// after the gather; skipped partitions keep their previous (still
+/// accurate) mirror entries.
+template <graph::GraphProgram P>
 void gather_partitions(const graph::PartitionedGraph& pg,
                        const io::StoragePlan& plan,
                        const io::ReaderOptions& reader,
@@ -208,7 +201,7 @@ void gather_partitions(const graph::PartitionedGraph& pg,
                        AtomicBitmap& next_active, const ExecContext& exec = {},
                        metrics::Collector* collector = nullptr,
                        std::vector<typename P::Update>* arrivals = nullptr,
-                       Observer* observer = nullptr) {
+                       MaskStateTracker<P>* tracker = nullptr) {
   using State = typename P::State;
   using Update = typename P::Update;
   const graph::PartitionLayout& layout = pg.layout;
@@ -271,10 +264,8 @@ void gather_partitions(const graph::PartitionedGraph& pg,
           }
         }
       }
-    }
-    if constexpr (!std::is_same_v<Observer, NoStateObserver>) {
-      if (observer != nullptr) {
-        observer->observe_range(begin, std::span<const State>(states));
+      if (tracker != nullptr) {
+        tracker->observe_range(begin, std::span<const State>(states));
       }
     }
   }

@@ -3,21 +3,15 @@
 // the whole batch) and unpacks per-query BfsProgram-shaped results that
 // are bit-identical to running each source on its own.
 //
-// Wider source lists split into ceil(N / max_width) traversals, each at
-// most max_width queries, preserving source order across the splits.
-// The per-traversal RunResults ride along in the return value so a
-// bench can sum edge/update bytes over the whole batch. Per-query
+// Wider source lists split into ceil(N / 64) traversals, each at most
+// graph::kMaxBatchQueries queries, preserving source order across the
+// splits. A narrower split would only give up scan sharing: the 24-byte
+// State and 16-byte Update are the same at any width, and the per-query
+// outputs total 4 bytes per vertex per source however the list is
+// split. The per-traversal RunResults ride along in the return value so
+// a bench can sum edge/update bytes over the whole batch. Per-query
 // levels come from replaying each traversal's arrival log
 // (RunResult::arrivals; graph/multi_bfs.hpp) in one pass.
-//
-// Config keys (batch_options_from_config):
-//   * `batch.max_width` — queries packed per traversal, clamped to
-//     [1, graph::kMaxBatchQueries]. Default 64. Shrinking it trades
-//     scan sharing for narrower masks and saves no bytes: the 24-byte
-//     State and 16-byte Update are the same at any width, and the
-//     per-query outputs total 4 bytes per vertex per source however
-//     the list is split. So 64 is right; narrower widths exist to
-//     price the scan sharing.
 #pragma once
 
 #include <algorithm>
@@ -25,56 +19,36 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/config.hpp"
 #include "engine/api.hpp"
 #include "engine/types.hpp"
 #include "graph/multi_bfs.hpp"
 
 namespace fbfs::engine {
 
-/// The one MultiBfs instantiation the batch API runs. Narrower batches
-/// use the same type with width < 64: the unused high bits never set,
-/// so they cost mask space, not traffic (updates are sieved/coded by
-/// content, and saturation checks use full_mask()).
+/// The one MultiBfs instantiation the batch API runs. A batch's last,
+/// narrower split uses the same type with width < 64: the unused high
+/// bits never set, so they cost mask space, not traffic (updates are
+/// sieved/coded by content, and saturation checks use full_mask()).
 using MultiBfs64 = graph::MultiBfs<graph::kMaxBatchQueries>;
-
-struct BatchOptions {
-  /// Queries packed per traversal (<= graph::kMaxBatchQueries).
-  std::uint32_t max_width = graph::kMaxBatchQueries;
-};
-
-inline BatchOptions batch_options_from_config(const Config& config) {
-  BatchOptions opts;
-  const std::uint64_t width =
-      config.get_u64_or("batch.max_width", graph::kMaxBatchQueries);
-  opts.max_width = static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
-      width, 1, graph::kMaxBatchQueries));
-  return opts;
-}
 
 struct BatchRunResult {
   /// per_query[i] = BFS-from-sources[i] states for all vertices, in the
   /// caller's source order (bit-identical to a standalone BfsProgram
   /// run from that source).
   std::vector<std::vector<graph::BfsProgram::State>> per_query;
-  /// The underlying traversals, one per <= max_width slice of the
+  /// The underlying traversals, one per <= 64-source slice of the
   /// source list, for callers that aggregate I/O or iteration stats.
   std::vector<RunResult<MultiBfs64>> traversals;
 };
 
 /// Runs BFS from every source in `sources` (order preserved, duplicates
 /// allowed — each occurrence gets its own query bit) through `kind`,
-/// batching up to batch.max_width sources per traversal.
+/// batching up to graph::kMaxBatchQueries sources per traversal.
 inline BatchRunResult run_batch(Kind kind, const graph::PartitionedGraph& pg,
                                 const io::StoragePlan& plan,
                                 std::span<const graph::VertexId> sources,
-                                const Options& options = {},
-                                const BatchOptions& batch = {}) {
+                                const Options& options = {}) {
   FB_CHECK_MSG(!sources.empty(), "run_batch needs at least one source");
-  FB_CHECK_MSG(batch.max_width >= 1 &&
-                   batch.max_width <= graph::kMaxBatchQueries,
-               "batch.max_width " << batch.max_width << " outside [1, "
-                                  << graph::kMaxBatchQueries << "]");
   for (const graph::VertexId s : sources) {
     FB_CHECK_MSG(s < pg.meta.num_vertices,
                  "batch source " << s << " >= num_vertices "
@@ -84,9 +58,10 @@ inline BatchRunResult run_batch(Kind kind, const graph::PartitionedGraph& pg,
   BatchRunResult result;
   result.per_query.reserve(sources.size());
   for (std::size_t begin = 0; begin < sources.size();
-       begin += batch.max_width) {
+       begin += graph::kMaxBatchQueries) {
     const std::uint32_t width = static_cast<std::uint32_t>(
-        std::min<std::size_t>(batch.max_width, sources.size() - begin));
+        std::min<std::size_t>(graph::kMaxBatchQueries,
+                              sources.size() - begin));
     MultiBfs64 program;
     program.width = width;
     for (std::uint32_t b = 0; b < width; ++b) {

@@ -51,8 +51,8 @@ Options options_from_config(const Config& config) {
   opts.reader = io::reader_options_from_config(config);
   opts.write_buffer_bytes = static_cast<std::size_t>(
       config.get_bytes_or("engine.write_buffer", opts.write_buffer_bytes));
-  opts.max_iterations = static_cast<std::uint32_t>(
-      config.get_u64_or("engine.max_iterations", opts.max_iterations));
+  opts.max_iterations =
+      config.get_u32_or("engine.max_iterations", opts.max_iterations);
   opts.num_threads = config.get_threads_or("engine.num_threads", 1);
   const std::string update_codec = config.get_enum_or(
       "updates.codec", {"auto", "raw", "bitmap", "varint"},
@@ -66,8 +66,8 @@ Options options_from_config(const Config& config) {
 
   // ---- FastBFS trim and direction knobs.
   opts.trim = config.get_bool_or("core.trim", opts.trim);
-  opts.trim_start_round = static_cast<std::uint32_t>(
-      config.get_u64_or("core.trim_start_round", opts.trim_start_round));
+  opts.trim_start_round =
+      config.get_u32_or("core.trim_start_round", opts.trim_start_round);
   opts.trim_min_frontier_fraction = config.get_f64_or(
       "core.trim_min_frontier_fraction", opts.trim_min_frontier_fraction);
   opts.trim_min_dead_fraction = config.get_f64_or(
@@ -84,8 +84,7 @@ Options options_from_config(const Config& config) {
 
 std::uint32_t partition_count_from_config(const Config& config,
                                           std::uint32_t fallback) {
-  return static_cast<std::uint32_t>(
-      config.get_u64_or("engine.partition_count", fallback));
+  return config.get_u32_or("engine.partition_count", fallback);
 }
 
 }  // namespace fbfs::engine

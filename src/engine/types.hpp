@@ -51,8 +51,7 @@ Kind parse_kind(const std::string& name);
 /// kBottomUp scans in-edges of unvisited vertices and probes the
 /// frontier, emitting at most one update per unvisited vertex per
 /// in-run; kAuto picks per iteration by the modelled byte cost
-/// (core/direction.hpp). Programs without a pull hook (SSSP) always
-/// run top-down whatever the setting.
+/// (core/direction.hpp).
 enum class Direction {
   kTopDown = 0,
   kBottomUp = 1,
@@ -93,8 +92,7 @@ struct Options {
   // ---- FastBFS knobs, read by core::run. Kind::kXstream forces trim
   // off and direction top-down; inmem ignores them all.
 
-  /// Master switch for edge trimming (SSSP never trims: its sources
-  /// re-activate).
+  /// Master switch for edge trimming.
   bool trim = true;
   /// First round allowed to start a trim (0 = eager).
   std::uint32_t trim_start_round = 0;

@@ -15,8 +15,8 @@
 // vertex, or hits the engine's iteration cap.
 //
 // THE bit-identity rule: gather must be a commutative, associative,
-// exact and idempotent fold (a min over levels or distances, an OR
-// over query masks). Engines differ only in the ORDER they scatter
+// exact and idempotent fold (a min over levels, an OR over query
+// masks). Engines differ only in the ORDER they scatter
 // edges and deliver updates (partition files interleave sources; the
 // shuffle reorders updates), so an order-free gather is what makes
 // every engine, at every partition count, produce bit-identical
@@ -41,11 +41,9 @@
 // dead out-edges from then on — the property FastBFS's edge trimming
 // (core::run) relies on. It is also what lets core build every update
 // from the round number alone (PullCapable, MaskedProgram below), so
-// no BFS scan reads vertex state. SSSP is the one program without the
-// property: under non-uniform weights a distance can improve in a later
-// round, so sources re-activate and an update depends on the source's
-// distance. core::run runs it on the general path — top-down and
-// untrimmed, scattering over the partition's loaded states.
+// no scan reads vertex state. GraphProgram requires one of those two
+// state-free hooks: a program without set-once levels has no place in
+// this engine.
 //
 // Programs are small value objects; parameters (roots) are constructor
 // state, so one instance drives both the engine run and the reference
@@ -61,22 +59,6 @@
 #include "graph/types.hpp"
 
 namespace fbfs::graph {
-
-template <typename P>
-concept GraphProgram = requires(const P p, const Edge e,
-                                typename P::State s,
-                                const typename P::State cs,
-                                typename P::Update u, bool active) {
-  requires std::is_trivially_copyable_v<typename P::State>;
-  requires std::is_trivially_copyable_v<typename P::Update>;
-  { std::as_const(u).dst } -> std::convertible_to<VertexId>;
-  { P::kName } -> std::convertible_to<const char*>;
-  { p.init(VertexId{}, s, active) } -> std::same_as<void>;
-  { p.scatter(e, cs, u) } -> std::same_as<bool>;
-  { p.gather(std::as_const(u), s) } -> std::same_as<bool>;
-  { p.dominates(std::as_const(u), std::as_const(u)) } -> std::same_as<bool>;
-  { p.sieve_merge(u, std::as_const(u)) } -> std::same_as<void>;
-};
 
 /// A program whose updates core::run can build without source State:
 /// `pull(e, round, out)` produces the update edge e would carry to e.dst
@@ -95,8 +77,7 @@ concept GraphProgram = requires(const P p, const Edge e,
 ///
 /// BFS satisfies both: a round-r frontier vertex has level exactly r,
 /// so pull emits {dst, r+1} — the same record any frontier in-neighbor
-/// would push. SSSP cannot rebuild a distance from the round number and
-/// stays top-down.
+/// would push.
 template <typename P>
 concept PullCapable = requires(const P p, const Edge e, typename P::Update u) {
   { p.pull(e, std::uint32_t{}, u) } -> std::same_as<bool>;
@@ -128,12 +109,22 @@ concept MaskedProgram =
       { p.arrival(VertexId{}, cs) } -> std::same_as<typename P::Update>;
     };
 
-/// Deterministic per-edge weight in [1, 2): SSSP needs weights, edge
-/// files store none, and both engines see the same (src, dst) pairs —
-/// so both derive the identical weight from the edge digest.
-inline float edge_weight(const Edge& e) {
-  return 1.0f + static_cast<float>(edge_digest(e) & 0xffff) / 65536.0f;
-}
+template <typename P>
+concept GraphProgram = requires(const P p, const Edge e,
+                                typename P::State s,
+                                const typename P::State cs,
+                                typename P::Update u, bool active) {
+  requires std::is_trivially_copyable_v<typename P::State>;
+  requires std::is_trivially_copyable_v<typename P::Update>;
+  { std::as_const(u).dst } -> std::convertible_to<VertexId>;
+  { P::kName } -> std::convertible_to<const char*>;
+  { p.init(VertexId{}, s, active) } -> std::same_as<void>;
+  { p.scatter(e, cs, u) } -> std::same_as<bool>;
+  { p.gather(std::as_const(u), s) } -> std::same_as<bool>;
+  { p.dominates(std::as_const(u), std::as_const(u)) } -> std::same_as<bool>;
+  { p.sieve_merge(u, std::as_const(u)) } -> std::same_as<void>;
+  requires PullCapable<P> || MaskedProgram<P>;
+};
 
 // --------------------------------------------------------------- BFS
 
@@ -184,52 +175,10 @@ struct BfsProgram {
 };
 static_assert(sizeof(BfsProgram::Update) == 8);
 
-// -------------------------------------------------------------- SSSP
-
-struct SsspProgram {
-  static constexpr const char* kName = "sssp";
-
-  struct State {
-    float dist = std::numeric_limits<float>::infinity();
-  };
-  struct Update {
-    VertexId dst = 0;
-    float dist = 0.0f;
-  };
-
-  VertexId root = 0;
-
-  void init(VertexId v, State& s, bool& active) const {
-    s.dist = v == root ? 0.0f : std::numeric_limits<float>::infinity();
-    active = v == root;
-  }
-  bool scatter(const Edge& e, const State& src, Update& out) const {
-    out = {e.dst, src.dist + edge_weight(e)};
-    return true;
-  }
-  /// Min over floats is exact, so the fold stays order-free even though
-  /// the path sums are floating point, and duplicate delivery is a
-  /// no-op.
-  bool gather(const Update& u, State& dst) const {
-    if (u.dist >= dst.dist) return false;
-    dst.dist = u.dist;
-    return true;
-  }
-  bool dominates(const Update& a, const Update& b) const {
-    return b.dist >= a.dist;
-  }
-  void sieve_merge(Update& champion, const Update& u) const { champion = u; }
-};
-
 static_assert(GraphProgram<BfsProgram>);
-static_assert(GraphProgram<SsspProgram>);
-// Only BFS can rebuild a frontier source's update from the round
-// number; SSSP's depends on the source's distance.
 static_assert(PullCapable<BfsProgram>);
-static_assert(!PullCapable<SsspProgram>);
 // Single-query programs carry no frontier masks; only MultiBfs
 // (graph/multi_bfs.hpp) models MaskedProgram.
 static_assert(!MaskedProgram<BfsProgram>);
-static_assert(!MaskedProgram<SsspProgram>);
 
 }  // namespace fbfs::graph

@@ -1,5 +1,5 @@
 // The codec/sieve acceptance matrix for the FastBFS trimming engine:
-// BFS and SSSP, on a small R-MAT, must stay BIT-IDENTICAL to the
+// BFS, on a small R-MAT, must stay BIT-IDENTICAL to the
 // in-memory reference under every update-codec policy (the stay codec
 // follows it, as the config default does) x sieve on/off x serial and
 // parallel scatter — all with trimming ON, so encoded stay files are
@@ -20,7 +20,6 @@ namespace {
 
 using graph::BfsProgram;
 using graph::GraphMeta;
-using graph::SsspProgram;
 using io::codec::Policy;
 
 GraphMeta rmat_meta(io::Device& dev) {
@@ -63,7 +62,7 @@ void expect_codec_equivalent(io::Device& dev, const GraphMeta& meta,
             std::memcmp(streamed.states.data(), reference.states.data(),
                         streamed.states.size() * sizeof(typename P::State)),
             0);
-        if (graph::PullCapable<P> && streamed.iterations > 1) {
+        if (streamed.iterations > 1) {
           // The matrix is pointless if nothing trimmed: encoded stay
           // files must actually have been written and re-read.
           ASSERT_GT(streamed.trims_started, 0u);
@@ -77,12 +76,6 @@ TEST(CoreCodecEquivalence, BfsUnderEveryCodecAndSieve) {
   TempDir dir("core_codec_equiv");
   io::Device dev(dir.str(), io::DeviceModel::unthrottled());
   expect_codec_equivalent(dev, rmat_meta(dev), BfsProgram{.root = 0});
-}
-
-TEST(CoreCodecEquivalence, SsspUnderEveryCodecAndSieve) {
-  TempDir dir("core_codec_equiv");
-  io::Device dev(dir.str(), io::DeviceModel::unthrottled());
-  expect_codec_equivalent(dev, rmat_meta(dev), SsspProgram{.root = 0});
 }
 
 TEST(CoreCodecEquivalence, EncodedStaysSurviveZeroGraceCancellation) {

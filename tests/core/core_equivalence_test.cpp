@@ -1,4 +1,4 @@
-// The acceptance suite for the FastBFS engine: BFS and SSSP, on every
+// The acceptance suite for the FastBFS engine: BFS, on every
 // generator family, must produce BIT-IDENTICAL results from core::run
 // and the in-memory reference — at multiple partition counts, with
 // trimming off, trimming on, and trimming on with a zero grace timeout
@@ -21,7 +21,6 @@ namespace {
 
 using graph::BfsProgram;
 using graph::GraphMeta;
-using graph::SsspProgram;
 
 GraphMeta materialize(io::Device& dev, const std::string& name,
                       const graph::ChunkedEdgeSource& source) {
@@ -90,9 +89,7 @@ void expect_equivalent(io::Device& dev, const GraphMeta& meta,
             std::memcmp(streamed.states.data(), reference.states.data(),
                         streamed.states.size() * sizeof(typename P::State)),
             0);
-        if (!cfg.trim || !graph::PullCapable<P>) {
-          // SSSP re-activates sources: trimming stays off whatever the
-          // options say.
+        if (!cfg.trim) {
           ASSERT_EQ(streamed.trims_started, 0u);
         } else if (streamed.iterations > 1) {
           // The eager default really trims on multi-round BFS runs.
@@ -121,26 +118,6 @@ TEST(CoreEquivalence, BfsOnGrid) {
   TempDir dir("core_equiv");
   io::Device dev(dir.str(), io::DeviceModel::unthrottled());
   expect_equivalent(dev, grid_meta(dev), BfsProgram{.root = 0});
-}
-
-// --------------------------------------------------------------- SSSP
-
-TEST(CoreEquivalence, SsspOnRmat) {
-  TempDir dir("core_equiv");
-  io::Device dev(dir.str(), io::DeviceModel::unthrottled());
-  expect_equivalent(dev, rmat_meta(dev), SsspProgram{.root = 0});
-}
-
-TEST(CoreEquivalence, SsspOnErdosRenyi) {
-  TempDir dir("core_equiv");
-  io::Device dev(dir.str(), io::DeviceModel::unthrottled());
-  expect_equivalent(dev, er_meta(dev), SsspProgram{.root = 3});
-}
-
-TEST(CoreEquivalence, SsspOnGrid) {
-  TempDir dir("core_equiv");
-  io::Device dev(dir.str(), io::DeviceModel::unthrottled());
-  expect_equivalent(dev, grid_meta(dev), SsspProgram{.root = 0});
 }
 
 // --------------------------------------------------- device placement

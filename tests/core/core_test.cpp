@@ -22,7 +22,6 @@ namespace {
 using graph::BfsProgram;
 using graph::GraphMeta;
 using graph::PartitionedGraph;
-using graph::SsspProgram;
 using graph::partition_edge_list;
 
 GraphMeta chain_graph(io::Device& dev, std::uint64_t n) {
@@ -187,18 +186,6 @@ TEST(CoreEngine, TopDownScatterReadsNoStateForPullablePrograms) {
   EXPECT_EQ(std::memcmp(states[0].data(), states[1].data(),
                         states[0].size() * sizeof(BfsProgram::State)),
             0);
-}
-
-TEST(CoreEngine, NonTrimmableProgramsNeverTrim) {
-  DedicatedRig rig;
-  const PartitionedGraph pg =
-      partition_edge_list(rig.plan, rmat_graph(rig.edges), 4);
-  engine::Options options;
-  options.trim = true;  // requested, but SSSP re-activates sources
-  const auto result = core::run(pg, rig.plan, SsspProgram{}, options);
-  EXPECT_GT(result.iterations, 1u);
-  EXPECT_EQ(result.trims_started, 0u);
-  EXPECT_EQ(rig.stay.stats().bytes_written(), 0u);
 }
 
 TEST(CoreEngine, InitReadsNoEdges) {

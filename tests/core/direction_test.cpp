@@ -27,7 +27,6 @@ using core::DirectionInputs;
 using engine::Direction;
 using graph::BfsProgram;
 using graph::GraphMeta;
-using graph::SsspProgram;
 using graph::VertexId;
 
 // ------------------------------------------------------- cost model
@@ -282,27 +281,6 @@ TEST(DirectionEquivalence, AutoNeverFlipsOnHighDiameterGrid) {
   EXPECT_EQ(automatic.updates_emitted, topdown.updates_emitted);
   ASSERT_EQ(std::memcmp(automatic.states.data(), topdown.states.data(),
                         topdown.states.size() * sizeof(BfsProgram::State)),
-            0);
-}
-
-TEST(DirectionEquivalence, NonPullProgramDegradesToTopDown) {
-  // SSSP has no pull hook: a forced bottom-up run must silently run the
-  // plain top-down loop and still match the reference exactly.
-  TempDir dir("direction");
-  io::Device dev(dir.str(), io::DeviceModel::unthrottled());
-  const GraphMeta meta = er_meta(dev);
-  const SsspProgram program{.root = 3};
-  const auto reference = inmem::run_graph(dev, meta, program, {});
-  const io::StoragePlan plan = io::StoragePlan::single(dev);
-  const graph::PartitionedGraph pg = graph::partition_edge_list(plan, meta, 4);
-
-  engine::Options options;
-  options.direction = Direction::kBottomUp;
-  const auto streamed = core::run(pg, plan, program, options);
-  EXPECT_EQ(streamed.bottomup_rounds, 0u);
-  EXPECT_EQ(streamed.iterations, reference.iterations);
-  ASSERT_EQ(std::memcmp(streamed.states.data(), reference.states.data(),
-                        streamed.states.size() * sizeof(SsspProgram::State)),
             0);
 }
 

@@ -1,6 +1,7 @@
 // The unified engine surface (engine/types.hpp + engine/api.hpp): name
-// round-trips, the one spelling of every config key, and the Kind
-// dispatch helper producing bit-identical states from every kind.
+// round-trips, the one spelling of every config key, the 32-bit keys'
+// range check, and the Kind dispatch helper producing bit-identical
+// states from every kind.
 #include "engine/api.hpp"
 
 #include <gtest/gtest.h>
@@ -66,6 +67,26 @@ TEST(EngineOptions, SharedKeysResolveUnderDocumentedPrecedence) {
   EXPECT_EQ(defaults.max_iterations, builtin.max_iterations);
   EXPECT_EQ(engine::partition_count_from_config(per_kind_only, 2), 2u);
   EXPECT_EQ(engine::partition_count_from_config(Config{}, 2), 2u);
+}
+
+TEST(EngineOptionsDeath, ThirtyTwoBitKeysRejectWideValues) {
+  // The 32-bit keys must not truncate: 2^32 iterations would read as a
+  // zero cap, which returns the init states as the answer.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const std::string key :
+       {"engine.max_iterations", "core.trim_start_round"}) {
+    const Config config = Config::parse_string(key + " = 4294967296\n");
+    EXPECT_DEATH(engine::options_from_config(config), key);
+  }
+  const Config wide_partitions =
+      Config::parse_string("engine.partition_count = 4294967296\n");
+  EXPECT_DEATH(engine::partition_count_from_config(wide_partitions, 2),
+               "engine.partition_count");
+  // The widest 32-bit value still parses.
+  EXPECT_EQ(engine::options_from_config(
+                Config::parse_string("engine.max_iterations = 4294967295\n"))
+                .max_iterations,
+            4294967295u);
 }
 
 TEST(EngineConfig, DirectionKeyParses) {

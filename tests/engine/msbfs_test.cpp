@@ -1,8 +1,8 @@
 // Batched multi-source traversal (graph::MultiBfs + engine::run_batch):
 // the mask mechanics (init/gather fold/stale-frontier clear/
 // idempotence), the arrival log (records and replay), the
-// subset-dominance sieve hooks, batch splitting and the batch.max_width
-// config key, and the acceptance matrix — B in {1, 7, 64} sources on
+// subset-dominance sieve hooks, batch splitting, and the acceptance
+// matrix — B in {1, 7, 64} sources on
 // three graph shapes through xstream and core x threads x trim x
 // direction, every query memcmp'd against its own standalone in-memory
 // BFS, plus the arrival log's cross-engine bytes and the state device's
@@ -198,23 +198,6 @@ TEST(MultiBfsMechanics, ArrivalLogReplaysToPerQueryLevels) {
 
 // ------------------------------------------------- batch front door
 
-TEST(BatchOptions, ConfigKeyParsesAndClamps) {
-  EXPECT_EQ(engine::batch_options_from_config({}).max_width, 64u);
-  EXPECT_EQ(engine::batch_options_from_config(
-                Config::parse_string("batch.max_width = 7\n"))
-                .max_width,
-            7u);
-  // Out-of-range values clamp to the mask width.
-  EXPECT_EQ(engine::batch_options_from_config(
-                Config::parse_string("batch.max_width = 200\n"))
-                .max_width,
-            64u);
-  EXPECT_EQ(engine::batch_options_from_config(
-                Config::parse_string("batch.max_width = 0\n"))
-                .max_width,
-            1u);
-}
-
 struct TestGraph {
   std::string name;
   graph::GraphMeta meta;
@@ -244,15 +227,17 @@ TestGraph make_test_graph(io::Device& dev, const io::StoragePlan& plan,
   return g;
 }
 
+/// Query i must have run from g.sources[i % 64].
 void expect_queries_match(const TestGraph& g,
                           const engine::BatchRunResult& batch,
                           std::size_t count) {
   ASSERT_EQ(batch.per_query.size(), count);
   for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t k = i % g.sources.size();
     SCOPED_TRACE("query " + std::to_string(i) + " root " +
-                 std::to_string(g.sources[i]));
+                 std::to_string(g.sources[k]));
     const auto& got = batch.per_query[i];
-    const auto& want = g.reference[i];
+    const auto& want = g.reference[k];
     ASSERT_EQ(got.size(), want.size());
     EXPECT_EQ(std::memcmp(got.data(), want.data(),
                           got.size() * sizeof(BfsProgram::State)),
@@ -427,14 +412,18 @@ TEST(BatchStateBytes, RunBatchWritesAtMostOneStatePassPerRound) {
 
 TEST_F(BatchEquivalence, WideSourceListsSplitAcrossTraversals) {
   const TestGraph& g = (*graphs_)[0];
-  // All 64 sources through width-24 traversals: ceil(64/24) = 3 runs,
-  // source order preserved across the splits.
+  // The fixture's 64 sources twice, then its first 2: ceil(130/64) = 3
+  // runs, source order preserved across the splits, and every repeated
+  // source gets its own query.
+  std::vector<VertexId> sources;
+  for (std::size_t i = 0; i < 130; ++i) {
+    sources.push_back(g.sources[i % g.sources.size()]);
+  }
   const engine::BatchRunResult batch = engine::run_batch(
-      Kind::kCore, g.pg, *plan_, g.sources,
-      matrix_options(/*threads=*/1, /*trim=*/true, Direction::kTopDown),
-      {.max_width = 24});
+      Kind::kCore, g.pg, *plan_, sources,
+      matrix_options(/*threads=*/1, /*trim=*/true, Direction::kTopDown));
   EXPECT_EQ(batch.traversals.size(), 3u);
-  expect_queries_match(g, batch, g.sources.size());
+  expect_queries_match(g, batch, sources.size());
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // GraphProgram semantics, independent of any engine: the scatter /
-// gather contracts BFS and SSSP promise, and the sieve predicates that
-// must keep gather an order-free fold, because the engines deliver
-// updates in different orders.
+// gather contracts BFS promises, the sieve predicates that must keep
+// gather an order-free fold, because the engines deliver updates in
+// different orders, and the state-free hook every program must have.
 #include "graph/program.hpp"
 
 #include <gtest/gtest.h>
+
+#include "graph/multi_bfs.hpp"
 
 namespace fbfs::graph {
 namespace {
@@ -45,28 +47,44 @@ TEST(Programs, SievePredicatesAreMinFoldsForTheScalarPrograms) {
   BfsProgram::Update bfs_champ{2, 3};
   bfs.sieve_merge(bfs_champ, {2, 1});  // min-fold: the winner replaces
   EXPECT_EQ(bfs_champ.level, 1u);
-
-  const SsspProgram sssp;
-  EXPECT_TRUE(sssp.dominates({4, 1.5f}, {4, 2.5f}));
-  EXPECT_FALSE(sssp.dominates({4, 1.5f}, {4, 0.5f}));
-  SsspProgram::Update sssp_champ{4, 1.5f};
-  sssp.sieve_merge(sssp_champ, {4, 0.5f});
-  EXPECT_EQ(sssp_champ.dist, 0.5f);
 }
 
-TEST(Programs, SsspWeightsAreDeterministicPerEdgeAndBounded) {
-  const Edge e{11, 29};
-  const float w = edge_weight(e);
-  EXPECT_EQ(w, edge_weight(e));  // pure function of the edge
-  EXPECT_GE(w, 1.0f);
-  EXPECT_LT(w, 2.0f);
-  EXPECT_NE(edge_weight({11, 29}), edge_weight({29, 11}));
+/// A min-fold program with every other GraphProgram member but neither
+/// state-free hook (pull, pull_masked): its updates depend on source
+/// state, so core could neither trim it nor scatter it without loading
+/// state files.
+struct ScatterOnly {
+  static constexpr const char* kName = "scatter-only";
+  struct State {
+    std::uint32_t value = 0;
+  };
+  struct Update {
+    VertexId dst = 0;
+    std::uint32_t value = 0;
+  };
+  void init(VertexId, State& s, bool& active) const {
+    s.value = 0;
+    active = false;
+  }
+  bool scatter(const Edge& e, const State& src, Update& out) const {
+    out = {e.dst, src.value + 1};
+    return true;
+  }
+  bool gather(const Update& u, State& dst) const {
+    if (u.value >= dst.value) return false;
+    dst.value = u.value;
+    return true;
+  }
+  bool dominates(const Update& a, const Update& b) const {
+    return b.value >= a.value;
+  }
+  void sieve_merge(Update& champion, const Update& u) const { champion = u; }
+};
 
-  const SsspProgram sssp{.root = 0};
-  SsspProgram::Update u;
-  ASSERT_TRUE(sssp.scatter(e, {.dist = 2.5f}, u));
-  EXPECT_EQ(u.dst, 29u);
-  EXPECT_EQ(u.dist, 2.5f + w);
+TEST(Programs, EveryProgramHasAStateFreeHook) {
+  EXPECT_TRUE(GraphProgram<BfsProgram>);
+  EXPECT_TRUE(GraphProgram<MultiBfs<64>>);
+  EXPECT_FALSE(GraphProgram<ScatterOnly>);
 }
 
 }  // namespace

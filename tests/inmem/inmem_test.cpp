@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "common/temp_dir.hpp"
@@ -18,7 +17,6 @@ using graph::BfsProgram;
 using graph::Csr;
 using graph::Edge;
 using graph::kUnreachedLevel;
-using graph::SsspProgram;
 
 TEST(InMem, BfsLevelsOnAHandGraph) {
   //      0 -> 1 -> 2 -> 3      4 -> 0 (4 unreachable from 0)
@@ -55,21 +53,6 @@ TEST(InMem, BfsOnGridMatchesManhattanDistance) {
   // scatter still emits (lattice vertices always have neighbours), so
   // one more round runs, finds nothing new, and stops.
   EXPECT_EQ(result.iterations, 9u + 7 - 1);
-}
-
-TEST(InMem, SsspPicksTheLighterOfTwoRoutes) {
-  // 0 -> 1 -> 3 vs 0 -> 2 -> 3: derived weights decide; the test
-  // computes the same weights the program derives.
-  const std::vector<Edge> edges = {{0, 1}, {1, 3}, {0, 2}, {2, 3}};
-  const Csr csr(4, edges);
-  const auto result = run(csr, SsspProgram{.root = 0});
-  const float via1 =
-      graph::edge_weight({0, 1}) + graph::edge_weight({1, 3});
-  const float via2 =
-      graph::edge_weight({0, 2}) + graph::edge_weight({2, 3});
-  EXPECT_EQ(result.states[0].dist, 0.0f);
-  EXPECT_EQ(result.states[1].dist, graph::edge_weight({0, 1}));
-  EXPECT_EQ(result.states[3].dist, std::min(via1, via2));
 }
 
 TEST(InMem, IsolatedRootConvergesImmediately) {

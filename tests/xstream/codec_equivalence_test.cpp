@@ -1,5 +1,5 @@
 // The codec/sieve acceptance matrix for the X-Stream preset
-// (Kind::kXstream): BFS and SSSP, on a small R-MAT, must stay
+// (Kind::kXstream): BFS, on a small R-MAT, must stay
 // BIT-IDENTICAL to the in-memory reference under every update-codec
 // policy x sieve on/off x serial and parallel scatter. The codec and
 // sieve are pure write-traffic optimisations; if either changes a bit
@@ -23,7 +23,6 @@ namespace {
 using engine::Kind;
 using graph::BfsProgram;
 using graph::GraphMeta;
-using graph::SsspProgram;
 using io::codec::Policy;
 
 GraphMeta rmat_meta(io::Device& dev) {
@@ -76,12 +75,6 @@ TEST(CodecEquivalence, BfsUnderEveryCodecAndSieve) {
   TempDir dir("codec_equiv");
   io::Device dev(dir.str(), io::DeviceModel::unthrottled());
   expect_codec_equivalent(dev, rmat_meta(dev), BfsProgram{.root = 0});
-}
-
-TEST(CodecEquivalence, SsspUnderEveryCodecAndSieve) {
-  TempDir dir("codec_equiv");
-  io::Device dev(dir.str(), io::DeviceModel::unthrottled());
-  expect_codec_equivalent(dev, rmat_meta(dev), SsspProgram{.root = 0});
 }
 
 TEST(CodecEquivalence, SieveReallyDropsUpdatesOnBfs) {

@@ -1,4 +1,4 @@
-// The acceptance suite for the GraphProgram API: BFS and SSSP, on every
+// The acceptance suite for the GraphProgram API: BFS, on every
 // generator family, must produce BIT-IDENTICAL results from the
 // X-Stream preset of the streaming engine (Kind::kXstream) and the
 // in-memory reference — at multiple partition counts, with either
@@ -20,7 +20,6 @@ namespace {
 
 using graph::BfsProgram;
 using graph::GraphMeta;
-using graph::SsspProgram;
 
 GraphMeta materialize(io::Device& dev, const std::string& name,
                       const graph::ChunkedEdgeSource& source) {
@@ -103,26 +102,6 @@ TEST(Equivalence, BfsOnGrid) {
   TempDir dir("equiv");
   io::Device dev(dir.str(), io::DeviceModel::unthrottled());
   expect_equivalent(dev, grid_meta(dev), BfsProgram{.root = 0});
-}
-
-// --------------------------------------------------------------- SSSP
-
-TEST(Equivalence, SsspOnRmat) {
-  TempDir dir("equiv");
-  io::Device dev(dir.str(), io::DeviceModel::unthrottled());
-  expect_equivalent(dev, rmat_meta(dev), SsspProgram{.root = 0});
-}
-
-TEST(Equivalence, SsspOnErdosRenyi) {
-  TempDir dir("equiv");
-  io::Device dev(dir.str(), io::DeviceModel::unthrottled());
-  expect_equivalent(dev, er_meta(dev), SsspProgram{.root = 3});
-}
-
-TEST(Equivalence, SsspOnGrid) {
-  TempDir dir("equiv");
-  io::Device dev(dir.str(), io::DeviceModel::unthrottled());
-  expect_equivalent(dev, grid_meta(dev), SsspProgram{.root = 0});
 }
 
 // --------------------------------------------------- device placement
