@@ -96,6 +96,12 @@ int main(int argc, char** argv) {
       const std::uint64_t update_bytes =
           run.bytes_written(io::Role::kUpdates);
       if (std::strcmp(cfg.tag, "raw") == 0) raw_update_bytes = update_bytes;
+      // The cut divides by the raw arm's update-file bytes: without
+      // them it is a NaN, which would fail the bar below for the wrong
+      // reason.
+      FB_CHECK_MSG(raw_update_bytes > 0,
+                   ds.name << ": the raw arm wrote no update-file bytes to "
+                              "price the cut against");
       const double update_cut =
           1.0 - static_cast<double>(update_bytes) /
                     static_cast<double>(raw_update_bytes);

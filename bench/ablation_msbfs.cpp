@@ -86,6 +86,8 @@ engine::Options make_options(bool sieve) {
   engine::Options options;
   options.num_threads = 4;
   options.direction = engine::Direction::kTopDown;
+  // Budget 0: the state and update device bytes are the headline.
+  options.memory_budget_bytes = 0;
   options.sieve_updates = sieve;
   options.update_codec =
       sieve ? io::codec::Policy::kAuto : io::codec::Policy::kRaw;

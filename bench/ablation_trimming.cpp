@@ -108,10 +108,14 @@ RunStats run_config(const Dataset& ds, const Config& cfg) {
   // once (uncharged) at setup and are re-read here through the model.
   const graph::PartitionedGraph& pg = ds.pg;
 
+  // Budget 0 for every config: the bench measures the out-of-core
+  // regime, every state and update file on its device.
+  engine::Options options = cfg.options;
+  options.memory_budget_bytes = 0;
   RunStats stats;
   Stopwatch sw;
   const auto result =
-      engine::run(cfg.kind, pg, plan, BfsProgram{.root = 0}, cfg.options);
+      engine::run(cfg.kind, pg, plan, BfsProgram{.root = 0}, options);
   stats.wall_seconds = sw.seconds();
   stats.iterations = result.iterations;
   stats.stay_edges_written = result.stay_edges_written;

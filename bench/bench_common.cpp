@@ -112,6 +112,9 @@ metrics::RunStats run_bfs(const Dataset& ds, const SystemOptions& options) {
   run_options.stay_codec = options.update_codec;
   run_options.sieve_updates = options.sieve_updates;
   run_options.direction = options.direction;
+  // Budget 0 keeps every state and update file on its device: these
+  // benches report per-role device bytes of the out-of-core regime.
+  run_options.memory_budget_bytes = 0;
   run_options.collector = &collector;
   const std::vector<BfsProgram::State> states =
       engine::run(options.kind, ds.pg, plan, BfsProgram{.root = ds.bfs_root},

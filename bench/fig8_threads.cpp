@@ -117,6 +117,7 @@ void part_a(Json& json, const Dataset& ds) {
     const io::StoragePlan plan = io::StoragePlan::single(disk);
     engine::Options options;
     options.num_threads = threads;
+    options.memory_budget_bytes = 0;  // the out-of-core regime
     const RunStats xs = run_bfs(ds, plan, engine::Kind::kXstream, options);
     const RunStats fb = run_bfs(ds, plan, engine::Kind::kCore, options);
     std::printf("  %7u %12.3f %12.3f\n", threads, xs.wall_seconds,
@@ -236,6 +237,7 @@ void part_b(Json& json, const Dataset& ds, std::size_t chunk_bytes,
       engine::Options options;
       options.reader = reader;
       options.num_threads = threads;
+      options.memory_budget_bytes = 0;  // the out-of-core regime
       options.trim = cfg.trim;
       const RunStats s = run_bfs(ds, plan, cfg.kind, options);
       std::printf("  %-16s %7u %12.3f %12.3f %10u\n", cfg.key.c_str(),

@@ -35,11 +35,14 @@
 // The graph lives on disk as P partition edge files (partitioner.hpp:
 // partition p owns the vertex range [begin(p), end(p)) and holds the
 // out-edges of its sources); vertex state lives in one State file per
-// partition (vertex_state.hpp). Each round scatters every partition
+// partition, or in memory when Options::memory_budget_bytes holds it
+// (vertex_state.hpp's StateStore). Each round scatters every partition
 // with an active source (scatter.hpp, or pull.hpp bottom-up), then
-// gathers the update files into the states. Devices come from a
-// StoragePlan: edges / state / updates / stay are separate roles, so
-// the paper's dual-disk placement is one plan away.
+// gathers each partition's updates into the states — from its update
+// file, or from its encoded blob when what is left of the budget kept
+// that in memory. Devices come from a StoragePlan: edges / state /
+// updates / stay are separate roles, so the paper's dual-disk placement
+// is one plan away.
 //
 // Every program has set-once levels (graph::GraphProgram requires a
 // state-free hook; program.hpp), so trimming and bottom-up rounds run
@@ -72,6 +75,7 @@
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -169,8 +173,24 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
     batch_width = static_cast<std::uint32_t>(std::popcount(program.full_mask()));
     tracker.emplace(program, n);
   }
-  detail::init_partition_states(pg, plan, options.write_buffer_bytes, program,
-                                active, exec, &result.arrivals,
+
+  // ---- the memory budget, spent in a fixed order. The vertex states
+  // come first, all of them or none: when n × sizeof(State) fits, they
+  // live in one vector and no state file is created. What is left holds
+  // each round's encoded update blobs, each one kept in memory if it
+  // fits (UpdateFanout::close) and decoded from there by gather. Stays,
+  // edges and the transposed view always stream: they are the
+  // out-of-core input.
+  const std::uint64_t state_bytes = n * sizeof(typename P::State);
+  const bool states_resident = state_bytes <= options.memory_budget_bytes;
+  const std::uint64_t blob_budget =
+      options.memory_budget_bytes - (states_resident ? state_bytes : 0);
+  detail::StateStore<P> store(pg, plan, options.reader,
+                              options.write_buffer_bytes, states_resident);
+  std::vector<std::vector<std::byte>> resident_updates(num_partitions);
+
+  detail::init_partition_states(pg, store, program, active, exec,
+                                &result.arrivals,
                                 tracker ? &*tracker : nullptr);
 
   // ---- trimming state. Only runs with trimming on pay for any of this;
@@ -475,9 +495,10 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
       {
         metrics::ScopedPhase flush_timer(collector,
                                          metrics::Phase::kShuffleFlush);
-        const auto closed = fanout.close(pending_updates);
+        const auto closed =
+            fanout.close(pending_updates, blob_budget, resident_updates);
         stats.updates_emitted = closed.updates;
-        stats.update_codec_bytes = closed.file_bytes;
+        stats.update_codec_bytes = closed.encoded_bytes;
       }
       stats.scatter_seconds = scatter_clock.seconds();
     }
@@ -501,10 +522,9 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
     next_active.reset();
     {
       Stopwatch gather_clock;
-      detail::gather_partitions(pg, plan, options.reader,
-                                options.write_buffer_bytes, program,
-                                pending_updates, next_active, exec, collector,
-                                &result.arrivals,
+      detail::gather_partitions(pg, plan, options.reader, store, program,
+                                pending_updates, resident_updates, next_active,
+                                exec, collector, &result.arrivals,
                                 tracker ? &*tracker : nullptr);
       stats.gather_seconds = gather_clock.seconds();
     }
@@ -557,7 +577,7 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
     FB_CHECK_EQ(sum.trims_failed, result.trims_failed);
     FB_CHECK_EQ(sum.stay_edges_written, result.stay_edges_written);
   }
-  result.states = detail::collect_states<P>(pg, plan, options.reader);
+  result.states = store.collect();
   if (!options.keep_files) detail::remove_run_files(pg, plan);
   return result;
 }

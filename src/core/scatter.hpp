@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -63,19 +64,44 @@ struct UpdateFanout {
     /// byte-identical duplicates, so this can be below the staged
     /// count; nonzero iff anything was staged either way).
     std::uint64_t updates = 0;
-    /// Bytes written (headers included), bucketed by chosen format.
-    std::array<std::uint64_t, io::codec::kNumFormats> file_bytes{};
+    /// Encoded bytes (headers included) of every partition's stream,
+    /// written or kept resident, bucketed by chosen format.
+    std::array<std::uint64_t, io::codec::kNumFormats> encoded_bytes{};
   };
 
-  /// Closes all writers (encoding the non-raw ones) and records each
-  /// partition's pending update count.
-  CloseStats close(std::vector<std::uint64_t>& pending_updates) {
+  /// Closes all writers and records each partition's pending update
+  /// count. In partition order, each staged writer's encoded blob stays
+  /// in memory — moved into resident[q], for gather to decode — when it
+  /// fits in what is left of `budget`, and is written to its file
+  /// otherwise; raw writers have already streamed theirs to the device.
+  /// A resident partition's file from an earlier round is removed, so
+  /// the update files on the device are always this round's.
+  CloseStats close(std::vector<std::uint64_t>& pending_updates,
+                   std::uint64_t budget,
+                   std::vector<std::vector<std::byte>>& resident) {
     CloseStats out;
     for (std::uint32_t q = 0; q < writers.size(); ++q) {
-      const auto r = writers[q]->close();
-      pending_updates[q] = r.records;
-      out.updates += r.records;
-      out.file_bytes[static_cast<std::size_t>(r.format)] += r.file_bytes;
+      const auto count = [&](io::codec::Format format, std::uint64_t records,
+                             std::uint64_t bytes) {
+        pending_updates[q] = records;
+        out.updates += records;
+        out.encoded_bytes[static_cast<std::size_t>(format)] += bytes;
+      };
+      io::codec::CodecWriter<Update>& writer = *writers[q];
+      if (writer.streaming()) {
+        const auto r = writer.close();
+        count(r.format, r.records, r.file_bytes);
+        continue;
+      }
+      io::codec::EncodedBlob blob = writer.encode();
+      count(blob.format, blob.records, blob.bytes.size());
+      if (blob.bytes.size() <= budget) {
+        budget -= blob.bytes.size();
+        resident[q] = std::move(blob.bytes);
+        writer.remove_file();
+      } else {
+        writer.write(blob);
+      }
     }
     return out;
   }

@@ -54,6 +54,8 @@ Options options_from_config(const Config& config) {
   opts.max_iterations =
       config.get_u32_or("engine.max_iterations", opts.max_iterations);
   opts.num_threads = config.get_threads_or("engine.num_threads", 1);
+  opts.memory_budget_bytes =
+      config.get_bytes_or("engine.memory_budget", opts.memory_budget_bytes);
   const std::string update_codec = config.get_enum_or(
       "updates.codec", {"auto", "raw", "bitmap", "varint"},
       io::codec::to_string(opts.update_codec));

@@ -8,8 +8,9 @@
 // Config keys, one spelling per value (options_from_config):
 //   * `io.reader` / `io.reader_buffer` configure every record stream.
 //   * `engine.write_buffer`, `engine.max_iterations`,
-//     `engine.num_threads` (0 = hardware concurrency) and
-//     `engine.partition_count` (partition_count_from_config).
+//     `engine.num_threads` (0 = hardware concurrency),
+//     `engine.memory_budget` (a byte size; both streaming kinds read it)
+//     and `engine.partition_count` (partition_count_from_config).
 //   * `updates.codec`, `updates.sieve` and `updates.stay_codec` (the
 //     stay codec defaults to the resolved updates.codec).
 //   * `core.*`, the FastBFS trim and direction knobs: `core.trim`,
@@ -88,6 +89,15 @@ struct Options {
   /// update files, and stay files are bit-identical at every count
   /// (the scans' ordered retire; see core/scatter.hpp).
   std::uint32_t num_threads = 1;
+  /// Bytes of RAM a streaming run may keep resident instead of on its
+  /// devices, spent in a fixed order: first the vertex states (all
+  /// n × sizeof(State) of them or none), then, round by round and in
+  /// partition order, each encoded update blob that fits in what is
+  /// left. Raw-policy updates, stays, edges and the transposed view
+  /// always stream. 0 = every state and update file is on the device.
+  /// The default is about the paper's memory-to-edge-bytes proportion
+  /// (4 GB against twitter_rv) applied to a 16 MiB edge set.
+  std::uint64_t memory_budget_bytes = 4ull << 20;
 
   // ---- FastBFS knobs, read by core::run. Kind::kXstream forces trim
   // off and direction top-down; inmem ignores them all.

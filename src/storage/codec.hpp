@@ -30,7 +30,9 @@
 // model — no estimates: raw = n*sizeof(T); bitmap = payload +
 // range/8 (when eligible); varint = the true sum of the sorted deltas'
 // varint sizes + n*payload. Policy kAuto takes the cheapest (ties
-// prefer the lower format id, raw first); a forced policy is honoured
+// prefer the lower format id, raw first), and skips the varint sort
+// when the bitmap is no larger than n*(1 + payload), the least any
+// varint stream can cost; a forced policy is honoured
 // whenever the stream is eligible and degrades to raw otherwise, so
 // forcing `bitmap` on an ineligible stream is safe, never wrong.
 //
@@ -44,8 +46,9 @@
 // Readers come back through open_reader<T>() as the same type-erased
 // RecordSource<T> the ReaderFactory hands out, built over
 // open_stream_reader so prefetch mode keeps working underneath any
-// format. Decoded delivery order: raw = append order, bitmap/varint =
-// ascending destination.
+// format — or over open_memory_reader, which decodes a blob the caller
+// kept in memory through the same decoders. Decoded delivery order:
+// raw = append order, bitmap/varint = ascending destination.
 #pragma once
 
 #include <algorithm>
@@ -297,13 +300,26 @@ EncodedBlob encode_records(std::span<const T> records,
     }
     const bool varint_ok = ranged;
 
+    const std::uint64_t bitmap_words = (range_size + 63) / 64;
+    const std::uint64_t raw_cost = n * sizeof(T);
+    const std::uint64_t bitmap_cost =
+        bitmap_ok ? payload_size + bitmap_words * 8
+                  : std::numeric_limits<std::uint64_t>::max();
+    // Every varint record costs at least 1 + payload_size bytes. A
+    // bitmap that beats raw and costs no more than that floor therefore
+    // wins kAuto whatever the varint price is, so it goes unpriced.
+    const bool bitmap_wins = bitmap_cost < raw_cost &&
+                             bitmap_cost <= n * (1 + payload_size);
+    const bool price_varint =
+        varint_ok && (opts.policy == Policy::kVarint ||
+                      (opts.policy == Policy::kAuto && !bitmap_wins));
+
     // Destination order for the varint format (and its exact cost):
     // stable sort keeps equal-dst records in append order, so the
     // encoding is deterministic.
     std::vector<std::uint32_t> order;
     std::uint64_t varint_payload = 0;
-    if (varint_ok &&
-        (opts.policy == Policy::kVarint || opts.policy == Policy::kAuto)) {
+    if (price_varint) {
       order.resize(n);
       std::iota(order.begin(), order.end(), 0u);
       std::stable_sort(order.begin(), order.end(),
@@ -318,17 +334,14 @@ EncodedBlob encode_records(std::span<const T> records,
       }
     }
 
-    // The exact byte-cost model; ties prefer the lower format id.
+    // The exact byte-cost model; ties prefer the lower format id. An
+    // unpriced varint cannot win: either it is ineligible or the bitmap
+    // wins.
     Format format = Format::kRaw;
     if (opts.policy == Policy::kAuto) {
-      const std::uint64_t bitmap_words = (range_size + 63) / 64;
-      const std::uint64_t raw_cost = n * sizeof(T);
-      const std::uint64_t bitmap_cost =
-          bitmap_ok ? payload_size + bitmap_words * 8
-                    : std::numeric_limits<std::uint64_t>::max();
       const std::uint64_t varint_cost =
-          varint_ok ? varint_payload
-                    : std::numeric_limits<std::uint64_t>::max();
+          price_varint ? varint_payload
+                       : std::numeric_limits<std::uint64_t>::max();
       if (bitmap_cost < raw_cost && bitmap_cost <= varint_cost) {
         format = Format::kBitmap;
       } else if (varint_cost < raw_cost) {
@@ -371,22 +384,7 @@ EncodedBlob encode_records(std::span<const T> records,
         break;
       }
       case Format::kVarint: {
-        if (order.empty() && n > 0) {
-          // Forced varint without a prior cost pass: build the order now.
-          order.resize(n);
-          std::iota(order.begin(), order.end(), 0u);
-          std::stable_sort(order.begin(), order.end(),
-                           [&](std::uint32_t a, std::uint32_t b) {
-                             return dst_of(a) < dst_of(b);
-                           });
-          std::uint64_t prev = opts.range_begin;
-          varint_payload = 0;
-          for (std::uint64_t i = 0; i < n; ++i) {
-            const std::uint32_t dst = dst_of(order[i]);
-            varint_payload += varint_size(dst - prev) + payload_size;
-            prev = dst;
-          }
-        }
+        // Only a priced varint is ever chosen, so `order` is built.
         blob.format = Format::kVarint;
         blob.records = n;
         header.format = static_cast<std::uint16_t>(Format::kVarint);
@@ -431,7 +429,9 @@ FileHeader raw_stream_header() {
 /// The typed append stream the engines write through. Policy kRaw (and
 /// every policy for dst-less record types) streams through a buffered
 /// writer exactly like RecordWriter did, header first; the other
-/// policies stage records in memory and encode once at close().
+/// policies stage records in memory and encode once at close() — or at
+/// encode(), which hands the blob to a caller that may keep it in
+/// memory instead of writing it.
 template <typename T>
 class CodecWriter {
  public:
@@ -492,23 +492,46 @@ class CodecWriter {
       result.file_bytes = stream_->bytes_appended();
       return result;
     }
-    const EncodedBlob blob = encode_records<T>(staged_, opts_);
-    auto file = device_->open(name_, /*truncate=*/true);
-    StreamWriter out(*file, buffer_bytes_);
-    out.append_raw(blob.bytes.data(), blob.bytes.size());
-    out.flush();
+    result.staged_records = staged_.size();
+    const EncodedBlob blob = encode();
+    write(blob);
     result.format = blob.format;
     result.records = blob.records;
-    result.staged_records = staged_.size();
     result.file_bytes = blob.bytes.size();
     return result;
   }
 
- private:
+  /// True when the writer streams to its file as records arrive (policy
+  /// kRaw, or a dst-less record type); false when it stages them.
   bool streaming() const {
     return !RoutedRecord<T> || opts_.policy == Policy::kRaw;
   }
 
+  /// Staged policies: encodes the staged records into one blob and
+  /// releases them, so the blob replaces their memory rather than adding
+  /// to it. Call once, instead of close(); write() puts the blob in the
+  /// writer's file if the caller does not keep it.
+  EncodedBlob encode() {
+    FB_CHECK_MSG(!streaming(), name_ << " streams; there is nothing to encode");
+    EncodedBlob blob = encode_records<T>(staged_, opts_);
+    std::vector<T>().swap(staged_);
+    return blob;
+  }
+
+  /// Writes `blob` (from encode()) as the writer's whole file.
+  void write(const EncodedBlob& blob) {
+    auto file = device_->open(name_, /*truncate=*/true);
+    StreamWriter out(*file, buffer_bytes_);
+    out.append_raw(blob.bytes.data(), blob.bytes.size());
+    out.flush();
+  }
+
+  /// For a caller that keeps the blob from encode() instead of writing
+  /// it: removes any file an earlier stream left under the writer's
+  /// name, so the device never holds a stale stream there.
+  void remove_file() { device_->remove(name_); }
+
+ private:
   Device* device_;
   std::string name_;
   std::size_t buffer_bytes_;
@@ -591,7 +614,7 @@ class RawDecodeSource final : public RecordSource<T> {
   }
 
   std::unique_ptr<ByteSource> src_;
-  std::vector<T> batch_;
+  OverwriteBuffer<T> batch_;
   std::size_t cursor_ = 0;
   std::size_t loaded_ = 0;
   std::uint64_t delivered_ = 0;
@@ -677,7 +700,7 @@ class BitmapDecodeSource final : public RecordSource<T> {
   FileHeader header_;
   std::vector<std::byte> payload_;
   std::vector<std::uint64_t> words_;
-  std::vector<T> batch_;
+  OverwriteBuffer<T> batch_;
   std::size_t cursor_ = 0;
   std::size_t loaded_ = 0;
   std::uint64_t bit_ = 0;        // next range-relative bit to inspect
@@ -749,7 +772,7 @@ class VarintDecodeSource final : public RecordSource<T> {
 
   FileHeader header_;
   std::vector<std::byte> payload_;
-  std::vector<T> batch_;
+  OverwriteBuffer<T> batch_;
   std::size_t cursor_ = 0;
   std::size_t loaded_ = 0;
   std::size_t pos_ = 0;
@@ -760,19 +783,16 @@ class VarintDecodeSource final : public RecordSource<T> {
 
 }  // namespace detail
 
-/// Opens a codec file as the same type-erased RecordSource<T> the
-/// ReaderFactory hands out. The underlying byte stream honours
-/// opts.mode (plain/prefetch) and opts.buffer_bytes; opts.offset must
-/// be 0 (codec files are whole streams, not sliceable).
+/// Decodes the codec stream `src` delivers from its header on — a file
+/// on a device (the overload below) or a blob kept in memory
+/// (open_memory_reader) — as the same type-erased RecordSource<T> the
+/// ReaderFactory hands out, in batches of up to `buffer_bytes`. `name`
+/// labels the stream in CHECK messages.
 template <typename T>
-std::unique_ptr<RecordSource<T>> open_reader(Device& device,
+std::unique_ptr<RecordSource<T>> open_reader(std::unique_ptr<ByteSource> src,
                                              const std::string& name,
-                                             const ReaderOptions& opts) {
+                                             std::size_t buffer_bytes) {
   static_assert(std::is_trivially_copyable_v<T>);
-  FB_CHECK_MSG(opts.offset == 0,
-               "codec streams decode from the top; offset "
-                   << opts.offset << " is not supported");
-  auto src = open_stream_reader(device, name, opts);
   const FileHeader header = detail::read_header(*src, name);
   FB_CHECK_MSG(header.record_size == sizeof(T),
                name << " holds records of size " << header.record_size
@@ -783,17 +803,17 @@ std::unique_ptr<RecordSource<T>> open_reader(Device& device,
   switch (static_cast<Format>(header.format)) {
     case Format::kRaw:
       return std::make_unique<detail::RawDecodeSource<T>>(
-          std::move(src), opts.buffer_bytes, header.record_count, name);
+          std::move(src), buffer_bytes, header.record_count, name);
     case Format::kBitmap:
       if constexpr (RoutedRecord<T>) {
         return std::make_unique<detail::BitmapDecodeSource<T>>(
-            std::move(src), opts.buffer_bytes, header, name);
+            std::move(src), buffer_bytes, header, name);
       }
       break;
     case Format::kVarint:
       if constexpr (RoutedRecord<T>) {
         return std::make_unique<detail::VarintDecodeSource<T>>(
-            std::move(src), opts.buffer_bytes, header, name);
+            std::move(src), buffer_bytes, header, name);
       }
       break;
   }
@@ -802,24 +822,44 @@ std::unique_ptr<RecordSource<T>> open_reader(Device& device,
   return nullptr;
 }
 
-/// Decodes the whole file; CHECKs the record count against `expected`
-/// unless it is kCountFromFileSize (the default: take whatever the
-/// file holds).
+/// Opens a codec file. The underlying byte stream honours opts.mode
+/// (plain/prefetch) and opts.buffer_bytes; opts.offset must be 0 (codec
+/// files are whole streams, not sliceable).
 template <typename T>
-std::vector<T> read_all(Device& device, const std::string& name,
-                        const ReaderOptions& opts,
+std::unique_ptr<RecordSource<T>> open_reader(Device& device,
+                                             const std::string& name,
+                                             const ReaderOptions& opts) {
+  FB_CHECK_MSG(opts.offset == 0,
+               "codec streams decode from the top; offset "
+                   << opts.offset << " is not supported");
+  return open_reader<T>(open_stream_reader(device, name, opts), name,
+                        opts.buffer_bytes);
+}
+
+/// Decodes the rest of `reader`; CHECKs the record count against
+/// `expected` unless it is kCountFromFileSize (the default: take
+/// whatever the stream holds).
+template <typename T>
+std::vector<T> read_all(RecordSource<T>& reader, const std::string& name,
                         std::uint64_t expected = kCountFromFileSize) {
-  auto reader = open_reader<T>(device, name, opts);
   std::vector<T> out;
   if (expected != kCountFromFileSize) out.reserve(expected);
-  for (auto batch = reader->next_batch(); !batch.empty();
-       batch = reader->next_batch()) {
+  for (auto batch = reader.next_batch(); !batch.empty();
+       batch = reader.next_batch()) {
     out.insert(out.end(), batch.begin(), batch.end());
   }
   FB_CHECK_MSG(expected == kCountFromFileSize || out.size() == expected,
                name << " decodes to " << out.size() << " records, expected "
                     << expected);
   return out;
+}
+
+/// Decodes the whole file (see above).
+template <typename T>
+std::vector<T> read_all(Device& device, const std::string& name,
+                        const ReaderOptions& opts,
+                        std::uint64_t expected = kCountFromFileSize) {
+  return read_all<T>(*open_reader<T>(device, name, opts), name, expected);
 }
 
 /// Reads just the header (48 bytes) — the tests' and tools' format

@@ -10,7 +10,8 @@ PrefetchReader::PrefetchReader(File& file, std::size_t buffer_bytes,
       start_offset_(offset),
       slots_(num_buffers < 2 ? 2 : num_buffers) {
   for (Slot& slot : slots_) {
-    slot.data.resize(buffer_bytes == 0 ? 1 : buffer_bytes);
+    slot.data =
+        OverwriteBuffer<std::byte>(buffer_bytes == 0 ? 1 : buffer_bytes);
   }
   fetcher_ = std::thread([this] { fetch_loop(); });
 }

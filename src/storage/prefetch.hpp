@@ -59,7 +59,7 @@ class PrefetchReader {
 
  private:
   struct Slot {
-    std::vector<std::byte> data;
+    OverwriteBuffer<std::byte> data;
     std::size_t size = 0;  // valid bytes when full
     bool full = false;     // true: consumer owns; false: fetcher owns
   };

@@ -1,8 +1,32 @@
 #include "storage/reader_factory.hpp"
 
+#include <cstring>
+
 #include "common/check.hpp"
 
 namespace fbfs::io {
+
+namespace {
+
+class MemorySource final : public ByteSource {
+ public:
+  explicit MemorySource(std::vector<std::byte> bytes)
+      : bytes_(std::move(bytes)) {}
+
+  std::size_t read(void* dst, std::size_t bytes) override {
+    const std::size_t take = std::min(bytes, bytes_.size() - pos_);
+    if (take > 0) std::memcpy(dst, bytes_.data() + pos_, take);
+    pos_ += take;
+    return take;
+  }
+  std::uint64_t position() const override { return pos_; }
+
+ private:
+  std::vector<std::byte> bytes_;
+  std::size_t pos_ = 0;
+};
+
+}  // namespace
 
 ReaderMode parse_reader_mode(const std::string& name) {
   if (name == "plain") return ReaderMode::kPlain;
@@ -50,6 +74,10 @@ std::unique_ptr<ByteSource> open_stream_reader(Device& device,
   }
   return std::make_unique<detail::ByteSourceImpl<StreamReader>>(
       std::move(file), ref, opts.buffer_bytes, opts.offset);
+}
+
+std::unique_ptr<ByteSource> open_memory_reader(std::vector<std::byte> bytes) {
+  return std::make_unique<MemorySource>(std::move(bytes));
 }
 
 }  // namespace fbfs::io

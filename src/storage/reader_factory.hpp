@@ -16,9 +16,11 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "common/config.hpp"
 #include "storage/device.hpp"
@@ -141,6 +143,9 @@ std::unique_ptr<ByteSource> open_stream_reader(File& file,
 std::unique_ptr<ByteSource> open_stream_reader(Device& device,
                                                const std::string& name,
                                                const ReaderOptions& opts);
+/// Owning byte reader over `bytes` already in memory: no device, no
+/// accounting; the bytes are freed with the reader.
+std::unique_ptr<ByteSource> open_memory_reader(std::vector<std::byte> bytes);
 
 /// Borrowing record reader over an already-open File.
 template <typename T>

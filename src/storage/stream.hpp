@@ -10,14 +10,46 @@
 // readers can stream one File concurrently.
 #pragma once
 
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.hpp"
 #include "storage/device.hpp"
 
 namespace fbfs::io {
+
+/// `size` trivially copyable elements allocated for overwrite: unlike
+/// std::vector<T>(size), nothing is initialised, so the pages of a
+/// large stream buffer that a short stream never fills never become
+/// resident. Every user fills elements by byte copies before reading
+/// them (malloc'd storage implicitly holds the T objects).
+template <typename T>
+class OverwriteBuffer {
+ public:
+  static_assert(std::is_trivially_copyable_v<T>);
+
+  OverwriteBuffer() = default;
+  explicit OverwriteBuffer(std::size_t size)
+      : data_(static_cast<T*>(std::malloc(size * sizeof(T)))), size_(size) {
+    FB_CHECK_MSG(data_ != nullptr || size == 0,
+                 "allocating a " << size * sizeof(T) << "-byte buffer failed");
+  }
+
+  T* data() const { return data_.get(); }
+  std::size_t size() const { return size_; }
+  T& operator[](std::size_t i) const { return data_.get()[i]; }
+
+ private:
+  struct Free {
+    void operator()(T* p) const { std::free(p); }
+  };
+  std::unique_ptr<T, Free> data_;
+  std::size_t size_ = 0;
+};
 
 class StreamWriter {
  public:
@@ -79,7 +111,7 @@ class StreamWriter {
 
  private:
   File* file_;
-  std::vector<std::byte> buffer_;
+  OverwriteBuffer<std::byte> buffer_;
   std::size_t fill_ = 0;
   std::uint64_t logical_bytes_ = 0;
 };
@@ -121,7 +153,7 @@ class StreamReader {
 
  private:
   File* file_;
-  std::vector<std::byte> buffer_;
+  OverwriteBuffer<std::byte> buffer_;
   std::uint64_t offset_;       // next device offset to fetch
   std::size_t pos_ = 0;        // consumed within buffer_
   std::size_t avail_ = 0;      // valid bytes in buffer_
@@ -217,7 +249,7 @@ class BasicRecordReader {
   }
 
   ByteStream bytes_;
-  std::vector<T> batch_;
+  OverwriteBuffer<T> batch_;
   std::size_t cursor_ = 0;
   std::size_t loaded_ = 0;
   std::uint64_t records_delivered_ = 0;

@@ -4,11 +4,16 @@
 // trimming off, trimming on, and trimming on with a zero grace timeout
 // (the swap is refused whenever the stream has not already committed,
 // exercising the cancellation/fallback path mid-matrix), each at
-// T∈{1,2,4} worker threads. Trimming and threading are pure I/O-volume/
-// wall-clock optimisations; if either changes a bit, it is a bug.
+// T∈{1,2,4} worker threads. Three memory budgets rotate over those cells:
+// every state and (raw) update file on the device; exactly the states
+// resident, so every (varint) update blob spills; the default, which
+// holds states and blobs alike. Trimming, threading and the budget are
+// pure I/O-volume/wall-clock optimisations; if any of them changes a
+// bit, it is a bug.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <string>
 
 #include "common/temp_dir.hpp"
@@ -65,18 +70,38 @@ void expect_equivalent(io::Device& dev, const GraphMeta& meta,
                        const P& program) {
   const auto reference = inmem::run_graph(dev, meta, program);
   const io::StoragePlan plan = io::StoragePlan::single(dev);
-  for (const std::uint32_t parts : {2u, 5u}) {
+  const std::uint32_t partition_counts[] = {2, 5};
+  const std::uint32_t thread_counts[] = {1, 2, 4};
+  // The memory-budget axis (see the header comment).
+  const std::uint64_t budgets[] = {
+      0, meta.num_vertices * sizeof(typename P::State),
+      engine::Options{}.memory_budget_bytes};
+  for (std::size_t pi = 0; pi < std::size(partition_counts); ++pi) {
+    const std::uint32_t parts = partition_counts[pi];
     const graph::PartitionedGraph pg =
         graph::partition_edge_list(plan, meta, parts);
-    for (const TrimConfig& cfg : kTrimConfigs) {
-      for (const std::uint32_t threads : {1u, 2u, 4u}) {
+    for (std::size_t ci = 0; ci < std::size(kTrimConfigs); ++ci) {
+      const TrimConfig& cfg = kTrimConfigs[ci];
+      for (std::size_t ti = 0; ti < std::size(thread_counts); ++ti) {
+        const std::uint32_t threads = thread_counts[ti];
+        // A Latin square over trim configs x thread counts, shifted per
+        // partition count: every budget meets every config and every
+        // thread count, and the matrix keeps its size.
+        const std::uint64_t budget = budgets[(pi + ci + ti) % 3];
         SCOPED_TRACE(std::string(P::kName) + " on " + meta.name + ", P=" +
                      std::to_string(parts) + ", " + cfg.tag + ", T=" +
-                     std::to_string(threads));
+                     std::to_string(threads) + ", budget=" +
+                     std::to_string(budget));
         engine::Options options;
         options.trim = cfg.trim;
         options.grace_timeout_seconds = cfg.grace_seconds;
         options.num_threads = threads;
+        options.memory_budget_bytes = budget;
+        // Budget-0 cells stream raw update files. The others write
+        // varint ones, which are staged, so the budget can keep their
+        // blobs in memory; varint keeps every update, so the emitted
+        // counts still match inmem's.
+        if (budget > 0) options.update_codec = io::codec::Policy::kVarint;
         // T > 1 cuts scans into 1 KiB (128-edge) units, so the workers
         // retire many units of one partition concurrently.
         if (threads > 1) options.reader.buffer_bytes = 1024;

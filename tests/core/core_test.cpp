@@ -1,7 +1,8 @@
 // Mechanics of the FastBFS engine: trim life cycle (stream → grace →
 // swap/cancel), trim triggers, selective scheduling, the state-free
 // top-down scatter, the edge-free init, the scan's misfiled-edge check,
-// fault fallback, config plumbing, and file hygiene.
+// fault fallback, config plumbing, file hygiene, and what the memory
+// budget keeps off the devices.
 // Bit-identity against the reference engine across the full matrix
 // lives in core_equivalence_test.cpp.
 #include <gtest/gtest.h>
@@ -61,6 +62,17 @@ struct DedicatedRig {
                  .assign(io::Role::kUpdates, updates)
                  .assign(io::Role::kStay, stay)) {}
 };
+
+/// A file's bytes, or none when the file does not exist.
+std::vector<std::byte> read_file(io::Device& dev, const std::string& name) {
+  std::vector<std::byte> bytes;
+  if (dev.exists(name)) {
+    bytes.resize(dev.file_size(name));
+    auto file = dev.open(name, /*truncate=*/false);
+    EXPECT_EQ(file->read_at(0, bytes.data(), bytes.size()), bytes.size());
+  }
+  return bytes;
+}
 
 std::uint64_t edge_input_bytes_read(
     const std::vector<metrics::IterationStats>& rounds) {
@@ -163,6 +175,7 @@ TEST(CoreEngine, TopDownScatterReadsNoStateForPullablePrograms) {
 
   engine::Options options;
   options.direction = engine::Direction::kTopDown;
+  options.memory_budget_bytes = 0;  // the state files are the subject
   std::vector<std::vector<BfsProgram::State>> states;
   std::vector<std::uint64_t> written;
   for (const engine::Kind kind :
@@ -199,6 +212,7 @@ TEST(CoreEngine, InitReadsNoEdges) {
   engine::Options options;
   options.max_iterations = 0;
   options.keep_files = true;
+  options.memory_budget_bytes = 0;  // the state files are the subject
   const io::IoStatsSnapshot before = rig.edges.stats().snapshot();
   const auto result = core::run(pg, rig.plan, BfsProgram{}, options);
   EXPECT_EQ(rig.edges.stats().snapshot().delta(before).bytes_read, 0u);
@@ -387,15 +401,6 @@ TEST(CoreEngine, StayFilesAreByteIdenticalAcrossThreadCounts) {
   struct Files {
     std::vector<std::vector<std::byte>> stay, updates;
   };
-  const auto read_file = [](io::Device& dev, const std::string& name) {
-    std::vector<std::byte> bytes;
-    if (dev.exists(name)) {
-      bytes.resize(dev.file_size(name));
-      auto file = dev.open(name, /*truncate=*/false);
-      EXPECT_EQ(file->read_at(0, bytes.data(), bytes.size()), bytes.size());
-    }
-    return bytes;
-  };
   const auto run_kept = [&](io::codec::Policy codec, std::uint32_t threads,
                             DedicatedRig& rig) {
     const GraphMeta meta = rmat_graph(rig.edges);
@@ -408,6 +413,7 @@ TEST(CoreEngine, StayFilesAreByteIdenticalAcrossThreadCounts) {
     options.stay_codec = codec;
     options.sieve_updates = true;
     options.num_threads = threads;
+    options.memory_budget_bytes = 0;  // every update file on the device
     const auto result = core::run(pg, rig.plan, BfsProgram{}, options);
     EXPECT_GT(result.trims_committed, 0u);
     Files files;
@@ -450,7 +456,11 @@ TEST(CoreEngine, CleansUpRunFilesUnlessKept) {
   const GraphMeta meta = rmat_graph(rig.edges);
   const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 2);
 
-  const auto scrubbed = core::run(pg, rig.plan, BfsProgram{}, {});
+  // Budget 0: every run file is on its device, so there is something
+  // to clean up (or keep).
+  engine::Options scrub;
+  scrub.memory_budget_bytes = 0;
+  const auto scrubbed = core::run(pg, rig.plan, BfsProgram{}, scrub);
   ASSERT_GT(scrubbed.trims_committed, 0u);
   for (std::uint32_t p = 0; p < 2; ++p) {
     EXPECT_FALSE(rig.state.exists(core::state_file_name(pg, p)));
@@ -458,7 +468,7 @@ TEST(CoreEngine, CleansUpRunFilesUnlessKept) {
     EXPECT_FALSE(rig.stay.exists(core::stay_file_name(pg, p)));
   }
 
-  engine::Options keep;
+  engine::Options keep = scrub;
   keep.keep_files = true;
   const auto kept = core::run(pg, rig.plan, BfsProgram{}, keep);
   ASSERT_GT(kept.trims_committed, 0u);
@@ -468,6 +478,199 @@ TEST(CoreEngine, CleansUpRunFilesUnlessKept) {
     any_stay = any_stay || rig.stay.exists(core::stay_file_name(pg, p));
   }
   EXPECT_TRUE(any_stay);
+}
+
+// ------------------------------------------------------- memory budget
+
+/// FastBFS's full stack at `budget`: eager trims, direction auto and the
+/// auto codec with the sieve, so one run has trims, bottom-up rounds and
+/// staged update blobs for the budget to keep or spill.
+engine::Options budget_options(std::uint64_t budget) {
+  engine::Options options;
+  options.direction = engine::Direction::kAuto;
+  options.update_codec = io::codec::Policy::kAuto;
+  options.sieve_updates = true;
+  options.memory_budget_bytes = budget;
+  return options;
+}
+
+std::uint64_t state_bytes(const GraphMeta& meta) {
+  return meta.num_vertices * sizeof(BfsProgram::State);
+}
+
+TEST(CoreEngine, MemoryBudgetKeyParsesByteSizes) {
+  const auto budget = [](const std::string& text) {
+    return engine::options_from_config(Config::parse_string(text))
+        .memory_budget_bytes;
+  };
+  EXPECT_EQ(budget(""), 4u << 20);
+  EXPECT_EQ(engine::Options{}.memory_budget_bytes, 4u << 20);
+  EXPECT_EQ(budget("engine.memory_budget = 0\n"), 0u);
+  EXPECT_EQ(budget("engine.memory_budget = 4M\n"), 4u << 20);
+  EXPECT_EQ(budget("engine.memory_budget = 512K\n"), 512u << 10);
+}
+
+TEST(CoreEngine, StatesOneByteOverTheBudgetStayOnTheDevice) {
+  // A budget one byte short of n × sizeof(State) keeps no state
+  // resident: the state device sees exactly the budget-0 traffic, round
+  // by round and in total, while what the budget holds goes to update
+  // blobs instead.
+  DedicatedRig rig;
+  const GraphMeta meta = rmat_graph(rig.edges);
+  const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 4);
+
+  std::vector<io::IoStatsSnapshot> state_io, update_io;
+  std::vector<std::vector<metrics::IterationStats>> rounds;
+  for (const std::uint64_t budget : {std::uint64_t{0}, state_bytes(meta) - 1}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    const io::IoStatsSnapshot state_before = rig.state.stats().snapshot();
+    const io::IoStatsSnapshot update_before = rig.updates.stats().snapshot();
+    const auto result =
+        core::run(pg, rig.plan, BfsProgram{}, budget_options(budget));
+    state_io.push_back(rig.state.stats().snapshot().delta(state_before));
+    update_io.push_back(rig.updates.stats().snapshot().delta(update_before));
+    rounds.push_back(result.per_iteration);
+  }
+  EXPECT_GT(state_io[0].bytes_written, 0u);
+  EXPECT_EQ(state_io[1].bytes_read, state_io[0].bytes_read);
+  EXPECT_EQ(state_io[1].bytes_written, state_io[0].bytes_written);
+  EXPECT_EQ(state_io[1].read_ops, state_io[0].read_ops);
+  EXPECT_EQ(state_io[1].write_ops, state_io[0].write_ops);
+  EXPECT_EQ(state_io[1].seeks, state_io[0].seeks);
+  ASSERT_EQ(rounds[1].size(), rounds[0].size());
+  for (std::size_t i = 0; i < rounds[0].size(); ++i) {
+    const metrics::RoleIo& want = rounds[0][i].role_io(io::Role::kState);
+    const metrics::RoleIo& got = rounds[1][i].role_io(io::Role::kState);
+    EXPECT_EQ(got.bytes_read, want.bytes_read) << "round " << i;
+    EXPECT_EQ(got.bytes_written, want.bytes_written) << "round " << i;
+    EXPECT_EQ(got.read_ops, want.read_ops) << "round " << i;
+    EXPECT_EQ(got.write_ops, want.write_ops) << "round " << i;
+  }
+  EXPECT_LT(update_io[1].bytes_written, update_io[0].bytes_written);
+}
+
+TEST(CoreEngine, DefaultBudgetKeepsStatesAndBlobsOffTheirDevices) {
+  // At the default budget a small graph's states and every encoded
+  // update blob stay in memory, on both streaming kinds: the state and
+  // update devices see not one op, and no state or update file exists
+  // even with keep_files. Stays still stream to their device.
+  for (const engine::Kind kind :
+       {engine::Kind::kCore, engine::Kind::kXstream}) {
+    SCOPED_TRACE(engine::to_string(kind));
+    DedicatedRig rig;
+    const GraphMeta meta = rmat_graph(rig.edges);
+    const auto reference = inmem::run_graph(rig.edges, meta, BfsProgram{});
+    const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 4);
+
+    engine::Options options =
+        budget_options(engine::Options{}.memory_budget_bytes);
+    options.keep_files = true;
+    const auto result = engine::run(kind, pg, rig.plan, BfsProgram{}, options);
+
+    for (io::Device* dev : {&rig.state, &rig.updates}) {
+      EXPECT_EQ(dev->stats().read_ops(), 0u) << dev->root_dir();
+      EXPECT_EQ(dev->stats().write_ops(), 0u) << dev->root_dir();
+    }
+    for (std::uint32_t p = 0; p < 4; ++p) {
+      EXPECT_FALSE(rig.state.exists(core::state_file_name(pg, p)));
+      EXPECT_FALSE(rig.updates.exists(core::update_file_name(pg, p)));
+    }
+    if (kind == engine::Kind::kCore) {
+      EXPECT_GT(result.trims_committed, 0u);
+      EXPECT_GT(rig.stay.stats().bytes_written(), 0u);
+    }
+    ASSERT_EQ(result.states.size(), reference.states.size());
+    EXPECT_EQ(std::memcmp(result.states.data(), reference.states.data(),
+                          result.states.size() * sizeof(BfsProgram::State)),
+              0);
+  }
+}
+
+TEST(CoreEngine, RoundCountersMatchAtEveryBudget) {
+  // The budget moves bytes between RAM and the devices, never the
+  // traversal: every round's update, codec, direction, scan and trim
+  // counters equal the budget-0 run's at every budget, from states that
+  // just miss to everything resident.
+  DedicatedRig rig;
+  const GraphMeta meta = rmat_graph(rig.edges);
+  const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 4);
+  const auto base = core::run(pg, rig.plan, BfsProgram{}, budget_options(0));
+  ASSERT_GT(base.bottomup_rounds, 0u);
+  ASSERT_GT(base.trims_committed, 0u);
+
+  for (const std::uint64_t budget :
+       {state_bytes(meta) - 1, state_bytes(meta), state_bytes(meta) + 256,
+        engine::Options{}.memory_budget_bytes}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    const auto got =
+        core::run(pg, rig.plan, BfsProgram{}, budget_options(budget));
+    ASSERT_EQ(got.iterations, base.iterations);
+    ASSERT_EQ(got.per_iteration.size(), base.per_iteration.size());
+    for (std::size_t i = 0; i < base.per_iteration.size(); ++i) {
+      const metrics::IterationStats& want = base.per_iteration[i];
+      const metrics::IterationStats& row = got.per_iteration[i];
+      SCOPED_TRACE("round " + std::to_string(i));
+      EXPECT_EQ(row.updates_emitted, want.updates_emitted);
+      EXPECT_EQ(row.updates_sieved, want.updates_sieved);
+      EXPECT_EQ(row.update_codec_bytes, want.update_codec_bytes);
+      EXPECT_EQ(row.bottomup, want.bottomup);
+      EXPECT_EQ(row.edges_scanned, want.edges_scanned);
+      EXPECT_EQ(row.edges_probed, want.edges_probed);
+      EXPECT_EQ(row.trims_started, want.trims_started);
+      EXPECT_EQ(row.trims_committed, want.trims_committed);
+      EXPECT_EQ(row.trims_cancelled, want.trims_cancelled);
+      EXPECT_EQ(row.trims_failed, want.trims_failed);
+      EXPECT_EQ(row.stay_edges_written, want.stay_edges_written);
+    }
+    EXPECT_EQ(got.epilogue.trims_committed, base.epilogue.trims_committed);
+    EXPECT_EQ(got.bottomup_rounds, base.bottomup_rounds);
+    EXPECT_EQ(std::memcmp(got.states.data(), base.states.data(),
+                          got.states.size() * sizeof(BfsProgram::State)),
+              0);
+  }
+}
+
+TEST(CoreEngine, SpilledUpdateFilesMatchTheOutOfCoreRun) {
+  // Two rounds of varint update blobs, whose sizes follow their update
+  // counts. The budget holds the states and exactly partition 0's
+  // round-1 blob, which is smaller than its round-0 blob: round 0 spills
+  // partition 0, round 1 keeps it in memory (removing the round-0 file)
+  // and spills every later partition, with nothing left. Each spilled
+  // file is byte-identical to the budget-0 run's file of its partition.
+  constexpr std::uint32_t kPartitions = 4;
+  const auto kept_run = [&](DedicatedRig& rig, std::uint32_t rounds,
+                            std::uint64_t budget) {
+    const PartitionedGraph pg =
+        partition_edge_list(rig.plan, rmat_graph(rig.edges), kPartitions);
+    engine::Options options = budget_options(budget);
+    options.update_codec = io::codec::Policy::kVarint;
+    options.keep_files = true;
+    options.max_iterations = rounds;
+    (void)core::run(pg, rig.plan, BfsProgram{}, options);
+    std::vector<std::vector<std::byte>> files;
+    for (std::uint32_t q = 0; q < kPartitions; ++q) {
+      files.push_back(read_file(rig.updates, core::update_file_name(pg, q)));
+    }
+    return files;
+  };
+  DedicatedRig one_round_rig, out_of_core_rig, partial_rig;
+  const std::vector<std::vector<std::byte>> round0 =
+      kept_run(one_round_rig, 1, 0);
+  const std::vector<std::vector<std::byte>> want =
+      kept_run(out_of_core_rig, 2, 0);
+  for (std::uint32_t q = 0; q < kPartitions; ++q) {
+    ASSERT_GT(want[q].size(), io::codec::kHeaderBytes) << "update file " << q;
+  }
+  ASSERT_GT(round0[0].size(), want[0].size());
+  const std::uint64_t budget =
+      state_bytes(rmat_graph(out_of_core_rig.edges)) + want[0].size();
+  const std::vector<std::vector<std::byte>> got =
+      kept_run(partial_rig, 2, budget);
+  EXPECT_EQ(partial_rig.state.stats().write_ops(), 0u);
+  EXPECT_TRUE(got[0].empty()) << "partition 0's round-0 file is still there";
+  for (std::uint32_t q = 1; q < kPartitions; ++q) {
+    EXPECT_EQ(got[q], want[q]) << "update file " << q;
+  }
 }
 
 TEST(CoreEngine, StayFileNameEncodesPartitioning) {
@@ -492,6 +695,34 @@ TEST(CoreEngineDeath, MisfiledPartitionEdgeIsCaught) {
     file->write_at(0, &misfiled, sizeof(misfiled));
   }
   EXPECT_DEATH((void)core::run(pg, rig.plan, BfsProgram{}, {}), "misfiled");
+}
+
+TEST(CoreGatherDeath, ShortRawUpdateStreamIsCaught) {
+  // A raw update file's header carries no record count, so a file that
+  // lost whole records still decodes cleanly. The serial gather counts
+  // what it folds: three records where scatter reported four must abort
+  // naming the file, not return wrong levels.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  DedicatedRig rig;
+  const GraphMeta meta = chain_graph(rig.edges, 8);
+  const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 2);
+  const std::string name = core::update_file_name(pg, 0);
+  io::codec::CodecWriter<BfsProgram::Update> writer(rig.updates, name,
+                                                    1 << 10);
+  for (graph::VertexId v = 1; v <= 3; ++v) writer.append({v, 1});
+  writer.close();
+
+  const BfsProgram program;
+  core::detail::StateStore<BfsProgram> store(pg, rig.plan, {}, 1 << 10,
+                                             /*resident=*/false);
+  AtomicBitmap active(meta.num_vertices), next_active(meta.num_vertices);
+  core::detail::init_partition_states(pg, store, program, active);
+  const std::vector<std::uint64_t> pending = {4, 0};
+  std::vector<std::vector<std::byte>> resident(2);
+  EXPECT_DEATH(core::detail::gather_partitions(pg, rig.plan, {}, store,
+                                               program, pending, resident,
+                                               next_active),
+               name + " decodes to 3 records, expected 4");
 }
 
 }  // namespace

@@ -4,14 +4,15 @@
 // subset-dominance sieve hooks, batch splitting, and the acceptance
 // matrix — B in {1, 7, 64} sources on
 // three graph shapes through xstream and core x threads x trim x
-// direction, every query memcmp'd against its own standalone in-memory
-// BFS, plus the arrival log's cross-engine bytes and the state device's
-// write budget.
+// direction, with three memory budgets rotated over the cells, every
+// query memcmp'd against its own standalone in-memory BFS, plus the
+// arrival log's cross-engine bytes and the state device's write budget.
 #include "engine/batch.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -288,10 +289,12 @@ io::Device* BatchEquivalence::dev_ = nullptr;
 io::StoragePlan* BatchEquivalence::plan_ = nullptr;
 std::vector<TestGraph>* BatchEquivalence::graphs_ = nullptr;
 
-engine::Options matrix_options(std::uint32_t threads, bool trim,
-                               Direction direction) {
+engine::Options matrix_options(
+    std::uint32_t threads, bool trim, Direction direction,
+    std::uint64_t budget = engine::Options{}.memory_budget_bytes) {
   engine::Options options;
   options.num_threads = threads;
+  options.memory_budget_bytes = budget;
   options.trim = trim;
   options.direction = direction;
   // T > 1 cuts scans into 1 KiB (128-edge) units, so the workers retire
@@ -304,16 +307,40 @@ engine::Options matrix_options(std::uint32_t threads, bool trim,
   return options;
 }
 
+/// The memory-budget axis of the matrices: every state and update file
+/// on the device; exactly the states resident, so every update blob
+/// spills; the default. The matrices rotate it over their cells by the
+/// sum of the cell's axis indices mod 3, so every budget meets every
+/// graph, width, thread count, trim setting and direction, and no
+/// matrix grows.
+std::uint64_t rotated_budget(const TestGraph& g, std::size_t index_sum) {
+  const std::uint64_t budgets[] = {0,
+                                   g.meta.num_vertices * sizeof(Msbfs::State),
+                                   engine::Options{}.memory_budget_bytes};
+  return budgets[index_sum % 3];
+}
+
+constexpr std::uint32_t kWidths[] = {1, 7, 64};
+constexpr std::uint32_t kThreadCounts[] = {1, 4};
+constexpr Direction kDirections[] = {Direction::kTopDown, Direction::kBottomUp,
+                                     Direction::kAuto};
+
 TEST_F(BatchEquivalence, XstreamMatchesPerQueryInmemRuns) {
-  for (const TestGraph& g : *graphs_) {
-    for (const std::uint32_t width : {1u, 7u, 64u}) {
-      for (const std::uint32_t threads : {1u, 4u}) {
+  for (std::size_t gi = 0; gi < graphs_->size(); ++gi) {
+    const TestGraph& g = (*graphs_)[gi];
+    for (std::size_t wi = 0; wi < std::size(kWidths); ++wi) {
+      const std::uint32_t width = kWidths[wi];
+      for (std::size_t ti = 0; ti < std::size(kThreadCounts); ++ti) {
+        const std::uint32_t threads = kThreadCounts[ti];
+        const std::uint64_t budget = rotated_budget(g, gi + wi + ti);
         SCOPED_TRACE(g.name + " B=" + std::to_string(width) +
-                     " threads=" + std::to_string(threads));
+                     " threads=" + std::to_string(threads) +
+                     " budget=" + std::to_string(budget));
         const engine::BatchRunResult batch = engine::run_batch(
             Kind::kXstream, g.pg, *plan_,
             std::span<const VertexId>(g.sources.data(), width),
-            matrix_options(threads, /*trim=*/false, Direction::kTopDown));
+            matrix_options(threads, /*trim=*/false, Direction::kTopDown,
+                           budget));
         expect_queries_match(g, batch, width);
       }
     }
@@ -321,21 +348,26 @@ TEST_F(BatchEquivalence, XstreamMatchesPerQueryInmemRuns) {
 }
 
 TEST_F(BatchEquivalence, CoreMatchesAcrossThreadsTrimAndDirection) {
-  for (const TestGraph& g : *graphs_) {
-    for (const std::uint32_t width : {1u, 7u, 64u}) {
-      for (const std::uint32_t threads : {1u, 4u}) {
+  for (std::size_t gi = 0; gi < graphs_->size(); ++gi) {
+    const TestGraph& g = (*graphs_)[gi];
+    for (std::size_t wi = 0; wi < std::size(kWidths); ++wi) {
+      const std::uint32_t width = kWidths[wi];
+      for (std::size_t ti = 0; ti < std::size(kThreadCounts); ++ti) {
+        const std::uint32_t threads = kThreadCounts[ti];
         for (const bool trim : {false, true}) {
-          for (const Direction direction :
-               {Direction::kTopDown, Direction::kBottomUp,
-                Direction::kAuto}) {
+          for (std::size_t di = 0; di < std::size(kDirections); ++di) {
+            const Direction direction = kDirections[di];
+            const std::uint64_t budget =
+                rotated_budget(g, gi + wi + ti + (trim ? 1 : 0) + di);
             SCOPED_TRACE(g.name + " B=" + std::to_string(width) +
                          " threads=" + std::to_string(threads) +
                          " trim=" + std::to_string(trim) + " dir=" +
-                         engine::to_string(direction));
+                         engine::to_string(direction) +
+                         " budget=" + std::to_string(budget));
             const engine::BatchRunResult batch = engine::run_batch(
                 Kind::kCore, g.pg, *plan_,
                 std::span<const VertexId>(g.sources.data(), width),
-                matrix_options(threads, trim, direction));
+                matrix_options(threads, trim, direction, budget));
             expect_queries_match(g, batch, width);
           }
         }
@@ -399,9 +431,11 @@ TEST(BatchStateBytes, RunBatchWritesAtMostOneStatePassPerRound) {
   }
 
   const std::uint64_t before = state.stats().bytes_written();
+  // Budget 0: every state pass goes to the device.
   const engine::BatchRunResult batch = engine::run_batch(
       Kind::kCore, pg, plan, sources,
-      matrix_options(/*threads=*/1, /*trim=*/true, Direction::kAuto));
+      matrix_options(/*threads=*/1, /*trim=*/true, Direction::kAuto,
+                     /*budget=*/0));
   const std::uint64_t written = state.stats().bytes_written() - before;
   ASSERT_EQ(batch.traversals.size(), 1u);
   const std::uint64_t pass =

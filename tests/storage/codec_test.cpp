@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -334,6 +336,135 @@ TEST(Codec, AutoKeepsRawForSparseStreamsOverHugeRanges) {
       updates, {.policy = Policy::kAuto, .allow_bitmap = true,
                 .range_begin = 0, .range_end = 1ull << 32});
   EXPECT_EQ(blob.format, Format::kRaw);
+}
+
+/// The blob the exact three-cost model picks from the forced encodes:
+/// the smallest eligible one, ties to the lower format id (raw first).
+/// A forced format that degraded to raw is ineligible.
+template <typename T>
+EncodedBlob three_cost_reference(std::span<const T> records,
+                                 EncodeOptions opts) {
+  EncodedBlob best;
+  for (const Policy policy : {Policy::kRaw, Policy::kBitmap, Policy::kVarint}) {
+    opts.policy = policy;
+    EncodedBlob blob = encode_records<T>(records, opts);
+    const bool eligible = static_cast<int>(blob.format) ==
+                          static_cast<int>(policy);
+    if (policy == Policy::kRaw ||
+        (eligible && blob.bytes.size() < best.bytes.size())) {
+      best = std::move(blob);
+    }
+  }
+  return best;
+}
+
+template <typename T>
+void expect_auto_matches_reference(std::span<const T> records,
+                                   EncodeOptions opts,
+                                   std::array<int, kNumFormats>& picks) {
+  const EncodedBlob want = three_cost_reference<T>(records, opts);
+  opts.policy = Policy::kAuto;
+  const EncodedBlob got = encode_records<T>(records, opts);
+  ASSERT_EQ(got.format, want.format);
+  ASSERT_EQ(got.records, want.records);
+  ASSERT_EQ(got.bytes, want.bytes);
+  ++picks[static_cast<std::size_t>(got.format)];
+}
+
+/// `n` records over [begin, begin + range) with payloads from `level`
+/// (called per record) and destinations from `dst` (likewise), in a
+/// seeded shuffled order.
+template <typename T, typename Dst, typename Level>
+std::vector<T> make_stream(std::uint64_t n, Dst dst, Level level, Rng& rng) {
+  std::vector<T> out(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    out[i].dst = dst(i);
+    if constexpr (std::is_same_v<T, Upd>) {
+      out[i].level = level(i);
+    } else {
+      out[i].weight = level(i);
+      out[i].hops = level(i) + 1;
+    }
+  }
+  for (std::uint64_t i = n; i > 1; --i) {
+    std::swap(out[i - 1], out[rng.next_below(i)]);
+  }
+  return out;
+}
+
+TEST(Codec, AutoMatchesTheThreeCostReferenceOnSeededStreams) {
+  // kAuto leaves varint unpriced when the bitmap beats raw and is no
+  // larger than n × (1 + payload), the least a varint stream can cost.
+  // Its blob must still be exactly the one the three-cost reference
+  // picks. Random streams first, then streams at and one record either
+  // side of that floor whose varint costs exactly the floor (distinct
+  // destinations less than 128 apart), for both payload widths.
+  std::array<int, kNumFormats> picks{};
+  Rng rng(20261018);
+  const auto random_streams = [&]<typename T>(std::type_identity<T>) {
+    for (int trial = 0; trial < 300; ++trial) {
+      // Log-uniform ranges up to 2^30: wide sparse ones price varint at
+      // raw's cost or above. Bitmaps stay licensed only up to 2^16 bits.
+      const std::uint32_t begin =
+          static_cast<std::uint32_t>(rng.next_below(1000));
+      const std::uint64_t range =
+          1 + rng.next_below(std::uint64_t{1} << (1 + rng.next_below(30)));
+      const std::uint64_t n = rng.next_below(300);
+      const bool same_payload = rng.next_below(2) == 0;
+      const std::vector<T> records = make_stream<T>(
+          n,
+          [&](std::uint64_t) {
+            return begin + static_cast<std::uint32_t>(rng.next_below(range));
+          },
+          [&](std::uint64_t) {
+            return same_payload ? 3u
+                                : static_cast<std::uint32_t>(rng.next_below(4));
+          },
+          rng);
+      SCOPED_TRACE("trial " + std::to_string(trial));
+      expect_auto_matches_reference<T>(
+          records,
+          {.allow_bitmap = range <= (1u << 16) && rng.next_below(4) != 0,
+           .range_begin = begin,
+           .range_end = begin + range},
+          picks);
+    }
+  };
+  random_streams(std::type_identity<Upd>{});
+  random_streams(std::type_identity<WideUpd>{});
+
+  int at_floor = 0;
+  const auto floor_streams = [&]<typename T>(std::type_identity<T>) {
+    constexpr std::uint64_t payload = sizeof(T) - 4;
+    for (std::uint64_t words = 1; words <= 40; ++words) {
+      const std::uint64_t range = 64 * words;
+      const std::uint64_t bitmap_cost = payload + 8 * words;
+      const std::uint64_t floor_n = bitmap_cost / (1 + payload);
+      at_floor += floor_n * (1 + payload) == bitmap_cost;
+      for (std::uint64_t n = floor_n - 1; n <= floor_n + 1; ++n) {
+        if (n == 0 || n > range) continue;
+        const std::uint64_t step = std::min<std::uint64_t>(127, range / n);
+        const std::vector<T> records = make_stream<T>(
+            n, [&](std::uint64_t i) { return 500 + i * step; },
+            [](std::uint64_t) { return 2u; }, rng);
+        SCOPED_TRACE("words " + std::to_string(words) + ", n " +
+                     std::to_string(n));
+        expect_auto_matches_reference<T>(
+            records,
+            {.allow_bitmap = true, .range_begin = 500,
+             .range_end = 500 + range},
+            picks);
+      }
+    }
+  };
+  floor_streams(std::type_identity<Upd>{});
+  floor_streams(std::type_identity<WideUpd>{});
+
+  // The streams reach every format, and the floor itself is hit.
+  EXPECT_GT(picks[static_cast<std::size_t>(Format::kRaw)], 0);
+  EXPECT_GT(picks[static_cast<std::size_t>(Format::kBitmap)], 0);
+  EXPECT_GT(picks[static_cast<std::size_t>(Format::kVarint)], 0);
+  EXPECT_GT(at_floor, 0);
 }
 
 TEST(Codec, ForcedFormatsDegradeToRawWhenIneligible) {

@@ -163,6 +163,7 @@ TEST(CodecEquivalence, EncodedUpdateFilesAreByteIdenticalAcrossThreads) {
         options.sieve_updates = true;
         options.num_threads = threads;
         options.keep_files = true;
+        options.memory_budget_bytes = 0;  // every blob written to its file
         engine::run(Kind::kXstream, pg, plan, BfsProgram{}, options);
         for (std::uint32_t q = 0; q < pg.layout.num_partitions(); ++q) {
           auto f = dev.open(core::update_file_name(pg, q),

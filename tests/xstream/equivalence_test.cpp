@@ -2,13 +2,16 @@
 // generator family, must produce BIT-IDENTICAL results from the
 // X-Stream preset of the streaming engine (Kind::kXstream) and the
 // in-memory reference — at multiple partition counts, with either
-// reader mode, at T∈{1,2,4} worker threads, and regardless of device
+// reader mode, at T∈{1,2,4} worker threads, at three memory budgets
+// rotated over those cells (every state and update file on the device,
+// exactly the states resident, the default), and regardless of device
 // placement.
 // This is what licenses PR 4's I/O optimisations to validate against
 // inmem instead of re-deriving ground truth per algorithm.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <string>
 
 #include "common/temp_dir.hpp"
@@ -47,25 +50,45 @@ GraphMeta grid_meta(io::Device& dev) {
 
 /// Runs `program` through the in-memory reference once, then through
 /// the streaming engine at two partition counts x both reader modes x
-/// T∈{1,2,4} worker threads, demanding identical iteration counts,
-/// identical update totals, and byte-identical states.
+/// T∈{1,2,4} worker threads, with three memory budgets rotated over
+/// those cells, demanding identical iteration counts, identical update
+/// totals, and byte-identical states.
 template <graph::GraphProgram P>
 void expect_equivalent(io::Device& dev, const GraphMeta& meta,
                        const P& program) {
   const auto reference = inmem::run_graph(dev, meta, program);
   const io::StoragePlan plan = io::StoragePlan::single(dev);
-  for (const std::uint32_t parts : {2u, 5u}) {
+  const std::uint32_t partition_counts[] = {2, 5};
+  const io::ReaderMode modes[] = {io::ReaderMode::kPlain,
+                                  io::ReaderMode::kPrefetch};
+  const std::uint32_t thread_counts[] = {1, 2, 4};
+  const std::uint64_t budgets[] = {
+      0, meta.num_vertices * sizeof(typename P::State),
+      engine::Options{}.memory_budget_bytes};
+  for (std::size_t pi = 0; pi < std::size(partition_counts); ++pi) {
+    const std::uint32_t parts = partition_counts[pi];
     const graph::PartitionedGraph pg =
         graph::partition_edge_list(plan, meta, parts);
-    for (const io::ReaderMode mode :
-         {io::ReaderMode::kPlain, io::ReaderMode::kPrefetch}) {
-      for (const std::uint32_t threads : {1u, 2u, 4u}) {
+    for (std::size_t mi = 0; mi < std::size(modes); ++mi) {
+      const io::ReaderMode mode = modes[mi];
+      for (std::size_t ti = 0; ti < std::size(thread_counts); ++ti) {
+        const std::uint32_t threads = thread_counts[ti];
+        // Every budget meets every partition count, reader mode and
+        // thread count, and the matrix keeps its size.
+        const std::uint64_t budget = budgets[(pi + mi + ti) % 3];
         SCOPED_TRACE(std::string(P::kName) + " on " + meta.name + ", P=" +
                      std::to_string(parts) + ", reader=" + to_string(mode) +
-                     ", T=" + std::to_string(threads));
+                     ", T=" + std::to_string(threads) +
+                     ", budget=" + std::to_string(budget));
         engine::Options options;
         options.reader.mode = mode;
         options.num_threads = threads;
+        options.memory_budget_bytes = budget;
+        // Budget-0 cells stream raw update files. The others write
+        // varint ones, which are staged, so the budget can keep their
+        // blobs in memory; varint keeps every update, so the emitted
+        // counts still match inmem's.
+        if (budget > 0) options.update_codec = io::codec::Policy::kVarint;
         // T > 1 cuts scans into 1 KiB (128-edge) units, so the workers
         // retire many units of one partition concurrently.
         if (threads > 1) options.reader.buffer_bytes = 1024;

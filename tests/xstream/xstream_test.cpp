@@ -86,6 +86,7 @@ TEST(XStream, StoragePlanRoutesStreamsToTheirDevices) {
 
   engine::Options options;
   options.keep_files = true;
+  options.memory_budget_bytes = 0;  // every state file on the state device
   const io::IoStatsSnapshot edges_before = edges_dev.stats().snapshot();
   const auto result = engine::run(Kind::kXstream, pg, plan,
                                   BfsProgram{.root = 0}, options);
@@ -115,7 +116,9 @@ TEST(XStream, FilesAreRemovedByDefault) {
   const GraphMeta meta = chain_graph(dev, 12);
   const io::StoragePlan plan = io::StoragePlan::single(dev);
   const PartitionedGraph pg = partition_edge_list(plan, meta, 2);
-  (void)engine::run(Kind::kXstream, pg, plan, BfsProgram{.root = 0});
+  engine::Options options;
+  options.memory_budget_bytes = 0;  // the run writes its state files
+  (void)engine::run(Kind::kXstream, pg, plan, BfsProgram{.root = 0}, options);
   for (std::uint32_t p = 0; p < 2; ++p) {
     EXPECT_FALSE(dev.exists(state_file_name(pg, p)));
     EXPECT_FALSE(dev.exists(update_file_name(pg, p)));
@@ -210,6 +213,7 @@ TEST(XStream, UpdateShuffleIsByteIdenticalAcrossThreadCounts) {
   options.keep_files = true;
   options.max_iterations = 2;
   options.reader.buffer_bytes = 1024;
+  options.memory_budget_bytes = 0;  // the files are the subject
   options.num_threads = 1;
   const auto serial = engine::run(Kind::kXstream, pgs[0],
                                   io::StoragePlan::single(t1_dev), program,
@@ -272,6 +276,7 @@ TEST(XStream, PresetIgnoresTrimAndDirection) {
   full_stack.direction = engine::Direction::kAuto;
   full_stack.keep_files = true;
   full_stack.max_iterations = 3;  // stop with update files still on disk
+  full_stack.memory_budget_bytes = 0;  // and every state file
 
   Rig core_rig;
   const auto fastbfs = engine::run(Kind::kCore, core_rig.pg, core_rig.plan,
@@ -291,6 +296,7 @@ TEST(XStream, PresetIgnoresTrimAndDirection) {
   untrimmed.trim = false;
   untrimmed.keep_files = true;
   untrimmed.max_iterations = 3;
+  untrimmed.memory_budget_bytes = 0;
   const auto baseline = core::run(untrimmed_rig.pg, untrimmed_rig.plan,
                                   BfsProgram{}, untrimmed);
   ASSERT_EQ(xstream.iterations, baseline.iterations);
