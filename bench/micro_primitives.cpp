@@ -2,17 +2,19 @@
 // cut: varint encode/decode, whole-stream codec encode + decode
 // throughput per format (with the exact compression ratios), and the
 // staging-buffer sieve's hit rate / throughput on duplicate-heavy
-// update streams.
+// update streams, CHECKed against a hash-map reference sieve.
 //
 // Standalone (no google-benchmark): wall-clocked loops over synthetic
 // update streams shaped like the engines' real traffic — a dense
 // BFS-style round (identical payloads, heavy duplicates), a power-law
 // round (distinct payloads), and a sparse round. Results land in
 // BENCH_pr7_micro.json (--out=FILE); --quick shrinks the streams.
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "json_writer.hpp"
@@ -216,44 +218,117 @@ void bench_codec(Json& json, io::Device& dev, const std::vector<Shape>& shapes,
   table.print();
 }
 
+/// What a sieve hands the shuffle: every window's staged records in
+/// order, per destination partition, and the updates it dropped.
+struct SieveOutput {
+  std::vector<std::vector<Update>> staged;
+  std::uint64_t sieved = 0;
+};
+
+/// The reference sieve: the staging sieve's rule (first sighting keeps
+/// the record and its position, dominated or merged later ones drop)
+/// over a std::unordered_map per window.
+SieveOutput reference_sieve(const graph::BfsProgram& program,
+                            const graph::PartitionLayout& layout,
+                            const std::vector<Update>& updates,
+                            std::size_t window_records) {
+  SieveOutput out;
+  out.staged.resize(layout.num_partitions());
+  std::vector<std::vector<Update>> buckets(layout.num_partitions());
+  std::unordered_map<graph::VertexId, std::uint32_t> window;
+  const auto retire = [&] {
+    for (std::uint32_t q = 0; q < buckets.size(); ++q) {
+      out.staged[q].insert(out.staged[q].end(), buckets[q].begin(),
+                           buckets[q].end());
+      buckets[q].clear();
+    }
+    window.clear();
+  };
+  std::size_t in_window = 0;
+  for (const Update& u : updates) {
+    std::vector<Update>& bucket = buckets[layout.owner(u.dst)];
+    const auto [it, inserted] = window.try_emplace(
+        u.dst, static_cast<std::uint32_t>(bucket.size()));
+    if (inserted) {
+      bucket.push_back(u);
+    } else {
+      Update& champion = bucket[it->second];
+      if (!program.dominates(champion, u)) program.sieve_merge(champion, u);
+      ++out.sieved;
+    }
+    if (++in_window == window_records) {
+      retire();
+      in_window = 0;
+    }
+  }
+  retire();
+  return out;
+}
+
 void bench_sieve(Json& json, const std::vector<Shape>& shapes,
                  std::size_t window_records) {
-  // The engines' exact staging path: ScatterStage with the sieve on,
-  // windows retired every `window_records` staged updates (the
-  // staging-buffer lifetime scatter uses).
+  // The engines' exact staging path: ScatterStage with a window from
+  // SieveWindows, retired every `window_records` staged updates (the
+  // staging-buffer lifetime scatter uses) by clear_buckets, as flush
+  // does. The clock stops while the retired records are copied out for
+  // the check against the reference sieve.
   const graph::BfsProgram program{};
   metrics::Table table({"stream", "window", "updates", "sieved", "hit rate",
                         "Mupd/s"});
   json.open("sieve");
   for (const Shape& shape : shapes) {
     const graph::PartitionLayout layout(shape.range_end, 4);
+    core::detail::SieveWindows windows(layout.num_vertices());
     core::detail::ScatterStage<graph::BfsProgram> stage(program, layout,
-                                                        /*sieve=*/true);
-    Stopwatch clock;
-    std::size_t in_window = 0;
-    for (const Update& u : shape.updates) {
-      stage.stage(u);
-      if (++in_window == window_records) {
-        for (auto& bucket : stage.buckets) bucket.clear();
-        stage.window.clear();
-        in_window = 0;
+                                                        &windows);
+    SieveOutput got;
+    got.staged.resize(layout.num_partitions());
+    double s = 0.0;
+    for (std::size_t begin = 0; begin < shape.updates.size();
+         begin += window_records) {
+      const std::size_t end =
+          std::min(shape.updates.size(), begin + window_records);
+      Stopwatch clock;
+      for (std::size_t i = begin; i < end; ++i) stage.stage(shape.updates[i]);
+      s += clock.seconds();
+      for (std::uint32_t q = 0; q < stage.buckets.size(); ++q) {
+        got.staged[q].insert(got.staged[q].end(), stage.buckets[q].begin(),
+                             stage.buckets[q].end());
       }
+      clock.restart();
+      stage.clear_buckets();
+      s += clock.seconds();
     }
-    const double s = clock.seconds();
     const std::uint64_t emitted = stage.counts.emitted;
-    const std::uint64_t sieved = stage.counts.sieved;
+    got.sieved = stage.counts.sieved;
+
+    const SieveOutput want =
+        reference_sieve(program, layout, shape.updates, window_records);
+    FB_CHECK_MSG(got.sieved == want.sieved,
+                 shape.name << ": the sieve dropped " << got.sieved
+                            << " updates, the reference " << want.sieved);
+    for (std::uint32_t q = 0; q < layout.num_partitions(); ++q) {
+      FB_CHECK_MSG(got.staged[q].size() == want.staged[q].size() &&
+                       std::memcmp(got.staged[q].data(),
+                                   want.staged[q].data(),
+                                   got.staged[q].size() * sizeof(Update)) == 0,
+                   shape.name << ": partition " << q
+                              << "'s staged records differ from the "
+                                 "reference sieve's");
+    }
+
     const double hit_rate =
-        static_cast<double>(sieved) / static_cast<double>(emitted);
+        static_cast<double>(got.sieved) / static_cast<double>(emitted);
     table.add_row({shape.name, metrics::Table::count(window_records),
                    metrics::Table::count(emitted),
-                   metrics::Table::count(sieved),
+                   metrics::Table::count(got.sieved),
                    metrics::Table::percent(hit_rate),
                    metrics::Table::count(static_cast<std::uint64_t>(
                        static_cast<double>(emitted) / 1e6 / s))});
     json.open(shape.name);
     json.integer("window_records", window_records);
     json.integer("updates", emitted);
-    json.integer("sieved", sieved);
+    json.integer("sieved", got.sieved);
     json.number("hit_rate", hit_rate);
     json.number("mupd_per_s", static_cast<double>(emitted) / 1e6 / s);
     json.close();

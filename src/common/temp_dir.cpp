@@ -1,7 +1,11 @@
 #include "common/temp_dir.hpp"
 
 #include <atomic>
+#include <cerrno>
+#include <cstring>
+#include <string>
 
+#include <stdlib.h>
 #include <unistd.h>
 
 #include "common/check.hpp"
@@ -9,15 +13,19 @@
 namespace fbfs {
 
 TempDir::TempDir(const std::string& prefix) {
+  // mkdtemp creates a directory that did not exist: a process reusing
+  // the pid of one that died before removing its directories never
+  // starts inside them. The pid and counter only say whose it is.
   static std::atomic<std::uint64_t> counter{0};
   const std::uint64_t id = counter.fetch_add(1);
-  const auto root = std::filesystem::temp_directory_path();
-  path_ = root / (prefix + "-" + std::to_string(::getpid()) + "-" +
-                  std::to_string(id));
-  std::error_code ec;
-  std::filesystem::create_directories(path_, ec);
-  FB_CHECK_MSG(!ec, "cannot create temp dir " << path_.string() << ": "
-                                              << ec.message());
+  std::string name = (std::filesystem::temp_directory_path() /
+                      (prefix + "-" + std::to_string(::getpid()) + "-" +
+                       std::to_string(id) + "-XXXXXX"))
+                         .string();
+  FB_CHECK_MSG(::mkdtemp(name.data()) != nullptr,
+               "cannot create temp dir " << name << ": "
+                                         << std::strerror(errno));
+  path_ = name;
 }
 
 TempDir::~TempDir() {

@@ -154,6 +154,9 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
   const std::uint64_t n = layout.num_vertices();
 
   engine::RunResult<P> result;
+  // Every device's counters at the call's start: the epilogue row gets
+  // whatever I/O of the call no round's row holds.
+  const metrics::RoleSnapshots io_at_start = plan.stats_snapshot();
   AtomicBitmap active(n);
   AtomicBitmap next_active(n);
 
@@ -241,6 +244,12 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
   }();
 
   metrics::Collector* const collector = options.collector;
+
+  // The staging sieve's windows (scatter.hpp), held for the whole run:
+  // one per concurrently live top-down scan group, allocated on first
+  // need. Bottom-up pulls take none.
+  std::optional<detail::SieveWindows> sieve_windows;
+  if (options.sieve_updates) sieve_windows.emplace(n);
 
   // Resolves partition p's pending stay stream: bounded grace wait,
   // cancel on timeout, settle, then swap the input on commit or fall
@@ -454,8 +463,9 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
               exec, input, layout,
               detail::RoundScatter<P>{program, result.iterations,
                                       frontier_masks},
-              active, program, options.reader, options.sieve_updates, fanout,
-              sink, collector);
+              active, program, options.reader,
+              sieve_windows ? &*sieve_windows : nullptr, fanout, sink,
+              collector);
         }
         FB_CHECK_MSG(scattered.scanned == input_edges[p],
                      "partition " << p << " input of " << pg.meta.name
@@ -505,7 +515,9 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
     if (stats.updates_emitted == 0) {
       // The uncounted final round may still have resolved or started
       // trims; fold its counters into the epilogue row so the run
-      // totals keep reconciling against the per-iteration rows.
+      // totals keep reconciling against the per-iteration rows. (Its
+      // I/O reaches that row at the end of the run, with the rest of
+      // the call's I/O that no round's row holds.)
       result.epilogue.trims_started += stats.trims_started;
       result.epilogue.trims_committed += stats.trims_committed;
       result.epilogue.trims_cancelled += stats.trims_cancelled;
@@ -577,8 +589,11 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
     FB_CHECK_EQ(sum.trims_failed, result.trims_failed);
     FB_CHECK_EQ(sum.stay_edges_written, result.stay_edges_written);
   }
+  writer.reset();  // joins the stay writer: its last write is done
   result.states = store.collect();
   if (!options.keep_files) detail::remove_run_files(pg, plan);
+  metrics::capture_epilogue_io(plan, io_at_start, result.per_iteration,
+                               result.epilogue);
   return result;
 }
 

@@ -74,8 +74,8 @@ namespace fbfs::core::detail {
 /// straddling a boundary re-emits deterministically (byte-identical
 /// records for PullCapable, disjoint-mask records with the same union
 /// for masked programs; both exact under the idempotent gather). The
-/// staging sieve stays off here: claiming already dedupes within a
-/// block.
+/// staging sieve stays off here, so a pull takes no sieve window:
+/// claiming already dedupes within a block.
 template <graph::GraphProgram P>
 ScatterResult pull_partition(
     const ExecContext& exec, io::Device& input_dev,
@@ -204,13 +204,13 @@ ScatterResult pull_partition(
       }
       extents.push_back({units[u].first_block * kBlockBytes, records});
     }
-    return Group{ScatterStage<P>(program, layout, /*sieve=*/false), first,
+    return Group{ScatterStage<P>(program, layout, /*windows=*/nullptr), first,
                  read_extents(*file, extents)};
   };
   // Re-windows the unit on the block boundaries the view fixed at build
   // time.
   const auto work = [&](Group& group, std::uint64_t u) {
-    const std::span<const graph::Edge> records = group.reads[u - group.first];
+    const std::span<const graph::Edge> records = group.read(u);
     std::size_t off = 0;
     for (std::uint64_t b = 0; b < units[u].num_blocks; ++b) {
       const std::size_t n =

@@ -6,13 +6,17 @@
 // target. The pieces, in pipeline order: the update fan-out (P open
 // writers on the updates device); the trim sink, which holds the dead
 // set and receives a trimming scan's survivors; the state-free update
-// source; the staging stage with the sieve; and the partition scan. A
-// scan is cut into fixed-size units that run_ordered
-// (common/parallel.hpp) loads and works on concurrently and retires
-// strictly in scan order, so update files and stay survivors are
-// byte-identical at every thread count. The bottom-up scan in
-// pull.hpp runs on the same stage, fan-out and runner; the passes over
-// vertex state (init, gather, collect) live in vertex_state.hpp.
+// source; the sieve's windows; the staging stage with the sieve; and
+// the partition scan. A scan is cut into fixed-size units that
+// run_ordered (common/parallel.hpp) loads and works on concurrently and
+// retires strictly in scan order, so update files and stay survivors
+// are byte-identical at every thread count. The sieve keeps one flat
+// slot per vertex id in a window the run owns; a scan group borrows one
+// for its lifetime and every retire resets just the slots it used, so
+// no unit hashes, allocates per update or clears O(n). The bottom-up
+// scan in pull.hpp runs on the same stage, fan-out and runner, with the
+// sieve off; the passes over vertex state (init, gather, collect) live
+// in vertex_state.hpp.
 #pragma once
 
 #include <algorithm>
@@ -20,9 +24,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/bitmap.hpp"
@@ -204,51 +209,128 @@ inline void add_live_counts(metrics::Collector* collector,
   collector->live().add_updates(r.emitted, r.sieved);
 }
 
-/// The staging state of one scan unit: per-destination-partition update
-/// buckets, (when sieving) a dst -> bucket-slot map over the unit, the
+/// The staging sieve's windows for one run; core::run owns them. A
+/// window is one slot per vertex id: kNoSlot, or the bucket index of the
+/// record its stage holds for that destination in the current unit. A
+/// scan group's stage takes a window at load and gives it back after the
+/// group's last retire, every slot kNoSlot again. A window is allocated
+/// only when every existing one is held, so a run allocates at most one
+/// per concurrently live group: the pool's thread count, or one on the
+/// serial path. Windows sit outside engine.memory_budget, at 4 B per
+/// vertex each.
+class SieveWindows {
+ public:
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  explicit SieveWindows(std::uint64_t num_vertices)
+      : num_vertices_(num_vertices) {}
+
+  SieveWindows(const SieveWindows&) = delete;
+  SieveWindows& operator=(const SieveWindows&) = delete;
+
+  /// A window no live stage holds, every slot kNoSlot.
+  std::vector<std::uint32_t> take() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!idle_.empty()) {
+        std::vector<std::uint32_t> window = std::move(idle_.back());
+        idle_.pop_back();
+        return window;
+      }
+      ++allocated_;
+      // Room for every window, so give_back never allocates.
+      idle_.reserve(allocated_);
+    }
+    return std::vector<std::uint32_t>(num_vertices_, kNoSlot);
+  }
+
+  /// Takes back a window from take(); every slot must be kNoSlot again.
+  void give_back(std::vector<std::uint32_t> window) noexcept {
+    std::lock_guard<std::mutex> lock(mutex_);
+    idle_.push_back(std::move(window));
+  }
+
+  /// Windows allocated so far: the most that stages have held at once.
+  std::size_t allocated() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return allocated_;
+  }
+
+ private:
+  const std::uint64_t num_vertices_;
+  mutable std::mutex mutex_;
+  std::vector<std::vector<std::uint32_t>> idle_;  // guarded by mutex_
+  std::size_t allocated_ = 0;                      // guarded by mutex_
+};
+
+/// The staging state of one scan group: per-destination-partition update
+/// buckets, (when sieving) a window from the run's SieveWindows, the
 /// unit's trim survivors, and its counters. A unit is one staging-buffer
 /// lifetime — exactly `reader.buffer_bytes / sizeof(Edge)` records in a
 /// top-down scan at every thread count — so the sieve sees identical
-/// windows whatever the schedule and the update files stay
-/// byte-identical. Within a unit the first update to a destination
-/// claims the slot; a later non-dominated update is folded into the
-/// champion IN that slot via program.sieve_merge (file position = first
-/// sighting, value = the fold: min-folds replace, mask folds OR), and
-/// either way the later record is dropped — exact by the dominates /
-/// sieve_merge contract (graph/program.hpp).
+/// units whatever the schedule and the update files stay byte-identical.
+/// Within a unit the first update to a destination claims the slot; a
+/// later non-dominated update is folded into the champion IN that slot
+/// via program.sieve_merge (file position = first sighting, value = the
+/// fold: min-folds replace, mask folds OR), and either way the later
+/// record is dropped — exact by the dominates / sieve_merge contract
+/// (graph/program.hpp). Every staged record is its destination's first
+/// sighting, so resetting the slots of the records a retire empties
+/// leaves the window all kNoSlot; the destructor does the same for a
+/// unit a throw abandoned, so no dirty window reaches another group.
 template <graph::GraphProgram P>
 struct ScatterStage {
   using Update = typename P::Update;
 
   const P& program;
   const graph::PartitionLayout& layout;
-  bool sieve;
   std::vector<std::vector<Update>> buckets;
-  std::unordered_map<graph::VertexId, std::uint32_t> window;
   std::vector<graph::Edge> survivors;
   ScatterResult counts;
 
+  /// Sieves through a window taken from `windows`; with none, every
+  /// update is staged.
   ScatterStage(const P& program, const graph::PartitionLayout& layout,
-               bool sieve)
+               SieveWindows* windows)
       : program(program),
         layout(layout),
-        sieve(sieve),
-        buckets(layout.num_partitions()) {}
+        buckets(layout.num_partitions()),
+        windows_(windows) {
+    if (windows_ != nullptr) {
+      window_ = windows_->take();
+      FB_CHECK_EQ(window_.size(), layout.num_vertices());
+    }
+  }
+
+  ScatterStage(ScatterStage&&) = default;  // the source keeps no window
+  ScatterStage(const ScatterStage&) = delete;
+  ScatterStage& operator=(const ScatterStage&) = delete;
+  ScatterStage& operator=(ScatterStage&&) = delete;
+
+  ~ScatterStage() {
+    if (window_.empty()) return;
+    clear_buckets();
+    windows_->give_back(std::move(window_));
+  }
 
   void stage(const Update& u) {
     ++counts.emitted;
+    // owner() CHECKs u.dst against the vertex count, which bounds the
+    // window index too.
     std::vector<Update>& bucket = buckets[layout.owner(u.dst)];
-    if (sieve) {
-      const auto [it, inserted] = window.try_emplace(
-          graph::VertexId(u.dst), static_cast<std::uint32_t>(bucket.size()));
-      if (!inserted) {
-        Update& champion = bucket[it->second];
-        if (!program.dominates(champion, u)) program.sieve_merge(champion, u);
-        ++counts.sieved;
-        return;
-      }
+    if (window_.empty()) {
+      bucket.push_back(u);
+      return;
     }
-    bucket.push_back(u);
+    std::uint32_t& slot = window_[u.dst];
+    if (slot == SieveWindows::kNoSlot) {
+      bucket.push_back(u);  // first: a throw here leaves the slot free
+      slot = static_cast<std::uint32_t>(bucket.size() - 1);
+      return;
+    }
+    Update& champion = bucket[slot];
+    if (!program.dominates(champion, u)) program.sieve_merge(champion, u);
+    ++counts.sieved;
   }
 
   /// Scatters `batch`, a slice of partition `partition`'s input, into
@@ -291,11 +373,9 @@ struct ScatterStage {
   /// scan order.
   void flush(UpdateFanout<Update>& fanout, ScatterResult& total) {
     for (std::uint32_t q = 0; q < buckets.size(); ++q) {
-      if (buckets[q].empty()) continue;
-      fanout.append_batch(q, buckets[q]);
-      buckets[q].clear();
+      if (!buckets[q].empty()) fanout.append_batch(q, buckets[q]);
     }
-    window.clear();
+    clear_buckets();
     total.scanned += counts.scanned;
     total.emitted += counts.emitted;
     total.sieved += counts.sieved;
@@ -303,6 +383,21 @@ struct ScatterStage {
     total.dead += counts.dead;
     counts = {};
   }
+
+  /// Empties the buckets and frees the window slot of every record in
+  /// them, which leaves the window all kNoSlot.
+  void clear_buckets() {
+    for (std::vector<Update>& bucket : buckets) {
+      if (!window_.empty()) {
+        for (const Update& u : bucket) window_[u.dst] = SieveWindows::kNoSlot;
+      }
+      bucket.clear();
+    }
+  }
+
+ private:
+  SieveWindows* windows_;
+  std::vector<std::uint32_t> window_;  // empty: the sieve is off
 };
 
 /// A unit's place in a file: `records` edges from byte `offset`.
@@ -318,13 +413,14 @@ struct Extent {
 /// modelled one (an in-order read_at loop) charges each read as the
 /// disk would, so a read starting where the scan's previous one ended
 /// continues the head instead of seeking.
-inline std::vector<std::vector<graph::Edge>> read_extents(
+inline std::vector<io::OverwriteBuffer<graph::Edge>> read_extents(
     io::File& file, std::span<const Extent> extents) {
-  std::vector<std::vector<graph::Edge>> buffers(extents.size());
+  std::vector<io::OverwriteBuffer<graph::Edge>> buffers;
+  buffers.reserve(extents.size());
   std::vector<io::ReadRequest> requests;
   requests.reserve(extents.size());
   for (std::size_t k = 0; k < extents.size(); ++k) {
-    buffers[k].resize(static_cast<std::size_t>(extents[k].records));
+    buffers.emplace_back(static_cast<std::size_t>(extents[k].records));
     requests.push_back(
         {&file, extents[k].offset, buffers[k].data(),
          static_cast<std::size_t>(extents[k].records * sizeof(graph::Edge)),
@@ -348,7 +444,13 @@ template <graph::GraphProgram P>
 struct ScanGroup {
   ScatterStage<P> stage;
   std::uint64_t first = 0;  // the group's first unit
-  std::vector<std::vector<graph::Edge>> reads;
+  std::vector<io::OverwriteBuffer<graph::Edge>> reads;
+
+  /// Unit u's edges as read_extents delivered them.
+  std::span<const graph::Edge> read(std::uint64_t u) const {
+    const io::OverwriteBuffer<graph::Edge>& buffer = reads[u - first];
+    return {buffer.data(), buffer.size()};
+  }
 };
 
 /// Units a scan of `device` reads per read_batch: a real device keeps
@@ -378,10 +480,11 @@ struct ScanInput {
 
 /// One partition's scatter: scans `input`, builds the update of every
 /// active-source edge through `source`, routes emitted updates into the
-/// fan-out — sieving dominated duplicates at the staging buffers when
-/// `sieve_updates` — and sorts every edge by `trim`'s dead set. With a
-/// collector, the retire steps are timed as shuffle-flush latencies and
-/// the finished scan feeds the live op counters.
+/// fan-out — sieving dominated duplicates at the staging buffers, in a
+/// window from `windows` (null: no sieve) — and sorts every edge by
+/// `trim`'s dead set. With a collector, the retire steps are timed as
+/// shuffle-flush latencies and the finished scan feeds the live op
+/// counters.
 ///
 /// The scan is cut into units of `reader.buffer_bytes / sizeof(Edge)`
 /// records and runs on run_ordered. Serial (no pool): one streaming
@@ -389,15 +492,16 @@ struct ScanInput {
 /// unit as one batch, and one stage serves the whole scan. Parallel:
 /// the scan opens its input once and every unit is one positional read
 /// on that File, grouped per read_batch by read_group_units; each group
-/// task stages its own units. A decoded stay is sliced in memory either
-/// way. Every unit retires in scan order, so update files and stay
-/// survivors are byte-identical at every thread count.
+/// task stages its own units in its own stage and window. A decoded
+/// stay is sliced in memory either way. Every unit retires in scan
+/// order, so update files and stay survivors are byte-identical at every
+/// thread count.
 template <graph::GraphProgram P>
 ScatterResult scatter_partition(
     const ExecContext& exec, const ScanInput& input,
     const graph::PartitionLayout& layout, const RoundScatter<P>& source,
     const AtomicBitmap& active, const P& program,
-    const io::ReaderOptions& reader, bool sieve_updates,
+    const io::ReaderOptions& reader, SieveWindows* windows,
     UpdateFanout<typename P::Update>& fanout, StayTrimSink& trim,
     metrics::Collector* collector = nullptr) {
   const std::uint64_t unit_records = std::max<std::uint64_t>(
@@ -430,7 +534,7 @@ ScatterResult scatter_partition(
 
   using Group = ScanGroup<P>;
   const auto load = [&](std::uint64_t first, std::uint64_t n) {
-    Group group{ScatterStage<P>(program, layout, sieve_updates), first, {}};
+    Group group{ScatterStage<P>(program, layout, windows), first, {}};
     if (file != nullptr) {
       std::vector<Extent> extents;
       for (std::uint64_t u = first; u < first + n; ++u) {
@@ -447,7 +551,7 @@ ScatterResult scatter_partition(
     if (stream != nullptr) {
       edges = stream->next_batch();
     } else if (file != nullptr) {
-      edges = group.reads[u - group.first];
+      edges = group.read(u);
     } else {
       edges = std::span<const graph::Edge>(input.decoded)
                   .subspan(u * unit_records, unit_size(u));

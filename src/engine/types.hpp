@@ -149,9 +149,14 @@ struct RunResult {
   std::uint32_t trims_cancelled = 0;
   std::uint32_t trims_failed = 0;
   std::uint64_t stay_edges_written = 0;
-  /// End-of-run settle row: trim resolutions that happened after
-  /// the last counted round land here, so the per-iteration rows plus
-  /// this row always sum to the run totals above (core::run CHECKs it).
+  /// Everything outside the counted rounds. Trim resolutions that
+  /// happened after the last counted round land here, so the
+  /// per-iteration rows plus this row always sum to the run totals above
+  /// (core::run CHECKs it). Its `io` and device totals hold the call's
+  /// I/O that no round's row does — init, the transposed view, the
+  /// uncounted final round, the end-of-run settle and the final collect
+  /// — so on a plan with dedicated devices the rows plus this row equal
+  /// each device's counter deltas over the call.
   metrics::IterationStats epilogue;
 
   /// Rounds run bottom-up (direction strategy).

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <array>
+#include <span>
 
 #include "metrics/iteration_stats.hpp"
 #include "storage/io_stats.hpp"
@@ -21,5 +22,16 @@ using RoleSnapshots = std::array<io::IoStatsSnapshot, io::kNumRoles>;
 /// scaled busy delta — the modelled bottleneck spindle of the round.
 void capture_iteration_io(const io::StoragePlan& plan,
                           const RoleSnapshots& before, IterationStats& stats);
+
+/// Fills `epilogue.io` and its distinct-device totals with the I/O since
+/// `call_start` (a snapshot from the start of an engine call) that no
+/// row of `rows` holds. Called after the call's last I/O, it makes the
+/// rows plus the epilogue sum to each role's counter deltas over the
+/// call. max_device_busy_ns is the busiest device's share outside the
+/// rows.
+void capture_epilogue_io(const io::StoragePlan& plan,
+                         const RoleSnapshots& call_start,
+                         std::span<const IterationStats> rows,
+                         IterationStats& epilogue);
 
 }  // namespace fbfs::metrics

@@ -200,6 +200,37 @@ inline void restore_record(const std::byte* payload, std::size_t record_size,
               record_size - dst_off - 4);
 }
 
+/// The record indexes [0, n) stably sorted by `dst_of(i)`: a radix sort
+/// on the 32-bit destination, least significant byte first, skipping a
+/// byte every record shares. It takes one n-entry scratch array and
+/// nothing sized by the destination range, so a sparse stream over a
+/// huge range sorts as cheaply as a dense one.
+template <typename DstOf>
+std::vector<std::uint32_t> stable_order_by_dst(std::uint64_t n,
+                                               const DstOf& dst_of) {
+  constexpr int kDigits = 4;
+  std::array<std::array<std::uint64_t, 256>, kDigits> counts{};
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint32_t dst = dst_of(i);
+    for (int d = 0; d < kDigits; ++d) ++counts[d][(dst >> (8 * d)) & 0xff];
+  }
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  std::vector<std::uint32_t> scratch;
+  for (int d = 0; d < kDigits; ++d) {
+    std::array<std::uint64_t, 256>& start = counts[d];
+    if (std::find(start.begin(), start.end(), n) != start.end()) continue;
+    std::uint64_t sum = 0;
+    for (std::uint64_t& c : start) sum += std::exchange(c, sum);
+    scratch.resize(n);
+    for (const std::uint32_t i : order) {
+      scratch[start[(dst_of(i) >> (8 * d)) & 0xff]++] = i;
+    }
+    order.swap(scratch);
+  }
+  return order;
+}
+
 }  // namespace detail
 
 // ------------------------------------------------------------- encode
@@ -314,18 +345,13 @@ EncodedBlob encode_records(std::span<const T> records,
         varint_ok && (opts.policy == Policy::kVarint ||
                       (opts.policy == Policy::kAuto && !bitmap_wins));
 
-    // Destination order for the varint format (and its exact cost):
+    // Destination order for the varint format (and its exact cost): a
     // stable sort keeps equal-dst records in append order, so the
     // encoding is deterministic.
     std::vector<std::uint32_t> order;
     std::uint64_t varint_payload = 0;
     if (price_varint) {
-      order.resize(n);
-      std::iota(order.begin(), order.end(), 0u);
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::uint32_t a, std::uint32_t b) {
-                         return dst_of(a) < dst_of(b);
-                       });
+      order = detail::stable_order_by_dst(n, dst_of);
       std::uint64_t prev = opts.range_begin;
       for (std::uint64_t i = 0; i < n; ++i) {
         const std::uint32_t dst = dst_of(order[i]);

@@ -1,10 +1,16 @@
 // units, stopwatch, temp_dir, log level plumbing, CHECK macros.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -46,6 +52,38 @@ TEST(TempDir, CreatesUniqueDirectoryAndRemovesIt) {
     kept = a.path();
   }
   EXPECT_FALSE(std::filesystem::exists(kept));
+}
+
+TEST(TempDir, NeverAdoptsAnExistingDirectory) {
+  // A dead process, such as an aborted death-test child, can leave its
+  // directories behind under names a later process with the same pid
+  // would pick. Learn those names from one TempDir, <prefix>-<pid>-<n>
+  // for the next counters n, pre-create them with a sentinel inside,
+  // and create that many TempDirs: none may start inside one.
+  constexpr std::uint64_t kNext = 4;
+  const std::string head = "adopt-" + std::to_string(::getpid()) + "-";
+  std::uint64_t counter = 0;
+  {
+    const TempDir probe("adopt");
+    const std::string name = probe.path().filename().string();
+    ASSERT_EQ(name.rfind(head, 0), 0u) << name;
+    counter = std::stoull(name.substr(head.size()));
+  }
+  const std::filesystem::path root = std::filesystem::temp_directory_path();
+  std::vector<std::filesystem::path> planted;
+  for (std::uint64_t i = 1; i <= kNext; ++i) {
+    planted.push_back(root / (head + std::to_string(counter + i)));
+    std::filesystem::create_directories(planted.back());
+    std::ofstream(planted.back() / "sentinel") << "stale";
+  }
+  for (std::uint64_t i = 1; i <= kNext; ++i) {
+    const TempDir dir("adopt");
+    EXPECT_TRUE(std::filesystem::is_empty(dir.path())) << dir.str();
+    EXPECT_FALSE(std::filesystem::exists(dir.path() / "sentinel"));
+  }
+  for (const std::filesystem::path& p : planted) {
+    std::filesystem::remove_all(p);
+  }
 }
 
 TEST(Log, ParsesLevels) {

@@ -673,6 +673,56 @@ TEST(CoreEngine, SpilledUpdateFilesMatchTheOutOfCoreRun) {
   }
 }
 
+TEST(CoreEngine, EpilogueRowHoldsTheIoOutsideTheCountedRounds) {
+  // Init, the transposed view, the uncounted final round, the end-of-run
+  // settle and the final collect all move bytes outside the counted
+  // rounds; the epilogue row holds them, so on dedicated devices the
+  // rows plus the epilogue equal each device's counters over the call.
+  // Trims race the stay writer against the round snapshots, so the
+  // split between rows varies from run to run; the sum may not.
+  io::DeviceModel model = io::DeviceModel::ssd();
+  model.time_scale = 0.0;
+  DedicatedRig rig(model);
+  const GraphMeta meta = rmat_graph(rig.edges);
+  const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 4);
+  for (int run = 0; run < 20; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    engine::Options options = budget_options(0);
+    options.num_threads = run % 2 == 0 ? 1 : 4;
+    options.stay_buffer_bytes = 4096;  // many stay writes per trim
+    const metrics::RoleSnapshots before = rig.plan.stats_snapshot();
+    const auto result = core::run(pg, rig.plan, BfsProgram{}, options);
+    const metrics::RoleSnapshots after = rig.plan.stats_snapshot();
+    ASSERT_GT(result.trims_started, 0u);
+
+    metrics::IterationStats sum = result.epilogue;
+    for (const metrics::IterationStats& row : result.per_iteration) {
+      for (std::size_t r = 0; r < io::kNumRoles; ++r) {
+        sum.io[r].bytes_read += row.io[r].bytes_read;
+        sum.io[r].bytes_written += row.io[r].bytes_written;
+        sum.io[r].read_ops += row.io[r].read_ops;
+        sum.io[r].write_ops += row.io[r].write_ops;
+        sum.io[r].seeks += row.io[r].seeks;
+      }
+      sum.device_bytes_read += row.device_bytes_read;
+      sum.device_bytes_written += row.device_bytes_written;
+    }
+    std::uint64_t device_read = 0, device_written = 0;
+    for (std::size_t r = 0; r < io::kNumRoles; ++r) {
+      const io::IoStatsSnapshot d = after[r].delta(before[r]);
+      EXPECT_EQ(sum.io[r].bytes_read, d.bytes_read) << "role " << r;
+      EXPECT_EQ(sum.io[r].bytes_written, d.bytes_written) << "role " << r;
+      EXPECT_EQ(sum.io[r].read_ops, d.read_ops) << "role " << r;
+      EXPECT_EQ(sum.io[r].write_ops, d.write_ops) << "role " << r;
+      EXPECT_EQ(sum.io[r].seeks, d.seeks) << "role " << r;
+      device_read += d.bytes_read;
+      device_written += d.bytes_written;
+    }
+    EXPECT_EQ(sum.device_bytes_read, device_read);
+    EXPECT_EQ(sum.device_bytes_written, device_written);
+  }
+}
+
 TEST(CoreEngine, StayFileNameEncodesPartitioning) {
   DedicatedRig rig;
   const GraphMeta meta = chain_graph(rig.edges, 8);

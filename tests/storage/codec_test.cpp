@@ -467,6 +467,103 @@ TEST(Codec, AutoMatchesTheThreeCostReferenceOnSeededStreams) {
   EXPECT_GT(at_floor, 0);
 }
 
+/// The varint blob with its records ordered by std::stable_sort on the
+/// destination: the reference the encoder's own sort must match byte for
+/// byte.
+template <typename T>
+std::vector<std::byte> stable_sort_varint_reference(std::vector<T> records,
+                                                    std::uint64_t range_begin,
+                                                    std::uint64_t range_end) {
+  std::stable_sort(records.begin(), records.end(),
+                   [](const T& a, const T& b) { return a.dst < b.dst; });
+  constexpr std::uint32_t off = dst_offset_of<T>();
+  std::vector<std::byte> payload;
+  std::uint64_t prev = range_begin;
+  for (const T& r : records) {
+    std::byte delta[10];
+    payload.insert(payload.end(), delta, delta + put_varint(r.dst - prev, delta));
+    const auto* bytes = reinterpret_cast<const std::byte*>(&r);
+    payload.insert(payload.end(), bytes, bytes + off);
+    payload.insert(payload.end(), bytes + off + 4, bytes + sizeof(T));
+    prev = r.dst;
+  }
+  FileHeader header;
+  header.format = static_cast<std::uint16_t>(Format::kVarint);
+  header.record_size = sizeof(T);
+  header.dst_offset = off;
+  header.record_count = records.size();
+  header.payload_bytes = payload.size();
+  header.range_begin = range_begin;
+  header.range_end = range_end;
+  std::vector<std::byte> blob(kHeaderBytes + payload.size());
+  std::memcpy(blob.data(), &header, kHeaderBytes);
+  std::copy(payload.begin(), payload.end(), blob.begin() + kHeaderBytes);
+  return blob;
+}
+
+TEST(Codec, VarintOrderMatchesAStableSortOnSeededStreams) {
+  // Seeded streams for both payload widths (4 and 12 bytes), from empty
+  // to 2^17 records, over partition ranges, a stay-shaped [0, n) range
+  // and the full 32-bit range: uniform destinations, heavy duplicates,
+  // a single destination, and destinations that differ only in their
+  // top byte (so the sort skips the bytes every record shares). Payloads
+  // are random, so a reordering of equal destinations shows.
+  Rng rng(20261019);
+  int streams = 0;
+  const auto check = [&]<typename T>(std::type_identity<T>) {
+    struct Range {
+      std::uint64_t begin, end;
+    };
+    for (const Range range : {Range{960, 2000}, Range{1u << 20, 3u << 20},
+                              Range{0, 1u << 17}, Range{0, 1ull << 32}}) {
+      for (const std::uint64_t n :
+           {0ull, 1ull, 2ull, 3ull, 255ull, 256ull, 257ull, 1000ull,
+            1ull << 17}) {
+        for (int shape = 0; shape < 4; ++shape) {
+          const std::uint64_t span = range.end - range.begin;
+          const auto dst = [&](std::uint64_t) -> std::uint32_t {
+            switch (shape) {
+              case 0:
+                return static_cast<std::uint32_t>(range.begin +
+                                                  rng.next_below(span));
+              case 1:
+                return static_cast<std::uint32_t>(
+                    range.begin + rng.next_below(std::min<std::uint64_t>(
+                                      span, 7)));
+              case 2:
+                return static_cast<std::uint32_t>(range.begin + span / 2);
+              default:
+                return static_cast<std::uint32_t>(
+                    range.begin + (span >> 8) * rng.next_below(4) +
+                    rng.next_below(2));
+            }
+          };
+          const std::vector<T> records = make_stream<T>(
+              n, dst,
+              [&](std::uint64_t) {
+                return static_cast<std::uint32_t>(rng.next_below(1000));
+              },
+              rng);
+          SCOPED_TRACE("range [" + std::to_string(range.begin) + ", " +
+                       std::to_string(range.end) + "), n " +
+                       std::to_string(n) + ", shape " + std::to_string(shape));
+          const EncodedBlob blob = encode_records<T>(
+              records, {.policy = Policy::kVarint,
+                        .range_begin = range.begin,
+                        .range_end = range.end});
+          ASSERT_EQ(blob.format, Format::kVarint);
+          ASSERT_EQ(blob.bytes, stable_sort_varint_reference<T>(
+                                    records, range.begin, range.end));
+          ++streams;
+        }
+      }
+    }
+  };
+  check(std::type_identity<Upd>{});
+  check(std::type_identity<WideUpd>{});
+  EXPECT_EQ(streams, 2 * 4 * 9 * 4);
+}
+
 TEST(Codec, ForcedFormatsDegradeToRawWhenIneligible) {
   const std::vector<Upd> mixed = {{1, 1}, {2, 2}};
   // Bitmap without the idempotence licence.
