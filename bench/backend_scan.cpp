@@ -90,7 +90,12 @@ double measure_scan(io::Device& dev, const std::string& name,
     io::ReaderOptions opts = prefetch
                                  ? io::ReaderOptions::prefetch(kReaderBuffer)
                                  : io::ReaderOptions::plain(kReaderBuffer);
-    opts.match_device(dev);  // ring depth follows the device queue depth
+    // A real device's ring is as deep as its queue; a modelled one keeps
+    // the default double-buffering (its timeline is serial).
+    if (dev.backend_kind() == io::BackendKind::kReal) {
+      opts.prefetch_depth =
+          std::max<std::size_t>(2, dev.backend_options().queue_depth);
+    }
     Stopwatch sw;
     auto reader = io::open_stream_reader(dev, name, opts);
     std::uint64_t total = 0;

@@ -2,7 +2,9 @@
 // cut: varint encode/decode, whole-stream codec encode + decode
 // throughput per format (with the exact compression ratios), and the
 // staging-buffer sieve's hit rate / throughput on duplicate-heavy
-// update streams, CHECKed against a hash-map reference sieve.
+// update streams, CHECKed against a hash-map reference sieve. Plus the
+// set-up sort that orders partition and transposed files
+// (graph::stable_sort_edges), CHECKed against std::stable_sort.
 //
 // Standalone (no google-benchmark): wall-clocked loops over synthetic
 // update streams shaped like the engines' real traffic — a dense
@@ -337,6 +339,59 @@ void bench_sieve(Json& json, const std::vector<Shape>& shapes,
   table.print();
 }
 
+void bench_edge_sort(Json& json, const std::vector<Shape>& shapes,
+                     std::uint32_t rounds) {
+  // Each shape's destinations as the keys of an edge array (the source
+  // records the input position, so any instability shows), sorted the
+  // way set-up sorts a transposed file, against std::stable_sort.
+  metrics::Table table({"stream", "edges", "key range", "sort MiB/s",
+                        "std::stable_sort MiB/s"});
+  json.open("edge_sort");
+  for (const Shape& shape : shapes) {
+    std::vector<graph::Edge> input;
+    input.reserve(shape.updates.size());
+    for (std::size_t i = 0; i < shape.updates.size(); ++i) {
+      input.push_back({static_cast<graph::VertexId>(i), shape.updates[i].dst});
+    }
+    const auto begin = static_cast<graph::VertexId>(shape.range_begin);
+    const std::uint64_t bytes = input.size() * sizeof(graph::Edge);
+    double sort_s = 1e30;
+    double std_s = 1e30;
+    std::vector<graph::Edge> got;
+    std::vector<graph::Edge> want;
+    for (std::uint32_t r = 0; r < rounds; ++r) {
+      got = input;
+      Stopwatch clock;
+      graph::stable_sort_edges(got, graph::EdgeKey::kDst, begin,
+                               shape.range_end);
+      sort_s = std::min(sort_s, clock.seconds());
+      want = input;
+      clock.restart();
+      std::stable_sort(want.begin(), want.end(),
+                       [](const graph::Edge& a, const graph::Edge& b) {
+                         return a.dst < b.dst;
+                       });
+      std_s = std::min(std_s, clock.seconds());
+    }
+    FB_CHECK_MSG(got == want, shape.name << ": stable_sort_edges differs "
+                                            "from std::stable_sort");
+    table.add_row({shape.name, metrics::Table::count(input.size()),
+                   metrics::Table::count(shape.range_end - shape.range_begin),
+                   metrics::Table::count(static_cast<std::uint64_t>(
+                       mib_per_sec(bytes, sort_s))),
+                   metrics::Table::count(static_cast<std::uint64_t>(
+                       mib_per_sec(bytes, std_s)))});
+    json.open(shape.name);
+    json.integer("edges", input.size());
+    json.integer("key_range", shape.range_end - shape.range_begin);
+    json.number("sort_mib_s", mib_per_sec(bytes, sort_s));
+    json.number("std_stable_sort_mib_s", mib_per_sec(bytes, std_s));
+    json.close();
+  }
+  json.close();
+  table.print();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -355,8 +410,8 @@ int main(int argc, char** argv) {
   init_log_level_from_env();
   metrics::print_experiment_header(
       "Update-stream primitive microbenches",
-      "varint + codec encode/decode throughput and the staging-sieve "
-      "hit rate on engine-shaped update streams");
+      "varint + codec encode/decode throughput, the staging-sieve hit "
+      "rate on engine-shaped update streams, and the set-up edge sort");
 
   const std::uint64_t n = quick ? (1ull << 18) : (1ull << 22);
   const std::uint32_t rounds = quick ? 3 : 5;
@@ -370,6 +425,7 @@ int main(int argc, char** argv) {
   bench_varint(json, n);
   bench_codec(json, dev, shapes, rounds);
   bench_sieve(json, shapes, /*window_records=*/1 << 17);
+  bench_edge_sort(json, shapes, rounds);
 
   std::ofstream out(out_path);
   FB_CHECK_MSG(out.good(), "cannot write " << out_path);

@@ -211,7 +211,8 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
   std::vector<std::uint64_t> input_edges(pg.edges_per_partition);
   // Dead edges seen in the latest scan of the partition's CURRENT input
   // (replaced per scan — deadness is monotone, so a stale count only
-  // undercounts; reset to 0 when the input swaps to a fresh stay file).
+  // undercounts, as does a scan that skipped blocks; reset to 0 when the
+  // input swaps to a fresh stay file).
   std::vector<std::uint64_t> dead_seen(num_partitions, 0);
   std::vector<std::optional<detail::PendingTrim>> pending(num_partitions);
 
@@ -390,7 +391,7 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
           const detail::ScatterResult pulled = detail::pull_partition<P>(
               exec, plan.edges(), graph::transposed_file(pg, q),
               transposed.in_edges_per_partition[q],
-              std::span<const graph::TransposedBlock>(transposed.blocks[q]),
+              std::span<const graph::EdgeBlock>(transposed.blocks[q]),
               layout, q, active, *claimed, program, result.iterations,
               options.reader, frontier_masks, seen_masks, fanout, collector);
           FB_CHECK_MSG(
@@ -441,7 +442,9 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
         // Scans partition p's current input, building each active-source
         // update from the round number. The input (a decoded stay
         // included) and the scan's readers are gone before the stay
-        // stream can commit a rename.
+        // stream can commit a rename. A partition file brings its block
+        // index, so a scan that does not trim reads only the blocks
+        // holding an active source; stays carry no index.
         detail::ScatterResult scattered;
         {
           detail::ScanInput input;
@@ -450,6 +453,7 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
           if (!input_on_stay[p]) {
             input.device = &plan.edges();
             input.name = pg.partition_file(p);
+            if (!pg.blocks.empty()) input.blocks = pg.blocks[p];
           } else if (stay_format[p] == io::codec::Format::kRaw) {
             input.device = &plan.stay();
             input.name = stay_file_name(pg, p);
@@ -467,12 +471,14 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
               sieve_windows ? &*sieve_windows : nullptr, fanout, sink,
               collector);
         }
-        FB_CHECK_MSG(scattered.scanned == input_edges[p],
+        FB_CHECK_MSG(scattered.scanned + scattered.skipped == input_edges[p],
                      "partition " << p << " input of " << pg.meta.name
-                                  << " holds " << scattered.scanned
-                                  << " edges, expected " << input_edges[p]);
+                                  << " covered " << scattered.scanned << " + "
+                                  << scattered.skipped << " edges, expected "
+                                  << input_edges[p]);
         stats.edges_scanned += scattered.scanned;
         stats.edges_probed += scattered.probed;
+        stats.edge_bytes_skipped += scattered.skipped * sizeof(graph::Edge);
         stats.updates_sieved += scattered.sieved;
         dead_seen[p] = scattered.dead;
         if (trim_this_scan) {

@@ -1,22 +1,25 @@
 // The top-down scatter phase of core::run's rounds.
 //
-// Each round streams the input edges of every partition with an active
+// Each round scans the input edges of every partition with an active
 // source, builds the update each active-source edge carries, and
 // shuffles it in place into the update file of the partition owning the
 // target. The pieces, in pipeline order: the update fan-out (P open
 // writers on the updates device); the trim sink, which holds the dead
 // set and receives a trimming scan's survivors; the state-free update
-// source; the sieve's windows; the staging stage with the sieve; and
-// the partition scan. A scan is cut into fixed-size units that
-// run_ordered (common/parallel.hpp) loads and works on concurrently and
-// retires strictly in scan order, so update files and stay survivors
-// are byte-identical at every thread count. The sieve keeps one flat
-// slot per vertex id in a window the run owns; a scan group borrows one
-// for its lifetime and every retire resets just the slots it used, so
-// no unit hashes, allocates per update or clears O(n). The bottom-up
-// scan in pull.hpp runs on the same stage, fan-out and runner, with the
-// sieve off; the passes over vertex state (init, gather, collect) live
-// in vertex_state.hpp.
+// source; the sieve's windows; the staging stage with the sieve; the
+// read schedule; and the partition scan. A partition file is sorted by
+// source and carries a block index, so the schedule reads only the
+// blocks that hold an active source (plus the short gaps between them
+// that cost less to read than to seek over). A scan is cut into
+// fixed-position units that run_ordered (common/parallel.hpp) loads and
+// works on concurrently and retires strictly in scan order, so update
+// files and stay survivors are byte-identical at every thread count.
+// The sieve keeps one flat slot per vertex id in a window the run owns;
+// a scan group borrows one for its lifetime and every retire resets
+// just the slots it used, so no unit hashes, allocates per update or
+// clears O(n). The bottom-up scan in pull.hpp runs on the same schedule,
+// stage, fan-out and runner, with the sieve off; the passes over vertex
+// state (init, gather, collect) live in vertex_state.hpp.
 #pragma once
 
 #include <algorithm>
@@ -189,11 +192,12 @@ struct ScatterResult {
   /// the rest of a vertex's in-edge run once the vertex is claimed, so
   /// probed is the short-circuit's savings made visible.
   std::uint64_t probed = 0;
-  /// Edges never READ at all: bottom-up blocks whose whole destination
-  /// range was already claimed, outside every read span, are skipped
-  /// without touching their bytes (the frontier-density-aware reader;
-  /// such blocks inside a span's seek-sized gap are read and count in
-  /// `scanned`). scanned + skipped covers the input file.
+  /// Edges never READ at all: blocks the scan does not need — top-down,
+  /// no active source in the block's range; bottom-up, the whole
+  /// destination range already claimed — are skipped without touching
+  /// their bytes, unless they sit in a gap short enough to read through
+  /// (plan_scan), in which case they are read and count in `scanned`.
+  /// scanned + skipped covers the input file.
   std::uint64_t skipped = 0;
   /// Scanned edges whose source is in the trim sink's dead set (0 when
   /// the run cannot trim).
@@ -266,9 +270,11 @@ class SieveWindows {
 /// The staging state of one scan group: per-destination-partition update
 /// buckets, (when sieving) a window from the run's SieveWindows, the
 /// unit's trim survivors, and its counters. A unit is one staging-buffer
-/// lifetime — exactly `reader.buffer_bytes / sizeof(Edge)` records in a
-/// top-down scan at every thread count — so the sieve sees identical
-/// units whatever the schedule and the update files stay byte-identical.
+/// lifetime — the records a top-down scan reads of one fixed
+/// `reader.buffer_bytes / sizeof(Edge)`-record stretch of its file, at
+/// every thread count; the blocks it skips stage nothing — so the sieve
+/// sees identical units whatever the schedule and the update files stay
+/// byte-identical.
 /// Within a unit the first update to a destination claims the slot; a
 /// later non-dominated update is folded into the champion IN that slot
 /// via program.sieve_merge (file position = first sighting, value = the
@@ -336,19 +342,21 @@ struct ScatterStage {
   /// Scatters `batch`, a slice of partition `partition`'s input, into
   /// the buckets (each active-source edge's update built by `source`)
   /// and sorts every edge into dead or surviving by `trim`'s dead set.
-  /// Every edge's source must lie in the partition's range: a misfiled
-  /// edge would scatter from the wrong partition.
+  /// Every edge's source must lie in [lo, hi), a range inside the
+  /// partition's: a misfiled edge would scatter from the wrong
+  /// partition, and one outside its block's index entry could sit in a
+  /// block a scan skips.
   void process(std::span<const graph::Edge> batch, std::uint32_t partition,
+               graph::VertexId lo, std::uint64_t hi,
                const RoundScatter<P>& source, const AtomicBitmap& active,
                const StayTrimSink& trim) {
-    const graph::VertexId begin = layout.begin(partition);
-    const graph::VertexId end = layout.end(partition);
     counts.scanned += batch.size();
     counts.probed += batch.size();
     for (const graph::Edge& e : batch) {
-      FB_CHECK_MSG(e.src >= begin && e.src < end,
+      FB_CHECK_MSG(e.src >= lo && e.src < hi,
                    "edge source " << e.src << " misfiled into partition "
-                                  << partition);
+                                  << partition << " (its block holds sources ["
+                                  << lo << ", " << hi << "))");
       if (active.test(e.src)) {
         Update u;
         if (source(e, u)) {
@@ -400,31 +408,125 @@ struct ScatterStage {
   std::vector<std::uint32_t> window_;  // empty: the sieve is off
 };
 
-/// A unit's place in a file: `records` edges from byte `offset`.
-struct Extent {
-  std::uint64_t offset = 0;
+/// The part of one block of a scan's file (graph::kBlockRecords records
+/// per block) that falls in one unit: `records` records from record
+/// `first` of the file.
+struct Piece {
+  std::uint64_t block = 0;
+  std::uint64_t first = 0;
   std::uint64_t records = 0;
 };
 
-/// Reads each extent of `file` — the scan's one open File, shared by
-/// every worker (reads are positional) — into its own buffer with one
-/// positional read, all submitted as one read_batch: a real backend
-/// keeps the group in flight together on the file's fd, and the
-/// modelled one (an in-order read_at loop) charges each read as the
+/// What a scan reads of a file and how its reads fall into units. Units
+/// sit at fixed positions — unit u is records [u * unit_records, ...) —
+/// and each reads only the pieces of the blocks the scan keeps. A unit
+/// that keeps nothing is left out.
+struct ScanSchedule {
+  /// Every kept record as pieces, in file order.
+  std::vector<Piece> pieces;
+  /// Unit k of those that read something holds pieces
+  /// [unit_first[k], unit_first[k + 1]); empty when nothing is read.
+  std::vector<std::size_t> unit_first;
+  /// Records of blocks the scan skips: never read.
+  std::uint64_t skipped = 0;
+
+  std::uint64_t num_units() const {
+    return unit_first.empty() ? 0 : unit_first.size() - 1;
+  }
+  std::span<const Piece> unit(std::uint64_t k) const {
+    return std::span<const Piece>(pieces).subspan(
+        unit_first[k], unit_first[k + 1] - unit_first[k]);
+  }
+};
+
+/// The read schedule of every file scan, top-down and bottom-up: over a
+/// `records`-record file, a block is read when `needed(b)`; a gap of
+/// skippable blocks between two needed ones is read through when it is at
+/// most `gap_blocks` long (the input device's seek-equivalent bytes:
+/// reading it costs no more than seeking over it); no other block is
+/// read. Kept blocks are cut at the fixed unit boundaries, every
+/// `unit_records` records.
+template <typename Needed>
+ScanSchedule plan_scan(std::uint64_t records, std::uint64_t unit_records,
+                       std::uint64_t gap_blocks, const Needed& needed) {
+  constexpr std::uint64_t kBlock = graph::kBlockRecords;
+  const std::uint64_t num_blocks = (records + kBlock - 1) / kBlock;
+  const auto block_end = [&](std::uint64_t b) {
+    return std::min(records, (b + 1) * kBlock);
+  };
+  ScanSchedule schedule;
+  std::uint64_t last_unit = 0;
+  const auto keep = [&](std::uint64_t b) {
+    for (std::uint64_t first = b * kBlock; first < block_end(b);) {
+      const std::uint64_t u = first / unit_records;
+      const std::uint64_t end = std::min(block_end(b), (u + 1) * unit_records);
+      if (schedule.pieces.empty() || u != last_unit) {
+        schedule.unit_first.push_back(schedule.pieces.size());
+        last_unit = u;
+      }
+      schedule.pieces.push_back({b, first, end - first});
+      first = end;
+    }
+  };
+  std::uint64_t next = 0;  // first block neither kept nor skipped yet
+  for (std::uint64_t b = 0; b < num_blocks; ++b) {
+    if (!needed(b)) continue;
+    // Blocks [next, b) are the skippable gap since the last needed block.
+    const bool read_through =
+        !schedule.pieces.empty() && b - next <= gap_blocks;
+    for (; next < b; ++next) {
+      if (read_through) {
+        keep(next);
+      } else {
+        schedule.skipped += block_end(next) - next * kBlock;
+      }
+    }
+    keep(b);
+    next = b + 1;
+  }
+  for (; next < num_blocks; ++next) {
+    schedule.skipped += block_end(next) - next * kBlock;
+  }
+  if (!schedule.pieces.empty()) {
+    schedule.unit_first.push_back(schedule.pieces.size());
+  }
+  return schedule;
+}
+
+/// Reads units [first, first + n) of `schedule` from `file`, whose
+/// records start at byte `offset`, into one buffer per unit holding its
+/// pieces back to back. Pieces that touch in the file share one
+/// positional request, and the group's requests go out as one
+/// read_batch on the scan's one open File (shared by every worker:
+/// reads are positional). A real backend keeps them in flight together;
+/// the modelled one (an in-order read_at loop) charges each read as the
 /// disk would, so a read starting where the scan's previous one ended
 /// continues the head instead of seeking.
-inline std::vector<io::OverwriteBuffer<graph::Edge>> read_extents(
-    io::File& file, std::span<const Extent> extents) {
+inline std::vector<io::OverwriteBuffer<graph::Edge>> read_units(
+    io::File& file, std::uint64_t offset, const ScanSchedule& schedule,
+    std::uint64_t first, std::uint64_t n) {
   std::vector<io::OverwriteBuffer<graph::Edge>> buffers;
-  buffers.reserve(extents.size());
+  buffers.reserve(n);
   std::vector<io::ReadRequest> requests;
-  requests.reserve(extents.size());
-  for (std::size_t k = 0; k < extents.size(); ++k) {
-    buffers.emplace_back(static_cast<std::size_t>(extents[k].records));
-    requests.push_back(
-        {&file, extents[k].offset, buffers[k].data(),
-         static_cast<std::size_t>(extents[k].records * sizeof(graph::Edge)),
-         0});
+  for (std::uint64_t k = first; k < first + n; ++k) {
+    const std::span<const Piece> pieces = schedule.unit(k);
+    std::uint64_t records = 0;
+    for (const Piece& piece : pieces) records += piece.records;
+    buffers.emplace_back(static_cast<std::size_t>(records));
+    graph::Edge* dst = buffers.back().data();
+    for (std::size_t i = 0; i < pieces.size(); ++i) {
+      const auto bytes =
+          static_cast<std::size_t>(pieces[i].records * sizeof(graph::Edge));
+      if (i > 0 && pieces[i - 1].first + pieces[i - 1].records ==
+                       pieces[i].first) {
+        requests.back().bytes += bytes;
+      } else {
+        requests.push_back(
+            {&file, offset + pieces[i].first * sizeof(graph::Edge), dst,
+             bytes, 0});
+      }
+      dst += pieces[i].records;
+    }
   }
   file.device().read_batch(requests);
   for (const io::ReadRequest& r : requests) {
@@ -437,16 +539,32 @@ inline std::vector<io::OverwriteBuffer<graph::Edge>> read_extents(
   return buffers;
 }
 
+/// Opens a scan's input file, CHECKing that it holds exactly `records`
+/// edges after `offset` header bytes: a positional scan reads only the
+/// bytes its schedule names, so a file that runs long or short would
+/// otherwise go unnoticed.
+inline std::unique_ptr<io::File> open_scan_file(io::Device& device,
+                                                const std::string& name,
+                                                std::uint64_t offset,
+                                                std::uint64_t records) {
+  std::unique_ptr<io::File> file = device.open(name);
+  const std::uint64_t want = offset + records * sizeof(graph::Edge);
+  FB_CHECK_MSG(file->size() == want,
+               name << " holds " << file->size() << " bytes, expected "
+                    << want << " (" << records << " edges)");
+  return file;
+}
+
 /// One runner group of a scan (see run_ordered): the stage its units
 /// share — they run one after another in the group's task — and, for
-/// positional scans, each unit's edges as read_extents delivered them.
+/// file scans, each unit's edges as read_units delivered them.
 template <graph::GraphProgram P>
 struct ScanGroup {
   ScatterStage<P> stage;
   std::uint64_t first = 0;  // the group's first unit
   std::vector<io::OverwriteBuffer<graph::Edge>> reads;
 
-  /// Unit u's edges as read_extents delivered them.
+  /// Unit u's edges as read_units delivered them.
   std::span<const graph::Edge> read(std::uint64_t u) const {
     const io::OverwriteBuffer<graph::Edge>& buffer = reads[u - first];
     return {buffer.data(), buffer.size()};
@@ -468,7 +586,9 @@ inline std::uint64_t read_group_units(const io::Device& device) {
 /// edges of file `name` on `device`, starting at byte `offset` (0 for
 /// the headerless partition files, codec::kHeaderBytes for raw stays) —
 /// or, with no device, a stay already decoded into `decoded` (an
-/// encoded stay has no per-unit byte offsets to read).
+/// encoded stay has no per-unit byte offsets to read). `blocks` is the
+/// file's source-keyed block index; with none, the scan reads every
+/// block.
 struct ScanInput {
   std::uint32_t partition = 0;
   io::Device* device = nullptr;
@@ -476,6 +596,7 @@ struct ScanInput {
   std::uint64_t offset = 0;
   std::uint64_t records = 0;
   std::vector<graph::Edge> decoded;
+  std::span<const graph::EdgeBlock> blocks;
 };
 
 /// One partition's scatter: scans `input`, builds the update of every
@@ -486,16 +607,20 @@ struct ScanInput {
 /// shuffle-flush latencies and the finished scan feeds the live op
 /// counters.
 ///
-/// The scan is cut into units of `reader.buffer_bytes / sizeof(Edge)`
-/// records and runs on run_ordered. Serial (no pool): one streaming
-/// reader honouring `reader` (including prefetch mode) delivers each
-/// unit as one batch, and one stage serves the whole scan. Parallel:
-/// the scan opens its input once and every unit is one positional read
-/// on that File, grouped per read_batch by read_group_units; each group
-/// task stages its own units in its own stage and window. A decoded
-/// stay is sliced in memory either way. Every unit retires in scan
-/// order, so update files and stay survivors are byte-identical at every
-/// thread count.
+/// The scan runs on plan_scan's schedule. With a block index, a block is
+/// needed when its source range holds an active source; without one, or
+/// when the scan trims (its survivors must all be collected), every
+/// block is. A file input is opened once and its size CHECKed; each
+/// unit reads its pieces into one buffer with positional requests,
+/// grouped per read_batch by read_group_units, at every thread count. A
+/// decoded stay is sliced in memory. Units run on run_ordered, each
+/// group staging its units in its own stage and window, and retire in
+/// scan order. A unit's staged records do not depend on skipping:
+/// skipped blocks hold no active source and stage nothing, so update
+/// files and stay survivors are byte-identical at every thread count and
+/// on every device model, with or without the index. Every scanned
+/// edge's source is CHECKed against its block's index entry (or the
+/// partition's range, without an index).
 template <graph::GraphProgram P>
 ScatterResult scatter_partition(
     const ExecContext& exec, const ScanInput& input,
@@ -504,59 +629,75 @@ ScatterResult scatter_partition(
     const io::ReaderOptions& reader, SieveWindows* windows,
     UpdateFanout<typename P::Update>& fanout, StayTrimSink& trim,
     metrics::Collector* collector = nullptr) {
+  constexpr std::uint64_t kBlock = graph::kBlockRecords;
+  const graph::VertexId begin = layout.begin(input.partition);
+  const graph::VertexId end = layout.end(input.partition);
+  const bool indexed = !input.blocks.empty();
+  FB_CHECK_MSG(!indexed || input.blocks.size() ==
+                               (input.records + kBlock - 1) / kBlock,
+               input.name << " block index covers " << input.blocks.size()
+                          << " blocks for " << input.records << " records");
+  const bool skip = indexed && !trim.collecting;
   const std::uint64_t unit_records = std::max<std::uint64_t>(
       1, reader.buffer_bytes / sizeof(graph::Edge));
-  const std::uint64_t num_units =
-      (input.records + unit_records - 1) / unit_records;
-  const auto unit_size = [&](std::uint64_t u) {
-    return std::min(unit_records, input.records - u * unit_records);
-  };
+  const std::uint64_t gap_blocks =
+      input.device == nullptr
+          ? 0
+          : input.device->model().seek_equivalent_bytes() /
+                (kBlock * sizeof(graph::Edge));
+  const ScanSchedule schedule =
+      plan_scan(input.records, unit_records, gap_blocks, [&](std::uint64_t b) {
+        return !skip ||
+               active.any_in_range(
+                   input.blocks[b].first,
+                   static_cast<std::uint64_t>(input.blocks[b].last) + 1);
+      });
 
-  std::unique_ptr<io::RecordSource<graph::Edge>> stream;
-  std::unique_ptr<io::File> file;  // the parallel scan's input
+  std::unique_ptr<io::File> file;
   std::uint64_t group_units = 1;
-  if (!exec.parallel()) {
-    group_units = num_units;
-    if (input.device != nullptr) {
-      io::ReaderOptions opts = reader;
-      opts.offset = input.offset;
-      // Prefetch mode sizes its ring to a real device's queue depth (the
-      // fetcher submits all free slots as one ring batch); on the
-      // modelled device this keeps the historical double-buffering.
-      opts.match_device(*input.device);
-      stream = io::open_record_reader<graph::Edge>(*input.device, input.name,
-                                                   opts);
-    }
-  } else if (input.device != nullptr) {
+  if (input.device != nullptr) {
+    file = open_scan_file(*input.device, input.name, input.offset,
+                          input.records);
     group_units = read_group_units(*input.device);
-    file = input.device->open(input.name);
   }
 
   using Group = ScanGroup<P>;
   const auto load = [&](std::uint64_t first, std::uint64_t n) {
     Group group{ScatterStage<P>(program, layout, windows), first, {}};
     if (file != nullptr) {
-      std::vector<Extent> extents;
-      for (std::uint64_t u = first; u < first + n; ++u) {
-        extents.push_back(
-            {input.offset + u * unit_records * sizeof(graph::Edge),
-             unit_size(u)});
-      }
-      group.reads = read_extents(*file, extents);
+      group.reads = read_units(*file, input.offset, schedule, first, n);
     }
     return group;
   };
-  const auto work = [&](Group& group, std::uint64_t u) {
-    std::span<const graph::Edge> edges;
-    if (stream != nullptr) {
-      edges = stream->next_batch();
-    } else if (file != nullptr) {
-      edges = group.read(u);
-    } else {
-      edges = std::span<const graph::Edge>(input.decoded)
-                  .subspan(u * unit_records, unit_size(u));
+  const auto work = [&](Group& group, std::uint64_t k) {
+    const graph::Edge* read = file != nullptr ? group.read(k).data() : nullptr;
+    for (const Piece& piece : schedule.unit(k)) {
+      std::span<const graph::Edge> edges;
+      if (file != nullptr) {
+        edges = {read, static_cast<std::size_t>(piece.records)};
+        read += piece.records;
+      } else {
+        edges = std::span<const graph::Edge>(input.decoded)
+                    .subspan(piece.first, piece.records);
+      }
+      // The sources the piece may hold: its block's index entry, which
+      // must lie in the partition's range, or that range itself.
+      graph::VertexId lo = begin;
+      std::uint64_t hi = end;
+      if (indexed) {
+        const graph::EdgeBlock& block = input.blocks[piece.block];
+        FB_CHECK_MSG(block.first >= begin && block.first <= block.last &&
+                         block.last < end,
+                     input.name << " block " << piece.block << " indexes "
+                                << "sources [" << block.first << ", "
+                                << block.last << "] outside partition "
+                                << input.partition);
+        lo = block.first;
+        hi = static_cast<std::uint64_t>(block.last) + 1;
+      }
+      group.stage.process(edges, input.partition, lo, hi, source, active,
+                          trim);
     }
-    group.stage.process(edges, input.partition, source, active, trim);
   };
   ScatterResult total;
   const auto retire = [&](Group& group, std::uint64_t) {
@@ -564,16 +705,8 @@ ScatterResult scatter_partition(
     group.stage.flush(fanout, total);
     trim.take(group.stage.survivors);
   };
-  run_ordered(exec, num_units, group_units, load, work, retire);
-  if (stream != nullptr) {
-    // The stream's end-of-file read. Records past the expected count
-    // are counted, so the engine's scanned-vs-expected CHECK catches a
-    // stream that runs long as well as one that ends early.
-    for (auto rest = stream->next_batch(); !rest.empty();
-         rest = stream->next_batch()) {
-      total.scanned += rest.size();
-    }
-  }
+  run_ordered(exec, schedule.num_units(), group_units, load, work, retire);
+  total.skipped = schedule.skipped;
   add_live_counts(collector, total);
   return total;
 }

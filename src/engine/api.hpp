@@ -9,7 +9,9 @@
 // same call every equivalence test makes by hand — so one dispatch
 // covers the reference run too. The streaming kinds both run
 // core::run: Kind::kXstream is the X-Stream baseline preset (trimming
-// off, every round top-down), Kind::kCore is FastBFS as configured.
+// off, every round top-down, and no partition block index, so every
+// scan reads whole partitions as the paper's X-Stream does), Kind::kCore
+// is FastBFS as configured.
 #pragma once
 
 #include "core/engine.hpp"
@@ -31,7 +33,9 @@ RunResult<P> run(Kind kind, const graph::PartitionedGraph& pg,
       Options xstream = options;
       xstream.trim = false;
       xstream.direction = Direction::kTopDown;
-      return core::run(pg, plan, program, xstream);
+      const graph::PartitionedGraph unindexed{pg.meta, pg.layout,
+                                              pg.edges_per_partition, {}};
+      return core::run(unindexed, plan, program, xstream);
     }
     case Kind::kCore:
       return core::run(pg, plan, program, options);

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "common/config.hpp"
 #include "common/log.hpp"
+#include "common/rng.hpp"
 #include "storage/stream.hpp"
 
 namespace fbfs::graph {
@@ -34,6 +36,106 @@ std::uint32_t PartitionLayout::owner(VertexId v) const {
   // below num_vertices_.
   return static_cast<std::uint32_t>(extra_ + (v - wide_end) / base_);
 }
+
+namespace {
+
+template <typename KeyOf>
+void stable_sort_edges_by(std::vector<Edge>& edges, VertexId key_begin,
+                          std::uint64_t key_end, const KeyOf& key_of) {
+  constexpr std::uint64_t kRadix = std::uint64_t{1} << 16;
+  const std::uint64_t range = key_end - key_begin;
+  // Counts of the low and (past 2^16) high 16 bits of each key's offset.
+  std::vector<std::uint64_t> low(std::min(range, kRadix));
+  std::vector<std::uint64_t> high(range > kRadix ? (range - 1) / kRadix + 1
+                                                 : 0);
+  for (const Edge& e : edges) {
+    const VertexId key = key_of(e);
+    FB_CHECK_MSG(key >= key_begin && key < key_end,
+                 "edge key " << key << " outside its range [" << key_begin
+                             << ", " << key_end << ")");
+    const std::uint64_t offset = key - key_begin;
+    ++low[offset % kRadix];
+    if (!high.empty()) ++high[offset / kRadix];
+  }
+  std::vector<Edge> scratch;
+  const auto pass = [&](std::vector<std::uint64_t>& start, const auto& digit) {
+    if (start.empty() ||
+        std::find(start.begin(), start.end(), edges.size()) != start.end()) {
+      return;  // no such digit, or every record shares it
+    }
+    std::uint64_t sum = 0;
+    for (std::uint64_t& c : start) sum += std::exchange(c, sum);
+    scratch.resize(edges.size());
+    for (const Edge& e : edges) {
+      scratch[start[digit(std::uint64_t{key_of(e)} - key_begin)]++] = e;
+    }
+    edges.swap(scratch);
+  };
+  pass(low, [](std::uint64_t offset) { return offset % kRadix; });
+  pass(high, [](std::uint64_t offset) { return offset / kRadix; });
+}
+
+}  // namespace
+
+void stable_sort_edges(std::vector<Edge>& edges, EdgeKey key,
+                       VertexId key_begin, std::uint64_t key_end) {
+  if (key == EdgeKey::kSrc) {
+    stable_sort_edges_by(edges, key_begin, key_end,
+                         [](const Edge& e) { return e.src; });
+  } else {
+    stable_sort_edges_by(edges, key_begin, key_end,
+                         [](const Edge& e) { return e.dst; });
+  }
+}
+
+namespace {
+
+/// The block index of `edges`, which are sorted by `key`.
+std::vector<EdgeBlock> index_blocks(const std::vector<Edge>& edges,
+                                    EdgeKey key) {
+  const auto key_of = [key](const Edge& e) {
+    return key == EdgeKey::kSrc ? e.src : e.dst;
+  };
+  std::vector<EdgeBlock> blocks((edges.size() + kBlockRecords - 1) /
+                                kBlockRecords);
+  for (std::uint64_t b = 0; b < blocks.size(); ++b) {
+    const std::uint64_t first = b * kBlockRecords;
+    const std::uint64_t last =
+        std::min<std::uint64_t>(first + kBlockRecords, edges.size()) - 1;
+    blocks[b] = {key_of(edges[first]), key_of(edges[last])};
+  }
+  return blocks;
+}
+
+/// Rewrites `name`, an unsorted edge file holding `records` edges whose
+/// keys lie in [key_begin, key_end), stably sorted by `key`, in appends
+/// of at most `write_bytes`; returns its block index. Holds the file
+/// twice in RAM (the records and the sort's scratch), nothing more.
+std::vector<EdgeBlock> sort_edge_file(io::Device& device,
+                                      const std::string& name,
+                                      std::uint64_t records, EdgeKey key,
+                                      VertexId key_begin,
+                                      std::uint64_t key_end,
+                                      std::size_t write_bytes) {
+  std::vector<Edge> edges(records);
+  const std::uint64_t bytes = records * sizeof(Edge);
+  {
+    auto file = device.open(name, /*truncate=*/false);
+    FB_CHECK_EQ(file->read_at(0, edges.data(), bytes), bytes);
+  }
+  stable_sort_edges(edges, key, key_begin, key_end);
+  auto file = device.open(name, /*truncate=*/true);
+  const auto* data = reinterpret_cast<const std::byte*>(edges.data());
+  const std::uint64_t chunk =
+      std::max<std::uint64_t>(sizeof(Edge), write_bytes / sizeof(Edge) *
+                                                 sizeof(Edge));
+  for (std::uint64_t off = 0; off < bytes; off += chunk) {
+    file->append(data + off, std::min(chunk, bytes - off));
+  }
+  return index_blocks(edges, key);
+}
+
+}  // namespace
 
 std::string PartitionedGraph::partition_file(std::uint32_t p) const {
   return meta.name + ".P" + std::to_string(layout.num_partitions()) +
@@ -85,6 +187,7 @@ PartitionedGraph partition_edge_list(const io::StoragePlan& plan,
     total += batch.size();
   }
   for (PartitionOut& out : outputs) out.writer->flush();
+  outputs.clear();
 
   FB_CHECK_MSG(total == meta.num_edges,
                "partitioner read " << total << " edges of " << meta.name
@@ -92,6 +195,17 @@ PartitionedGraph partition_edge_list(const io::StoragePlan& plan,
   FB_CHECK_MSG(checksum == meta.checksum,
                "edge file of " << meta.name
                                << " fails its checksum during partitioning");
+
+  // Pass 2 — sort each partition file stably by source (same-source
+  // edges keep their input order, so the files are a pure function of
+  // the input file) and index its blocks.
+  pg.blocks.resize(num_partitions);
+  for (std::uint32_t p = 0; p < num_partitions; ++p) {
+    pg.blocks[p] = sort_edge_file(device, pg.partition_file(p),
+                                  pg.edges_per_partition[p], EdgeKey::kSrc,
+                                  pg.layout.begin(p), pg.layout.end(p),
+                                  read_buffer);
+  }
   FB_LOG_DEBUG << "partitioned " << meta.name << " into " << num_partitions
                << " ranges (" << total << " edges)";
   return pg;
@@ -102,10 +216,9 @@ std::string transposed_file(const PartitionedGraph& pg, std::uint32_t q) {
          ".tpart" + std::to_string(q);
 }
 
-std::string transposed_index_file(const PartitionedGraph& pg,
-                                  std::uint32_t q) {
+std::string transposed_index_file(const PartitionedGraph& pg) {
   return pg.meta.name + ".P" + std::to_string(pg.layout.num_partitions()) +
-         ".tindex" + std::to_string(q);
+         ".tindex";
 }
 
 std::string transposed_meta_file(const PartitionedGraph& pg) {
@@ -115,15 +228,33 @@ std::string transposed_meta_file(const PartitionedGraph& pg) {
 
 namespace {
 
-std::uint64_t transposed_block_count(std::uint64_t records) {
-  return (records + kTransposedBlockRecords - 1) / kTransposedBlockRecords;
+/// The `.tmeta` layout this build writes and trusts: one `.tindex` file
+/// with its digest, and transposed files built from source-sorted
+/// partition files. Sidecars without it — or with another value —
+/// rebuild once.
+constexpr std::uint64_t kTransposedLayout = 2;
+
+std::uint64_t block_count(std::uint64_t records) {
+  return (records + kBlockRecords - 1) / kBlockRecords;
 }
 
-/// A cache hit: the sidecar matches this graph + partition count AND
-/// the block granularity this build understands, and every transposed
-/// file and block index is exactly the size the sidecar implies.
-/// (Sidecars from before the block index lack `block_records`, so old
-/// caches rebuild once.)
+/// Order-sensitive digest of a block index, every partition's entries in
+/// turn: a damaged entry changes it, so a cached index that no longer
+/// matches the one the build wrote is a cache miss.
+std::uint64_t index_digest(std::span<const EdgeBlock> entries) {
+  std::uint64_t digest = 0;
+  for (const EdgeBlock& b : entries) {
+    std::uint64_t state =
+        digest ^ ((static_cast<std::uint64_t>(b.first) << 32) | b.last);
+    digest = splitmix64_next(state);
+  }
+  return digest;
+}
+
+/// A cache hit: the sidecar matches this graph, partition count, block
+/// granularity and layout; every transposed file and the index are
+/// exactly the sizes the sidecar implies; and the index, read with one
+/// request, matches the sidecar's digest.
 bool load_cached_transposed_view(io::Device& device,
                                  const PartitionedGraph& pg,
                                  TransposedView& view) {
@@ -133,10 +264,12 @@ bool load_cached_transposed_view(io::Device& device,
   if (cfg.get_u64_or("num_partitions", 0) != pg.layout.num_partitions() ||
       cfg.get_u64_or("num_edges", 0) != pg.meta.num_edges ||
       cfg.get_u64_or("checksum", 0) != pg.meta.checksum ||
-      cfg.get_u64_or("block_records", 0) != kTransposedBlockRecords) {
+      cfg.get_u64_or("block_records", 0) != kBlockRecords ||
+      cfg.get_u64_or("layout", 0) != kTransposedLayout) {
     return false;
   }
   std::vector<std::uint64_t> counts(pg.layout.num_partitions());
+  std::uint64_t entries = 0;
   for (std::uint32_t q = 0; q < counts.size(); ++q) {
     counts[q] = cfg.get_u64_or("in_edges" + std::to_string(q), 0);
     const std::string name = transposed_file(pg, q);
@@ -144,21 +277,26 @@ bool load_cached_transposed_view(io::Device& device,
         device.file_size(name) != counts[q] * sizeof(Edge)) {
       return false;
     }
-    const std::string index_name = transposed_index_file(pg, q);
-    if (!device.exists(index_name) ||
-        device.file_size(index_name) !=
-            transposed_block_count(counts[q]) * sizeof(TransposedBlock)) {
-      return false;
-    }
+    entries += block_count(counts[q]);
   }
+  const std::string index_name = transposed_index_file(pg);
+  if (!device.exists(index_name) ||
+      device.file_size(index_name) != entries * sizeof(EdgeBlock)) {
+    return false;
+  }
+  std::vector<EdgeBlock> index(entries);
+  if (entries > 0) {
+    auto file = device.open(index_name, /*truncate=*/false);
+    const std::uint64_t bytes = entries * sizeof(EdgeBlock);
+    FB_CHECK_EQ(file->read_at(0, index.data(), bytes), bytes);
+  }
+  if (index_digest(index) != cfg.get_u64_or("index_digest", 0)) return false;
   view.blocks.assign(pg.layout.num_partitions(), {});
+  auto next = index.begin();
   for (std::uint32_t q = 0; q < counts.size(); ++q) {
-    view.blocks[q].resize(transposed_block_count(counts[q]));
-    if (view.blocks[q].empty()) continue;
-    auto file = device.open(transposed_index_file(pg, q), /*truncate=*/false);
-    const std::uint64_t bytes =
-        view.blocks[q].size() * sizeof(TransposedBlock);
-    FB_CHECK_EQ(file->read_at(0, view.blocks[q].data(), bytes), bytes);
+    const auto end = next + static_cast<std::ptrdiff_t>(block_count(counts[q]));
+    view.blocks[q].assign(next, end);
+    next = end;
   }
   view.in_edges_per_partition = std::move(counts);
   FB_LOG_DEBUG << "transposed view of " << pg.meta.name << " ("
@@ -223,41 +361,26 @@ TransposedView build_transposed_view(const io::StoragePlan& plan,
                                           "transposition");
   }
 
-  // Pass 2 — sort each transposed file by destination (stable, so
-  // same-dst edges keep their pass-1 order and the output is a pure
-  // function of the partition files). The dst-sorted layout is what
-  // lets the bottom-up scan treat each vertex's in-edges as one run.
-  // The block index falls out of the sorted array for free: each fixed
-  // kTransposedBlockRecords-record block's dst range, persisted beside
-  // the file so the skip-scan never needs a priming read.
+  // Pass 2 — sort each transposed file stably by destination (same-dst
+  // edges keep their pass-1 order, so the output is a pure function of
+  // the partition files). The dst-sorted layout is what lets the
+  // bottom-up scan treat each vertex's in-edges as one run. The block
+  // index falls out of the sorted array; every partition's entries go
+  // to one file, written once.
   view.blocks.assign(num_partitions, {});
+  std::vector<EdgeBlock> index;
   for (std::uint32_t q = 0; q < num_partitions; ++q) {
-    const std::string name = transposed_file(pg, q);
-    std::vector<Edge> edges(view.in_edges_per_partition[q]);
-    {
-      auto file = device.open(name, /*truncate=*/false);
-      const std::uint64_t bytes = edges.size() * sizeof(Edge);
-      FB_CHECK_EQ(file->read_at(0, edges.data(), bytes), bytes);
+    view.blocks[q] = sort_edge_file(device, transposed_file(pg, q),
+                                    view.in_edges_per_partition[q],
+                                    EdgeKey::kDst, pg.layout.begin(q),
+                                    pg.layout.end(q), read_buffer);
+    index.insert(index.end(), view.blocks[q].begin(), view.blocks[q].end());
+  }
+  {
+    auto file = device.open(transposed_index_file(pg), /*truncate=*/true);
+    if (!index.empty()) {
+      file->append(index.data(), index.size() * sizeof(EdgeBlock));
     }
-    std::stable_sort(edges.begin(), edges.end(),
-                     [](const Edge& a, const Edge& b) { return a.dst < b.dst; });
-    auto file = device.open(name, /*truncate=*/true);
-    io::RecordWriter<Edge> writer(*file, read_buffer);
-    for (const Edge& e : edges) writer.append(e);
-    writer.flush();
-
-    std::vector<TransposedBlock>& blocks = view.blocks[q];
-    blocks.resize(transposed_block_count(edges.size()));
-    for (std::uint64_t b = 0; b < blocks.size(); ++b) {
-      const std::uint64_t first = b * kTransposedBlockRecords;
-      const std::uint64_t last =
-          std::min(first + kTransposedBlockRecords, edges.size()) - 1;
-      blocks[b] = {edges[first].dst, edges[last].dst};
-    }
-    auto index = device.open(transposed_index_file(pg, q), /*truncate=*/true);
-    io::RecordWriter<TransposedBlock> index_writer(*index, 1 << 16);
-    for (const TransposedBlock& block : blocks) index_writer.append(block);
-    index_writer.flush();
   }
 
   // Sidecar last: its presence certifies the files above are complete.
@@ -265,7 +388,9 @@ TransposedView build_transposed_view(const io::StoragePlan& plan,
   cfg.set_u64("num_partitions", num_partitions);
   cfg.set_u64("num_edges", pg.meta.num_edges);
   cfg.set_u64("checksum", pg.meta.checksum);
-  cfg.set_u64("block_records", kTransposedBlockRecords);
+  cfg.set_u64("block_records", kBlockRecords);
+  cfg.set_u64("layout", kTransposedLayout);
+  cfg.set_u64("index_digest", index_digest(index));
   for (std::uint32_t q = 0; q < num_partitions; ++q) {
     cfg.set_u64("in_edges" + std::to_string(q),
                 view.in_edges_per_partition[q]);

@@ -81,11 +81,12 @@ struct IterationStats {
   std::uint64_t edges_probed = 0;
   double modelled_topdown_bytes = 0.0;
   double modelled_bottomup_bytes = 0.0;
-  /// Transposed-view bytes a bottom-up round never read because the
-  /// whole block's destination range was already claimed (the
-  /// frontier-density-aware reader; zero for top-down rounds). Claimed
-  /// blocks in a gap shorter than the device's seek-equivalent bytes
-  /// are read through instead and count in edges_scanned.
+  /// Edge-file bytes the round's scans never read: top-down, partition
+  /// file blocks whose source range held no active source; bottom-up,
+  /// transposed-view blocks whose whole destination range was already
+  /// claimed (core/scatter.hpp's plan_scan). Such blocks in a gap
+  /// shorter than the device's seek-equivalent bytes are read through
+  /// instead and count in edges_scanned.
   std::uint64_t edge_bytes_skipped = 0;
 
   /// Batched multi-source traversal (core::run over a masked program —

@@ -118,9 +118,9 @@ void RunStats::print(std::ostream& os) const {
      << Table::count(ops.updates_emitted) << " updates ("
      << Table::count(ops.updates_sieved) << " sieved), "
      << Table::seconds(wall_seconds) << "\n";
-  // The two batch columns ("qact" live queries, "skip rd" bytes the
-  // density-aware bottom-up reader never read) only render when a row
-  // used them — single-query runs keep the familiar 16-column table.
+  // The two extra columns ("qact" live queries, "skip rd" edge bytes the
+  // block-skipping scans never read) only render when a row used them —
+  // runs that use neither keep the familiar 16-column table.
   bool batched = false;
   for (const auto& it : iterations) {
     batched |= it.stats.queries_active > 0 ||

@@ -15,7 +15,6 @@
 // handle), which lets many readers stream one open File concurrently.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <span>
@@ -54,17 +53,6 @@ struct ReaderOptions {
   static ReaderOptions prefetch(std::size_t buffer_bytes = 1 << 20,
                                 std::size_t depth = 2) {
     return {ReaderMode::kPrefetch, buffer_bytes, 0, depth};
-  }
-
-  /// Prefetch depth matched to `device`'s backend: the configured queue
-  /// depth on a real device, the default double-buffering on a modelled
-  /// one (where extra slots buy nothing — the timeline is serial).
-  ReaderOptions& match_device(const Device& device) {
-    if (device.backend_kind() == BackendKind::kReal) {
-      prefetch_depth =
-          std::max<std::size_t>(2, device.backend_options().queue_depth);
-    }
-    return *this;
   }
 };
 

@@ -1,15 +1,19 @@
 // Mechanics of the FastBFS engine: trim life cycle (stream → grace →
 // swap/cancel), trim triggers, selective scheduling, the state-free
-// top-down scatter, the edge-free init, the scan's misfiled-edge check,
-// fault fallback, config plumbing, file hygiene, and what the memory
-// budget keeps off the devices.
+// top-down scatter, the edge-free init, the scan's misfiled-edge,
+// block-index and file-size checks, fault fallback, config plumbing,
+// file hygiene, what the memory budget keeps off the devices, and the
+// block-skipping top-down scan (same files and states with or without
+// the partition block index).
 // Bit-identity against the reference engine across the full matrix
 // lives in core_equivalence_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstring>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
@@ -36,8 +40,10 @@ GraphMeta chain_graph(io::Device& dev, std::uint64_t n) {
       });
 }
 
-GraphMeta rmat_graph(io::Device& dev) {
-  const graph::RmatSource source({.scale = 9, .edge_factor = 8, .seed = 7});
+GraphMeta rmat_graph(io::Device& dev, std::uint32_t scale = 9,
+                     std::uint32_t edge_factor = 8) {
+  const graph::RmatSource source(
+      {.scale = scale, .edge_factor = edge_factor, .seed = 7});
   return graph::write_generated(
       dev, "rmat", source.num_vertices(), source.seed(), source.undirected(),
       [&](const graph::EdgeSink& sink) { source.generate(sink); });
@@ -773,6 +779,228 @@ TEST(CoreGatherDeath, ShortRawUpdateStreamIsCaught) {
                                                program, pending, resident,
                                                next_active),
                name + " decodes to 3 records, expected 4");
+}
+
+TEST(CoreEngineDeath, ScannedBlockOutsideItsIndexEntryIsCaught) {
+  // A scan skips blocks by the partition block index, so every block it
+  // reads is checked against its entry. Narrowing block 0's entry to the
+  // root alone keeps the block needed in round 0, and its other sources
+  // now lie outside the entry.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  DedicatedRig rig;
+  const GraphMeta meta = rmat_graph(rig.edges);
+  PartitionedGraph pg = partition_edge_list(rig.plan, meta, 1);
+  ASSERT_EQ(pg.blocks[0][0].first, 0u);
+  ASSERT_GT(pg.blocks[0][0].last, 0u);
+  pg.blocks[0][0].last = 0;
+  EXPECT_DEATH((void)core::run(pg, rig.plan, BfsProgram{}, {}),
+               "its block holds sources \\[0, 1\\)");
+}
+
+TEST(CoreEngineDeath, PartitionFileThatRunsLongIsCaught) {
+  // A positional scan reads only the bytes its schedule names, so each
+  // input's size is checked when the scan opens it: one edge appended to
+  // a partition file aborts the run at every thread count.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const std::uint32_t threads : {1u, 2u}) {
+    SCOPED_TRACE("T=" + std::to_string(threads));
+    DedicatedRig rig;
+    const GraphMeta meta = rmat_graph(rig.edges);
+    const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 4);
+    const std::uint64_t bytes = pg.edges_per_partition[0] * sizeof(graph::Edge);
+    {
+      auto file = rig.edges.open(pg.partition_file(0), /*truncate=*/false);
+      const graph::Edge extra{0, 1};
+      file->append(&extra, sizeof(extra));
+    }
+    engine::Options options;
+    options.num_threads = threads;
+    EXPECT_DEATH((void)core::run(pg, rig.plan, BfsProgram{}, options),
+                 pg.partition_file(0) + " holds " +
+                     std::to_string(bytes + sizeof(graph::Edge)) +
+                     " bytes, expected " + std::to_string(bytes));
+  }
+}
+
+/// Every update and stay file a kept run left on `dev`.
+std::vector<std::vector<std::byte>> run_files(io::Device& dev,
+                                              const PartitionedGraph& pg) {
+  std::vector<std::vector<std::byte>> files;
+  for (std::uint32_t p = 0; p < pg.layout.num_partitions(); ++p) {
+    files.push_back(read_file(dev, core::update_file_name(pg, p)));
+    files.push_back(read_file(dev, core::stay_file_name(pg, p)));
+  }
+  return files;
+}
+
+std::uint64_t edge_bytes_skipped(
+    const std::vector<metrics::IterationStats>& rounds) {
+  std::uint64_t total = 0;
+  for (const auto& r : rounds) total += r.edge_bytes_skipped;
+  return total;
+}
+
+TEST(CoreBlockSkip, IndexChangesNoFileAndNoState) {
+  // Skipping the blocks that hold no active source changes which bytes a
+  // scan reads and nothing else. Across reader buffers (4 KiB units are
+  // shorter than a 4096-record block; 1 MiB ones hold whole partitions),
+  // device models (the HDD reads through gaps of up to 26 blocks, the
+  // SSD and the unthrottled device through none) and thread counts
+  // (1, 2 and 4, rotating over the model x buffer cells), a
+  // run with the partition block index and one without it leave
+  // byte-identical update and stay files after each of the first five
+  // rounds — with trimming off and with eager trimming — and
+  // bit-identical states, also under a 25% dead-fraction trim gate,
+  // whose dead counts see only the blocks a scan read. The sieve is on.
+  // Update files alternate between raw (every record the sieve kept
+  // shows) and the auto codec, and stays between raw (scanned
+  // positionally) and encoded (decoded, then scanned in RAM). The
+  // Erdos-Renyi graph's sparse early frontiers leave gaps between the
+  // blocks a 1 MiB unit reads, with duplicate destinations on both
+  // sides: a schedule that cut units at those gaps would sieve fewer
+  // duplicates and change the raw update files. (Its 4 KiB units never
+  // span a gap, so it runs only the 1 MiB ones.)
+  struct TrimMode {
+    const char* name;
+    bool trim;
+    double min_dead_fraction;
+    bool compare_files;
+  };
+  const TrimMode modes[] = {{"trim off", false, 0.0, true},
+                            {"eager trim", true, 0.0, true},
+                            {"25% dead gate", true, 0.25, false}};
+  const std::pair<const char*, io::DeviceModel> models[] = {
+      {"hdd", io::DeviceModel::hdd()},
+      {"ssd", io::DeviceModel::ssd()},
+      {"unthrottled", io::DeviceModel::unthrottled()}};
+  const auto rmat = [](io::Device& dev) {
+    return rmat_graph(dev, /*scale=*/11, /*edge_factor=*/16);
+  };
+  const auto erdos_renyi = [](io::Device& dev) {
+    const graph::ErdosRenyiSource source(
+        {.num_vertices = 20'000, .num_edges = 80'000, .seed = 3});
+    return graph::write_generated(
+        dev, "er", source.num_vertices(), source.seed(), source.undirected(),
+        [&](const graph::EdgeSink& sink) { source.generate(sink); });
+  };
+  const struct {
+    const char* name;
+    GraphMeta (*make)(io::Device&);
+    std::uint32_t partitions;
+    std::vector<std::size_t> buffers;
+  } graphs[] = {
+      {"rmat", +rmat, 2, {std::size_t{4} << 10, std::size_t{1} << 20}},
+      {"er", +erdos_renyi, 1, {std::size_t{1} << 20}}};
+  std::size_t cell = 0;
+  for (const auto& graph : graphs) {
+    TempDir dir("core");
+    io::Device base(dir.str(), io::DeviceModel::unthrottled());
+    const GraphMeta meta = graph.make(base);
+    const BfsProgram program;
+    const PartitionedGraph pg = partition_edge_list(
+        io::StoragePlan::single(base), meta, graph.partitions);
+    ASSERT_GT(pg.blocks[0].size(), 2u);
+    const auto reference = engine::run(engine::Kind::kInmem, pg,
+                                       io::StoragePlan::single(base), program);
+    PartitionedGraph unindexed = pg;
+    unindexed.blocks.clear();
+    constexpr std::uint32_t kThreads[] = {1, 2, 4};
+    for (std::size_t m = 0; m < std::size(models); ++m) {
+      const auto& [model_name, model] = models[m];
+      io::DeviceModel quiet_model = model;
+      quiet_model.time_scale = 0.0;  // accounting only: no sleeping
+      io::Device dev(dir.str(), quiet_model);
+      const io::StoragePlan plan = io::StoragePlan::single(dev);
+      for (std::size_t b = 0; b < graph.buffers.size(); ++b) {
+        const std::size_t buffer = graph.buffers[b];
+        const std::uint32_t threads = kThreads[(m + b) % 3];
+        for (const TrimMode& mode : modes) {
+          SCOPED_TRACE(std::string(graph.name) + ", " + model_name +
+                       ", buffer " + std::to_string(buffer) + ", T=" +
+                       std::to_string(threads) + ", " + mode.name);
+          engine::Options options;
+          options.reader.buffer_bytes = buffer;
+          options.num_threads = threads;
+          options.trim = mode.trim;
+          options.trim_min_dead_fraction = mode.min_dead_fraction;
+          options.sieve_updates = true;
+          options.update_codec = cell % 2 == 0 ? io::codec::Policy::kRaw
+                                               : io::codec::Policy::kAuto;
+          options.stay_codec = cell / 2 % 2 == 0 ? io::codec::Policy::kRaw
+                                                 : io::codec::Policy::kAuto;
+          ++cell;
+          options.memory_budget_bytes = 0;  // every run file on the device
+          for (std::uint32_t rounds = 1; mode.compare_files && rounds <= 5;
+               ++rounds) {
+            SCOPED_TRACE("after round " + std::to_string(rounds - 1));
+            engine::Options kept = options;
+            kept.keep_files = true;
+            kept.max_iterations = rounds;
+            (void)core::run(unindexed, plan, program, kept);
+            const auto want = run_files(dev, pg);
+            core::detail::remove_run_files(pg, plan);
+            (void)core::run(pg, plan, program, kept);
+            const auto got = run_files(dev, pg);
+            core::detail::remove_run_files(pg, plan);
+            ASSERT_EQ(got, want);
+          }
+          const auto whole = core::run(unindexed, plan, program, options);
+          const auto skipping = core::run(pg, plan, program, options);
+          for (const auto* result : {&whole, &skipping}) {
+            ASSERT_EQ(std::memcmp(result->states.data(),
+                                  reference.states.data(),
+                                  reference.states.size() *
+                                      sizeof(BfsProgram::State)),
+                      0);
+          }
+          EXPECT_EQ(edge_bytes_skipped(whole.per_iteration), 0u);
+          if (!mode.trim) {
+            EXPECT_GT(edge_bytes_skipped(skipping.per_iteration), 0u);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CoreBlockSkip, SkippedAndScannedEdgesCoverEveryInput) {
+  // One partition, so every round scans the whole input. Without trims,
+  // a round's scanned and skipped edges add up to the graph, and round 0
+  // — one root, a few blocks of out-edges — skips most of it and reads
+  // only what it scans. A trimming scan must collect every survivor, so
+  // it reads every block; the X-Stream preset scans without the index.
+  DedicatedRig rig;
+  const GraphMeta meta = rmat_graph(rig.edges, /*scale=*/11, /*edge_factor=*/16);
+  const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 1);
+  ASSERT_GT(pg.blocks[0].size(), 2u);
+
+  engine::Options untrimmed;
+  untrimmed.trim = false;
+  const auto skipping = core::run(pg, rig.plan, BfsProgram{}, untrimmed);
+  ASSERT_GT(skipping.iterations, 1u);
+  for (const auto& r : skipping.per_iteration) {
+    SCOPED_TRACE("round " + std::to_string(r.iteration));
+    EXPECT_EQ(r.edges_scanned + r.edge_bytes_skipped / sizeof(graph::Edge),
+              meta.num_edges);
+    EXPECT_EQ(r.edge_bytes_skipped % sizeof(graph::Edge), 0u);
+    EXPECT_EQ(r.role_io(io::Role::kEdges).bytes_read,
+              r.edges_scanned * sizeof(graph::Edge));
+  }
+  EXPECT_GT(skipping.per_iteration[0].edge_bytes_skipped,
+            meta.edge_bytes() / 2);
+
+  const auto trimming = core::run(pg, rig.plan, BfsProgram{}, {});
+  EXPECT_GT(trimming.trims_committed, 0u);
+  EXPECT_EQ(edge_bytes_skipped(trimming.per_iteration), 0u);
+  EXPECT_EQ(trimming.per_iteration[0].edges_scanned, meta.num_edges);
+
+  const auto xstream = engine::run(engine::Kind::kXstream, pg, rig.plan,
+                                   BfsProgram{}, untrimmed);
+  EXPECT_EQ(xstream.iterations, skipping.iterations);
+  for (const auto& r : xstream.per_iteration) {
+    EXPECT_EQ(r.edge_bytes_skipped, 0u) << "round " << r.iteration;
+    EXPECT_EQ(r.edges_scanned, meta.num_edges) << "round " << r.iteration;
+  }
 }
 
 }  // namespace

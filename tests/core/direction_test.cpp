@@ -364,6 +364,59 @@ TEST(DirectionEquivalence, BottomUpReadsThroughSeekSizedGaps) {
   }
 }
 
+TEST(DirectionEquivalence, DamagedTransposedIndexRebuildsTheView) {
+  // A bottom-up scan skips a transposed block by its cached index entry,
+  // so a damaged entry would drop in-edges a destination still needs:
+  // narrowed to its first destination, an entry makes the block look
+  // claimed once that one vertex is. The `.tmeta` sidecar records the
+  // index's digest, so the damage is a cache miss: the view rebuilds
+  // and a forced bottom-up BFS matches the in-memory reference.
+  TempDir dir("direction");
+  io::Device dev(dir.str(), io::DeviceModel::unthrottled());
+  const GraphMeta meta = materialize(
+      dev, "rmat",
+      graph::RmatSource({.scale = 12, .edge_factor = 8, .seed = 7}));
+  const BfsProgram program{.root = 0};
+  const auto reference = inmem::run_graph(dev, meta, program, {});
+  const io::StoragePlan plan = io::StoragePlan::single(dev);
+  const graph::PartitionedGraph pg = graph::partition_edge_list(plan, meta, 2);
+  const graph::TransposedView view = graph::build_transposed_view(plan, pg);
+  std::vector<graph::EdgeBlock> built;
+  for (const auto& blocks : view.blocks) {
+    built.insert(built.end(), blocks.begin(), blocks.end());
+  }
+
+  const std::string index = graph::transposed_index_file(pg);
+  const auto read_index = [&] {
+    std::vector<graph::EdgeBlock> entries(dev.file_size(index) /
+                                          sizeof(graph::EdgeBlock));
+    auto file = dev.open(index, /*truncate=*/false);
+    const std::uint64_t bytes = entries.size() * sizeof(graph::EdgeBlock);
+    EXPECT_EQ(file->read_at(0, entries.data(), bytes), bytes);
+    return entries;
+  };
+  std::vector<graph::EdgeBlock> damaged = read_index();
+  ASSERT_EQ(damaged.size(), built.size());
+  const std::size_t victim = damaged.size() / 2;
+  ASSERT_LT(damaged[victim].first, damaged[victim].last);
+  damaged[victim].last = damaged[victim].first;
+  dev.open(index, /*truncate=*/false)
+      ->write_at(0, damaged.data(), damaged.size() * sizeof(graph::EdgeBlock));
+
+  engine::Options options;
+  options.direction = Direction::kBottomUp;
+  const auto result = core::run(pg, plan, program, options);
+  ASSERT_EQ(result.states.size(), reference.states.size());
+  EXPECT_EQ(std::memcmp(result.states.data(), reference.states.data(),
+                        reference.states.size() * sizeof(BfsProgram::State)),
+            0);
+  const std::vector<graph::EdgeBlock> rebuilt = read_index();
+  ASSERT_EQ(rebuilt.size(), built.size());
+  EXPECT_EQ(std::memcmp(rebuilt.data(), built.data(),
+                        built.size() * sizeof(graph::EdgeBlock)),
+            0);
+}
+
 TEST(DirectionEquivalence, TrimTotalsReconcileWithIterationRows) {
   // The run-level trim counters must equal the per-iteration rows plus
   // the end-of-run epilogue row — on the zero-grace config too, where

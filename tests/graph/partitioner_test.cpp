@@ -1,14 +1,21 @@
 // Range-partitioner properties: the layout tiles the vertex space
 // exactly, every edge lands in exactly the partition owning its source,
-// and the concatenation of the partition files is the input as a
-// multiset (via the order-independent sidecar checksum).
+// the concatenation of the partition files is the input as a multiset
+// (via the order-independent sidecar checksum), each file is its edges
+// stably sorted by source with an exact block index, and the transposed
+// view matches a std::stable_sort reference and rebuilds whenever its
+// cache is damaged.
 #include "graph/partitioner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "common/config.hpp"
+#include "common/rng.hpp"
 #include "common/temp_dir.hpp"
 #include "graph/generators.hpp"
 #include "storage/stream.hpp"
@@ -18,6 +25,14 @@ namespace {
 
 io::Device make_device(const TempDir& dir) {
   return io::Device(dir.str(), io::DeviceModel::unthrottled());
+}
+
+std::vector<Edge> read_edges(io::Device& dev, const std::string& name) {
+  std::vector<Edge> edges(dev.file_size(name) / sizeof(Edge));
+  auto file = dev.open(name, /*truncate=*/false);
+  const std::uint64_t bytes = edges.size() * sizeof(Edge);
+  EXPECT_EQ(file->read_at(0, edges.data(), bytes), bytes);
+  return edges;
 }
 
 TEST(PartitionLayout, TilesTheVertexSpaceForAwkwardShapes) {
@@ -79,7 +94,7 @@ TEST(Partitioner, EveryEdgeLandsInExactlyItsOwnersFile) {
   EXPECT_EQ(checksum, meta.checksum);
 }
 
-TEST(Partitioner, SinglePartitionReproducesTheInputFile) {
+TEST(Partitioner, SinglePartitionHoldsTheInputStablySortedBySource) {
   TempDir dir("partition");
   io::Device dev = make_device(dir);
   const GraphMeta meta = write_generated(
@@ -87,15 +102,97 @@ TEST(Partitioner, SinglePartitionReproducesTheInputFile) {
         sink({0, 1});
         sink({3, 2});
         sink({1, 1});
+        sink({0, 0});
       });
   const PartitionedGraph pg = partition_edge_list(dev, meta, 1);
   EXPECT_EQ(pg.edges_per_partition[0], meta.num_edges);
-  auto f = dev.open(pg.partition_file(0));
-  io::RecordReader<Edge> reader(*f, 64);
-  std::vector<Edge> back;
-  Edge e;
-  while (reader.next(e)) back.push_back(e);
-  EXPECT_EQ(back, (std::vector<Edge>{{0, 1}, {3, 2}, {1, 1}}));
+  EXPECT_EQ(read_edges(dev, pg.partition_file(0)),
+            (std::vector<Edge>{{0, 1}, {0, 0}, {1, 1}, {3, 2}}));
+  ASSERT_EQ(pg.blocks.size(), 1u);
+  ASSERT_EQ(pg.blocks[0].size(), 1u);
+  EXPECT_EQ(pg.blocks[0][0].first, 0u);
+  EXPECT_EQ(pg.blocks[0][0].last, 3u);
+}
+
+/// Every block of `edges`, sorted by `key`, spans exactly its entry of
+/// `blocks`: first and last key equal — not merely contained, since a
+/// scan's skip decision trusts them.
+void expect_exact_index(const std::vector<Edge>& edges,
+                        const std::vector<EdgeBlock>& blocks, EdgeKey key) {
+  const auto key_of = [key](const Edge& e) {
+    return key == EdgeKey::kSrc ? e.src : e.dst;
+  };
+  ASSERT_EQ(blocks.size(),
+            (edges.size() + kBlockRecords - 1) / kBlockRecords);
+  for (std::uint64_t b = 0; b < blocks.size(); ++b) {
+    const std::uint64_t first = b * kBlockRecords;
+    const std::uint64_t last =
+        std::min<std::uint64_t>(first + kBlockRecords, edges.size()) - 1;
+    EXPECT_EQ(blocks[b].first, key_of(edges[first])) << "block " << b;
+    EXPECT_EQ(blocks[b].last, key_of(edges[last])) << "block " << b;
+  }
+}
+
+TEST(Partitioner, EachFileIsItsEdgesStablySortedBySourceWithAnExactIndex) {
+  // Several blocks per partition, plus partial tail blocks, on a skewed
+  // graph with many same-source runs: each file must equal the input's
+  // edges of its range under std::stable_sort by source (same-source
+  // edges keep their input order), and the index must match every block.
+  TempDir dir("partition");
+  io::Device dev = make_device(dir);
+  const RmatSource source({.scale = 13, .edge_factor = 16, .seed = 41});
+  const GraphMeta meta = write_generated(
+      dev, "rmat", source.num_vertices(), source.seed(), source.undirected(),
+      [&](const EdgeSink& sink) { source.generate(sink); });
+  const std::vector<Edge> input = read_edges(dev, meta.edge_file());
+
+  const std::uint32_t P = 3;
+  const PartitionedGraph pg = partition_edge_list(dev, meta, P);
+  ASSERT_EQ(pg.blocks.size(), P);
+  for (std::uint32_t p = 0; p < P; ++p) {
+    SCOPED_TRACE("partition " + std::to_string(p));
+    std::vector<Edge> want;
+    for (const Edge& e : input) {
+      if (pg.layout.owner(e.src) == p) want.push_back(e);
+    }
+    std::stable_sort(want.begin(), want.end(),
+                     [](const Edge& a, const Edge& b) { return a.src < b.src; });
+    const std::vector<Edge> got = read_edges(dev, pg.partition_file(p));
+    ASSERT_GT(got.size(), kBlockRecords);
+    EXPECT_EQ(got, want);
+    expect_exact_index(got, pg.blocks[p], EdgeKey::kSrc);
+  }
+}
+
+TEST(EdgeSort, MatchesStdStableSortOnSeededInputs) {
+  // Narrow ranges sort in one counting pass, ranges past 2^16 in two;
+  // heavy duplicates check stability, and a range starting far from 0
+  // checks the offset.
+  for (const EdgeKey key : {EdgeKey::kSrc, EdgeKey::kDst}) {
+    for (const std::uint64_t range : {1ull, 300ull, 65'536ull, 70'000ull,
+                                      (1ull << 32) - 5'000'000}) {
+      for (const VertexId begin : {0u, 5'000'000u}) {
+        SCOPED_TRACE("key " + std::to_string(static_cast<int>(key)) +
+                     ", range " + std::to_string(range) + ", begin " +
+                     std::to_string(begin));
+        Rng rng(range + begin);
+        std::vector<Edge> edges(20'000);
+        for (std::size_t i = 0; i < edges.size(); ++i) {
+          const auto k = static_cast<VertexId>(begin + rng.next_below(range));
+          const auto other = static_cast<VertexId>(i);  // the input order
+          edges[i] = key == EdgeKey::kSrc ? Edge{k, other} : Edge{other, k};
+        }
+        std::vector<Edge> want = edges;
+        std::stable_sort(want.begin(), want.end(),
+                         [key](const Edge& a, const Edge& b) {
+                           return key == EdgeKey::kSrc ? a.src < b.src
+                                                       : a.dst < b.dst;
+                         });
+        stable_sort_edges(edges, key, begin, begin + range);
+        ASSERT_EQ(edges, want);
+      }
+    }
+  }
 }
 
 TEST(TransposedView, HoldsEveryEdgeDstSortedInItsOwnersFile) {
@@ -187,7 +284,7 @@ TEST(TransposedView, BlockIndexCoversEveryRecordWithOrderedDstRanges) {
   for (std::uint32_t q = 0; q < P; ++q) {
     const std::uint64_t records = view.in_edges_per_partition[q];
     const std::uint64_t want_blocks =
-        (records + kTransposedBlockRecords - 1) / kTransposedBlockRecords;
+        (records + kBlockRecords - 1) / kBlockRecords;
     ASSERT_EQ(view.blocks[q].size(), want_blocks);
     // Re-read the file and check every block's recorded range is exact
     // — not merely containing, since pull's skip decision trusts it.
@@ -198,22 +295,22 @@ TEST(TransposedView, BlockIndexCoversEveryRecordWithOrderedDstRanges) {
     VertexId seen_first = 0;
     VertexId seen_last = 0;
     while (reader.next(e)) {
-      const std::uint64_t b = i / kTransposedBlockRecords;
-      if (i % kTransposedBlockRecords == 0) {
+      const std::uint64_t b = i / kBlockRecords;
+      if (i % kBlockRecords == 0) {
         seen_first = e.dst;
         if (b > 0) {  // close out the previous block
-          EXPECT_EQ(view.blocks[q][b - 1].last_dst, seen_last);
+          EXPECT_EQ(view.blocks[q][b - 1].last, seen_last);
           // dst-sorted file: consecutive blocks' ranges never regress.
-          EXPECT_GE(view.blocks[q][b].first_dst,
-                    view.blocks[q][b - 1].last_dst);
+          EXPECT_GE(view.blocks[q][b].first,
+                    view.blocks[q][b - 1].last);
         }
-        EXPECT_EQ(view.blocks[q][b].first_dst, seen_first);
+        EXPECT_EQ(view.blocks[q][b].first, seen_first);
       }
       seen_last = e.dst;
       ++i;
     }
     if (records > 0) {
-      EXPECT_EQ(view.blocks[q].back().last_dst, seen_last);
+      EXPECT_EQ(view.blocks[q].back().last, seen_last);
     }
   }
 }
@@ -238,23 +335,98 @@ TEST(TransposedView, CachedLoadKeepsBlocksAndDamagedIndexRebuilds) {
   for (std::size_t q = 0; q < first.blocks.size(); ++q) {
     ASSERT_EQ(cached.blocks[q].size(), first.blocks[q].size());
     EXPECT_EQ(std::memcmp(cached.blocks[q].data(), first.blocks[q].data(),
-                          first.blocks[q].size() * sizeof(TransposedBlock)),
+                          first.blocks[q].size() * sizeof(EdgeBlock)),
               0);
   }
 
   // A missing index file invalidates the cache (the transposed files
   // themselves are intact) and the rebuild restores it.
-  ASSERT_TRUE(dev.exists(transposed_index_file(pg, 1)));
-  dev.remove(transposed_index_file(pg, 1));
+  ASSERT_TRUE(dev.exists(transposed_index_file(pg)));
+  dev.remove(transposed_index_file(pg));
   const TransposedView rebuilt = build_transposed_view(plan, pg);
-  EXPECT_TRUE(dev.exists(transposed_index_file(pg, 1)));
+  EXPECT_TRUE(dev.exists(transposed_index_file(pg)));
   ASSERT_EQ(rebuilt.blocks.size(), first.blocks.size());
   for (std::size_t q = 0; q < first.blocks.size(); ++q) {
     ASSERT_EQ(rebuilt.blocks[q].size(), first.blocks[q].size());
     EXPECT_EQ(std::memcmp(rebuilt.blocks[q].data(), first.blocks[q].data(),
-                          first.blocks[q].size() * sizeof(TransposedBlock)),
+                          first.blocks[q].size() * sizeof(EdgeBlock)),
               0);
   }
+}
+
+TEST(TransposedView, FilesMatchAStableSortReferenceOnSeededGraphs) {
+  // The reference transposition: the partition files fanned out by
+  // destination owner in partition order, then std::stable_sort by
+  // destination. The build's counting sort must write the same bytes.
+  for (const std::uint64_t seed : {2u, 3u}) {
+    for (const std::uint32_t P : {1u, 3u}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", P " +
+                   std::to_string(P));
+      TempDir dir("partition");
+      io::Device dev = make_device(dir);
+      const RmatSource source(
+          {.scale = 12, .edge_factor = 8, .seed = seed});
+      const GraphMeta meta = write_generated(
+          dev, "rmat", source.num_vertices(), source.seed(),
+          source.undirected(),
+          [&](const EdgeSink& sink) { source.generate(sink); });
+      const io::StoragePlan plan = io::StoragePlan::single(dev);
+      const PartitionedGraph pg = partition_edge_list(plan, meta, P);
+      const TransposedView view = build_transposed_view(plan, pg);
+
+      std::vector<std::vector<Edge>> want(P);
+      for (std::uint32_t p = 0; p < P; ++p) {
+        for (const Edge& e : read_edges(dev, pg.partition_file(p))) {
+          want[pg.layout.owner(e.dst)].push_back(e);
+        }
+      }
+      for (std::uint32_t q = 0; q < P; ++q) {
+        std::stable_sort(
+            want[q].begin(), want[q].end(),
+            [](const Edge& a, const Edge& b) { return a.dst < b.dst; });
+        const std::vector<Edge> got = read_edges(dev, transposed_file(pg, q));
+        EXPECT_EQ(got, want[q]) << "transposed file " << q;
+        expect_exact_index(got, view.blocks[q], EdgeKey::kDst);
+      }
+    }
+  }
+}
+
+TEST(TransposedView, CacheHitReadsTheIndexWithOneRequest) {
+  TempDir dir("partition");
+  io::Device dev = make_device(dir);
+  const ErdosRenyiSource source(
+      {.num_vertices = 1'000, .num_edges = 30'000, .seed = 17});
+  const GraphMeta meta = write_generated(
+      dev, "er", source.num_vertices(), source.seed(), source.undirected(),
+      [&](const EdgeSink& sink) { source.generate(sink); });
+  const io::StoragePlan plan = io::StoragePlan::single(dev);
+  const PartitionedGraph pg = partition_edge_list(plan, meta, 3);
+  const TransposedView first = build_transposed_view(plan, pg);
+
+  // Every partition's index is in one file, read with one request.
+  const io::IoStatsSnapshot before = dev.stats().snapshot();
+  const TransposedView cached = build_transposed_view(plan, pg);
+  const io::IoStatsSnapshot load = dev.stats().snapshot().delta(before);
+  EXPECT_EQ(load.read_ops, 1u);
+  EXPECT_EQ(load.write_ops, 0u);
+  EXPECT_EQ(cached.blocks.size(), first.blocks.size());
+
+  // A sidecar from another file layout (here: one with no layout key, as
+  // the per-partition index files had) is a miss, and the rebuild
+  // rewrites the view.
+  Config cfg = Config::parse_file(dev.path(transposed_meta_file(pg)));
+  Config old_layout;
+  for (const char* key :
+       {"num_partitions", "num_edges", "checksum", "block_records",
+        "index_digest", "in_edges0", "in_edges1", "in_edges2"}) {
+    old_layout.set_u64(key, cfg.get_u64(key));
+  }
+  old_layout.write_file(dev.path(transposed_meta_file(pg)));
+  const std::uint64_t written_before = dev.stats().bytes_written();
+  const TransposedView rebuilt = build_transposed_view(plan, pg);
+  EXPECT_GT(dev.stats().bytes_written(), written_before);
+  EXPECT_EQ(rebuilt.in_edges_per_partition, first.in_edges_per_partition);
 }
 
 }  // namespace
