@@ -3,16 +3,14 @@
 // Two workloads across the backend matrix:
 //
 // 1. Streaming scan (informative table): stream a big file through the
-//    storage layer's readers on
+//    storage layer's sequential reader on
 //      * modelled-unthrottled — the accounting-only token bucket, i.e.
 //        the cost of the storage layer itself (page-cache memcpy speed),
-//      * real-buffered        — real backend, O_DIRECT off, at qd 1
-//        (plain synchronous reads) and qd 8 (prefetch ring),
-//      * real-io_uring        — real backend, O_DIRECT + io_uring, same
-//        two depths; qd 8 streams through the N-deep PrefetchReader
-//        ring, whose fetcher submits every free slot as ONE ring batch.
-//    Sequential streams saturate most devices at qd=1 — this table says
-//    what the storage stack costs, not what depth buys.
+//      * real-buffered        — real backend, O_DIRECT off,
+//      * real-io_uring        — real backend, O_DIRECT + io_uring,
+//    each reading synchronously, one buffer at a time. Sequential
+//    streams saturate most devices at qd=1 — this table says what the
+//    storage stack costs, not what depth buys.
 //
 // 2. Scattered block reads (the CHECKed headline): random 64 KB
 //    positional reads — the shape the block-coalesced bottom-up reader
@@ -77,27 +75,18 @@ void fill_file(io::Device& dev, const std::string& name,
 struct Arm {
   const char* tag;
   io::BackendOptions backend;
-  bool prefetch = false;  // false: plain synchronous reads
 };
 
-/// Streams `name` start to finish through the arm's reader; best-of-2
-/// MB/s.
+/// Streams `name` start to finish through the sequential reader;
+/// best-of-2 MB/s.
 double measure_scan(io::Device& dev, const std::string& name,
-                    std::uint64_t bytes, bool prefetch) {
+                    std::uint64_t bytes) {
   double best = 0.0;
   std::vector<std::byte> sink(kReaderBuffer);
   for (int pass = 0; pass < 2; ++pass) {
-    io::ReaderOptions opts = prefetch
-                                 ? io::ReaderOptions::prefetch(kReaderBuffer)
-                                 : io::ReaderOptions::plain(kReaderBuffer);
-    // A real device's ring is as deep as its queue; a modelled one keeps
-    // the default double-buffering (its timeline is serial).
-    if (dev.backend_kind() == io::BackendKind::kReal) {
-      opts.prefetch_depth =
-          std::max<std::size_t>(2, dev.backend_options().queue_depth);
-    }
     Stopwatch sw;
-    auto reader = io::open_stream_reader(dev, name, opts);
+    auto reader =
+        io::open_stream_reader(dev, name, {.buffer_bytes = kReaderBuffer});
     std::uint64_t total = 0;
     for (std::size_t got = reader->read(sink.data(), sink.size()); got > 0;
          got = reader->read(sink.data(), sink.size())) {
@@ -184,19 +173,11 @@ int main(int argc, char** argv) {
   TempDir workspace("backend_scan");
 
   const Arm arms[] = {
-      {"modelled-unthrottled", {.kind = io::BackendKind::kModelled}, false},
+      {"modelled-unthrottled", {.kind = io::BackendKind::kModelled}},
       {"real-buffered-qd1",
        {.kind = io::BackendKind::kReal, .direct_io = false,
-        .use_uring = false, .queue_depth = 1},
-       false},
-      {"real-buffered-qd8",
-       {.kind = io::BackendKind::kReal, .direct_io = false,
-        .queue_depth = 8},
-       true},
-      {"real-uring-qd1",
-       {.kind = io::BackendKind::kReal, .queue_depth = 1}, false},
-      {"real-uring-qd8",
-       {.kind = io::BackendKind::kReal, .queue_depth = 8}, true},
+        .use_uring = false, .queue_depth = 1}},
+      {"real-uring-qd1", {.kind = io::BackendKind::kReal, .queue_depth = 1}},
   };
 
   Json json;
@@ -204,21 +185,19 @@ int main(int argc, char** argv) {
   json.text("mode", quick ? "quick" : "full");
   json.integer("file_mb", bytes >> 20);
 
-  metrics::Table table({"arm", "backend", "reader", "scan MB/s"});
+  metrics::Table table({"arm", "backend", "scan MB/s"});
   bool uring_available = false;
   json.open("arms");
   for (const Arm& arm : arms) {
     io::Device dev(workspace.str() + "/" + arm.tag,
                    io::DeviceModel::unthrottled(), arm.backend);
     fill_file(dev, "scan", bytes);
-    const double mbs = measure_scan(dev, "scan", bytes, arm.prefetch);
+    const double mbs = measure_scan(dev, "scan", bytes);
     const std::string mode = dev.backend_description();
     table.add_row({arm.tag, mode,
-                   arm.prefetch ? "prefetch-ring" : "plain-sync",
                    std::to_string(static_cast<std::uint64_t>(mbs))});
     json.open(arm.tag);
     json.text("backend", mode);
-    json.text("reader", arm.prefetch ? "prefetch-ring" : "plain-sync");
     json.number("scan_mb_s", mbs);
     json.close();
     if (std::strcmp(arm.tag, "real-uring-qd1") == 0) {

@@ -214,7 +214,7 @@ void part_b(Json& json, const Dataset& ds, std::size_t chunk_bytes,
   json.integer("chunk_bytes", chunk_bytes);
   json.integer("edges", ds.meta.num_edges);
 
-  const io::ReaderOptions reader = io::ReaderOptions::plain(chunk_bytes);
+  const io::ReaderOptions reader{.buffer_bytes = chunk_bytes};
   const std::vector<PartBConfig> configs = {
       {"xstream", engine::Kind::kXstream, false},
       {"fastbfs_no_trim", engine::Kind::kCore, false},

@@ -3,15 +3,13 @@
 //   1. parallel R-MAT generation at 1/2/4 threads, shards spread over
 //      four modelled HDDs — the multi-disk build box; reports the
 //      thread-scaling of the shard fan-out phase;
-//   2. the range partitioner's one-pass fan-out throughput;
-//   3. a full edge scan through the plain reader vs the prefetching
-//      reader on one modelled HDD.
+//   2. the range partitioner's fan-out-and-sort throughput.
 //
 // The host has no slow disk, so the device models provide the I/O cost:
-// each section first measures its pure-compute rate, then picks the
-// model's time_scale so modelled I/O time is a fixed multiple of the
-// compute time (3x for generation, 1x for the scan — the regime each
-// optimisation targets). That keeps the compute/I/O ratio — and so the
+// the generation section first measures its pure-compute rate, then
+// picks the model's time_scale so modelled I/O time is 3x the compute
+// time (the regime the shard fan-out targets), and the partition disk
+// is scaled the same way. That keeps the compute/I/O ratio — and so the
 // overlap headroom — stable across host speeds, instead of baking in a
 // wall-clock budget that a faster host would quietly degrade.
 //
@@ -52,8 +50,7 @@ void copy_uncharged(io::Device& from, io::Device& to,
   io::Device dst(to.root_dir(), io::DeviceModel::unthrottled());
   auto out = dst.open(name, /*truncate=*/true);
   std::vector<std::byte> buf(1 << 20);
-  auto reader =
-      io::open_stream_reader(src, name, io::ReaderOptions::plain(buf.size()));
+  auto reader = io::open_stream_reader(src, name, {.buffer_bytes = buf.size()});
   for (std::size_t got = reader->read(buf.data(), buf.size()); got > 0;
        got = reader->read(buf.data(), buf.size())) {
     out->append(buf.data(), got);
@@ -195,74 +192,6 @@ int main(int argc, char** argv) {
   json.integer("bytes_moved", moved);
   json.number("seconds", part_s);
   json.number("mb_per_s", mb_per_s(moved, part_s));
-  json.close();
-
-  // ---- 3. scan: plain vs prefetch on a modelled HDD whose read time
-  // matches the consumer's compute time (max overlap headroom = 2x).
-  const std::vector<Edge> edges = read_all_edges(target, meta);
-  std::vector<std::uint32_t> degrees(meta.num_vertices, 0);
-  std::uint64_t checksum = 0;
-  sw.restart();
-  for (const Edge& e : edges) {
-    ++degrees[e.src];
-    checksum += edge_digest(e);
-  }
-  const double cpu_scan_s = sw.seconds();
-  FB_CHECK_EQ(checksum, meta.checksum);
-
-  const double unscaled_read_s =
-      static_cast<double>(edge_bytes) / (hdd.read_mb_s * kMb);
-  io::DeviceModel scan_model = hdd;
-  scan_model.time_scale = cpu_scan_s / unscaled_read_s;
-  io::Device scan_dev(workspace.str() + "/scan", scan_model);
-  copy_uncharged(target, scan_dev, meta.edge_file());
-
-  const int repeats = quick ? 5 : 3;
-  const std::size_t scan_buffer = 1 << 20;
-  auto scan_file = scan_dev.open(meta.edge_file());
-  const auto consume = [&](auto& reader) {
-    std::uint64_t sum = 0;
-    for (auto batch = reader.next_batch(); !batch.empty();
-         batch = reader.next_batch()) {
-      for (const Edge& e : batch) {
-        ++degrees[e.src];
-        sum += edge_digest(e);
-      }
-    }
-    FB_CHECK_EQ(sum, meta.checksum);
-  };
-
-  sw.restart();
-  for (int r = 0; r < repeats; ++r) {
-    auto reader = io::open_record_reader<Edge>(
-        *scan_file, io::ReaderOptions::plain(scan_buffer));
-    consume(*reader);
-  }
-  const double plain_s = sw.seconds() / repeats;
-
-  sw.restart();
-  for (int r = 0; r < repeats; ++r) {
-    auto reader = io::open_record_reader<Edge>(
-        *scan_file, io::ReaderOptions::prefetch(scan_buffer));
-    consume(*reader);
-  }
-  const double prefetch_s = sw.seconds() / repeats;
-
-  const double scan_speedup = plain_s / prefetch_s;
-  std::cout << "scan plain: " << plain_s << " s ("
-            << mb_per_s(edge_bytes, plain_s) << " MB/s), prefetch: "
-            << prefetch_s << " s (" << mb_per_s(edge_bytes, prefetch_s)
-            << " MB/s), speedup " << scan_speedup << "x\n";
-
-  json.open("scan");
-  json.number("time_scale", scan_model.time_scale);
-  json.number("cpu_only_seconds", cpu_scan_s);
-  json.integer("repeats", repeats);
-  json.number("plain_seconds", plain_s);
-  json.number("prefetch_seconds", prefetch_s);
-  json.number("plain_mb_per_s", mb_per_s(edge_bytes, plain_s));
-  json.number("prefetch_mb_per_s", mb_per_s(edge_bytes, prefetch_s));
-  json.number("speedup", scan_speedup);
   json.close();
 
   std::ofstream out(out_path);

@@ -182,7 +182,7 @@ void bench_codec(Json& json, io::Device& dev, const std::vector<Shape>& shapes,
       std::uint64_t decoded = 0;
       for (std::uint32_t r = 0; r < rounds; ++r) {
         auto reader = io::codec::open_reader<Update>(
-            dev, file, io::ReaderOptions::plain(1 << 20));
+            dev, file, {.buffer_bytes = 1 << 20});
         for (auto batch = reader->next_batch(); !batch.empty();
              batch = reader->next_batch()) {
           decoded += batch.size();

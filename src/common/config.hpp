@@ -52,7 +52,7 @@ class Config {
   bool get_bool_or(const std::string& key, bool fallback) const;
 
   /// Value restricted to a closed set of names (engine mode keys like
-  /// `io.reader = prefetch`). Aborts with a message listing the valid
+  /// `core.direction = auto`). Aborts with a message listing the valid
   /// values when the value (or, for get_enum_or, the fallback) is not
   /// one of `allowed`.
   std::string get_enum(const std::string& key,

@@ -6,9 +6,9 @@
 //                       die (BFS levels are set once, so a scattered
 //                       source never needs its out-edges again); the
 //                       survivors are encoded under the stay codec
-//                       when the scan ends and go to the AsyncWriter as
-//                       one append, staged (begin_staged) onto the
-//                       plan's stay device as the partition's
+//                       when the scan ends and handed to the
+//                       AsyncWriter whole (write_staged), staged onto
+//                       the plan's stay device as the partition's
 //                       next-iteration input;
 //   latency hiding      the stay write proceeds on the writer thread
 //                       while the round moves on; only the NEXT scatter
@@ -16,7 +16,7 @@
 //                       wait_complete(id, grace_timeout) gates the
 //                       swap there — on timeout the stream is
 //                       cancelled and the previous input file is
-//                       reused (begin_staged's .wip-never-clobbers
+//                       reused (write_staged's .wip-never-clobbers
 //                       contract makes the fallback safe);
 //   trim triggers       per partition and per round, trimming starts
 //                       only when it plausibly pays: round >=
@@ -100,7 +100,6 @@
 #include "metrics/iteration_stats.hpp"
 #include "storage/async_writer.hpp"
 #include "storage/codec.hpp"
-#include "storage/reader_factory.hpp"
 #include "storage/storage_plan.hpp"
 
 namespace fbfs::core {
@@ -121,10 +120,6 @@ void log_trim_resolution(const char* program, std::uint32_t partition,
 void remove_run_files(const graph::PartitionedGraph& pg,
                       const io::StoragePlan& plan);
 
-/// Buffers in the stay streams' AsyncWriter pool, each
-/// Options::stay_buffer_bytes long.
-inline constexpr std::size_t kStayPoolBuffers = 4;
-
 /// After a grace-timeout cancel, the writer thread gets this long to
 /// reach a terminal state (cancel is cooperative and never blocks on
 /// the device, so this settles promptly; it exists so a commit that
@@ -135,7 +130,7 @@ inline constexpr double kSettleTimeoutSeconds = 60.0;
 /// round's scan, resolved at the partition's next scan (or end of run).
 struct PendingTrim {
   io::AsyncWriter::StreamId id = 0;
-  std::uint64_t survivors = 0;  // edges appended to the stream
+  std::uint64_t survivors = 0;  // edges in the stream
   /// Format the stream was written in; the next scan dispatches on it
   /// (raw = positional scan past the header, else decode-then-scatter)
   /// without re-reading the header.
@@ -199,9 +194,7 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
   // ---- trimming state. Only runs with trimming on pay for any of this;
   // for the rest the loop below is the plain X-Stream scatter/gather.
   std::optional<io::AsyncWriter> writer;
-  if (options.trim) {
-    writer.emplace(options.stay_buffer_bytes, detail::kStayPoolBuffers);
-  }
+  if (options.trim) writer.emplace();
   std::vector<bool> input_on_stay(num_partitions, false);
   // Codec format of partition p's committed stay file (meaningful only
   // when input_on_stay[p]); raw scans positionally past the header, any
@@ -221,9 +214,7 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
   // cache — on the plan's edge device.
   graph::TransposedView transposed;
   if (options.direction != engine::Direction::kTopDown) {
-    graph::PartitionOptions topts;
-    topts.reader = options.reader.mode;
-    transposed = graph::build_transposed_view(plan, pg, topts);
+    transposed = graph::build_transposed_view(plan, pg);
   }
 
   // ---- the dead set, one for trimming and bottom-up alike: `visited`
@@ -430,12 +421,6 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
         detail::StayTrimSink sink;
         sink.dead = options.trim ? claimed : nullptr;
         sink.collecting = trim_this_scan;
-        io::AsyncWriter::StreamId stay_id = 0;
-        if (trim_this_scan) {
-          stay_id = writer->begin_staged(plan.stay(), stay_file_name(pg, p));
-          ++result.trims_started;
-          ++stats.trims_started;
-        }
 
         metrics::ScopedPhase scatter_timer(collector,
                                            metrics::Phase::kScatter);
@@ -483,8 +468,7 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
         dead_seen[p] = scattered.dead;
         if (trim_this_scan) {
           // Encode the whole survivor stream under the stay codec and
-          // hand the device write to the async writer as one append
-          // (still .wip-staged, still cancellable).
+          // hand it to the stay writer whole (.wip-staged, cancellable).
           const std::uint64_t survivors = input_edges[p] - scattered.dead;
           FB_CHECK_EQ(sink.staged.size(), survivors);
           io::codec::EncodeOptions eopts;
@@ -495,14 +479,12 @@ engine::RunResult<P> run(const graph::PartitionedGraph& pg,
           eopts.allow_bitmap = false;
           eopts.range_begin = 0;
           eopts.range_end = n;
-          const io::codec::EncodedBlob blob =
+          io::codec::EncodedBlob blob =
               io::codec::encode_records<graph::Edge>(sink.staged, eopts);
-          if (writer->append_raw(stay_id, blob.bytes.data(),
-                                 blob.bytes.size())) {
-            writer->finish(stay_id);
-          } else {
-            writer->cancel(stay_id);  // no-op if already failed
-          }
+          const io::AsyncWriter::StreamId stay_id = writer->write_staged(
+              plan.stay(), stay_file_name(pg, p), std::move(blob.bytes));
+          ++result.trims_started;
+          ++stats.trims_started;
           stats.stay_edges_written += survivors;
           result.stay_edges_written += survivors;
           pending[p] = detail::PendingTrim{stay_id, survivors, blob.format};

@@ -76,8 +76,6 @@ Options options_from_config(const Config& config) {
       "core.trim_min_dead_fraction", opts.trim_min_dead_fraction);
   opts.grace_timeout_seconds =
       config.get_f64_or("core.grace_timeout", opts.grace_timeout_seconds);
-  opts.stay_buffer_bytes = static_cast<std::size_t>(
-      config.get_bytes_or("core.stay_buffer", opts.stay_buffer_bytes));
   opts.direction = parse_direction(config.get_enum_or(
       "core.direction", {"topdown", "bottomup", "auto"},
       to_string(opts.direction)));

@@ -6,7 +6,7 @@
 // for runs that never trim or flip direction.
 //
 // Config keys, one spelling per value (options_from_config):
-//   * `io.reader` / `io.reader_buffer` configure every record stream.
+//   * `io.reader_buffer` sizes every sequential read.
 //   * `engine.write_buffer`, `engine.max_iterations`,
 //     `engine.num_threads` (0 = hardware concurrency),
 //     `engine.memory_budget` (a byte size; both streaming kinds read it)
@@ -15,8 +15,8 @@
 //     stay codec defaults to the resolved updates.codec).
 //   * `core.*`, the FastBFS trim and direction knobs: `core.trim`,
 //     `core.trim_start_round`, `core.trim_min_frontier_fraction`,
-//     `core.trim_min_dead_fraction`, `core.grace_timeout`,
-//     `core.stay_buffer` and `core.direction`. Kind::kXstream's preset
+//     `core.trim_min_dead_fraction`, `core.grace_timeout` and
+//     `core.direction`. Kind::kXstream's preset
 //     overrides `core.trim` and `core.direction`, so one config drives
 //     either streaming arm.
 #pragma once
@@ -69,7 +69,7 @@ struct Options {
   /// First member so `{.max_iterations = N}` designated initialization
   /// (the equivalence suites' idiom) skips no earlier field.
   std::uint32_t max_iterations = 1'000'000;
-  /// Edge, update, and state streams all honour this mode/buffer.
+  /// Edge, update, and state reads all honour this buffer size.
   io::ReaderOptions reader = {};
   /// Split across the P update writers during scatter; whole for the
   /// state write-back.
@@ -115,8 +115,6 @@ struct Options {
   /// Seconds the next scatter of a partition waits for its pending stay
   /// stream before cancelling and falling back to the previous input.
   double grace_timeout_seconds = 5.0;
-  /// Buffer size of the stay streams' AsyncWriter pool.
-  std::size_t stay_buffer_bytes = 1 << 20;
   /// Format policy for the trimmed stay files (bitmap never applies:
   /// multi-edges keep their multiplicity). Defaults to following the
   /// resolved update codec when read from config.

@@ -1,7 +1,6 @@
 #include "graph/csr.hpp"
 
 #include "common/check.hpp"
-#include "storage/reader_factory.hpp"
 
 namespace fbfs::graph {
 

@@ -42,7 +42,7 @@ class Csr {
   std::vector<VertexId> targets_;
 };
 
-/// One read-ahead scan of `meta`'s edge file into a Csr, verifying the
+/// One sequential scan of `meta`'s edge file into a Csr, verifying the
 /// sidecar checksum en route.
 Csr build_csr(io::Device& device, const GraphMeta& meta);
 

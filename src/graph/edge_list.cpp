@@ -2,7 +2,6 @@
 
 #include "common/config.hpp"
 #include "common/units.hpp"
-#include "storage/reader_factory.hpp"
 #include "storage/stream.hpp"
 
 namespace fbfs::graph {
@@ -72,13 +71,13 @@ GraphMeta write_generated(
 
 std::vector<Edge> read_all_edges(io::Device& device, const GraphMeta& meta) {
   FB_CHECK_EQ(meta.record_size, sizeof(Edge));
-  auto reader = io::open_record_reader<Edge>(
-      device, meta.edge_file(), io::ReaderOptions::prefetch(kIoBuffer));
+  auto file = device.open(meta.edge_file());
+  io::RecordReader<Edge> reader(*file, kIoBuffer);
   std::vector<Edge> edges;
   edges.reserve(meta.num_edges);
   std::uint64_t checksum = 0;
-  for (auto batch = reader->next_batch(); !batch.empty();
-       batch = reader->next_batch()) {
+  for (auto batch = reader.next_batch(); !batch.empty();
+       batch = reader.next_batch()) {
     for (const Edge& e : batch) checksum += edge_digest(e);
     edges.insert(edges.end(), batch.begin(), batch.end());
   }

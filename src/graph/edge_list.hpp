@@ -49,8 +49,8 @@ GraphMeta write_generated(
     std::uint64_t seed, bool undirected,
     const std::function<void(const EdgeSink&)>& generate);
 
-/// Streams the whole edge file into memory (read-ahead path), verifying
-/// count and checksum against the sidecar.
+/// Streams the whole edge file into memory, verifying count and checksum
+/// against the sidecar.
 std::vector<Edge> read_all_edges(io::Device& device, const GraphMeta& meta);
 
 }  // namespace fbfs::graph

@@ -135,6 +135,80 @@ std::vector<EdgeBlock> sort_edge_file(io::Device& device,
   return index_blocks(edges, key);
 }
 
+/// Per-output edge counts and block indexes of fan_out_and_sort.
+struct SortedOutputs {
+  std::vector<std::uint64_t> counts;
+  std::vector<std::vector<EdgeBlock>> blocks;
+};
+
+/// Builds one sorted edge layout in two passes: partition files keyed
+/// on the source, transposed files on the destination. Pass 1 streams
+/// the `inputs` in order and appends each edge to
+/// `outputs[layout.owner(key)]` through per-output staging buffers, so
+/// the device sees few, large appends per file; the edge count and the
+/// multiset checksum are CHECKed against `meta` (`what` names the pass).
+/// Pass 2 sorts each output stably by `key` — same-key edges keep their
+/// pass-1 order, so every output is a pure function of the inputs — and
+/// indexes its blocks. Half of `buffer_bytes` feeds the input reader,
+/// the other half is split across the staging buffers.
+SortedOutputs fan_out_and_sort(io::Device& device, const GraphMeta& meta,
+                               const PartitionLayout& layout,
+                               const std::vector<std::string>& inputs,
+                               const std::vector<std::string>& outputs,
+                               EdgeKey key, std::size_t buffer_bytes,
+                               const char* what) {
+  const std::uint32_t num_outputs = layout.num_partitions();
+  const std::size_t read_buffer =
+      std::max<std::size_t>(sizeof(Edge), buffer_bytes / 2);
+  const std::size_t write_buffer =
+      std::max<std::size_t>(sizeof(Edge), buffer_bytes / 2 / num_outputs);
+  SortedOutputs sorted;
+  sorted.counts.assign(num_outputs, 0);
+  {
+    struct Staged {
+      std::unique_ptr<io::File> file;
+      std::unique_ptr<io::RecordWriter<Edge>> writer;
+    };
+    std::vector<Staged> staged(num_outputs);
+    for (std::uint32_t q = 0; q < num_outputs; ++q) {
+      staged[q].file = device.open(outputs[q], /*truncate=*/true);
+      staged[q].writer = std::make_unique<io::RecordWriter<Edge>>(
+          *staged[q].file, write_buffer);
+    }
+    std::uint64_t total = 0;
+    std::uint64_t checksum = 0;
+    for (const std::string& input : inputs) {
+      auto file = device.open(input);
+      io::RecordReader<Edge> reader(*file, read_buffer);
+      for (auto batch = reader.next_batch(); !batch.empty();
+           batch = reader.next_batch()) {
+        for (const Edge& e : batch) {
+          const std::uint32_t q =
+              layout.owner(key == EdgeKey::kSrc ? e.src : e.dst);
+          staged[q].writer->append(e);
+          ++sorted.counts[q];
+          checksum += edge_digest(e);
+        }
+        total += batch.size();
+      }
+    }
+    for (Staged& out : staged) out.writer->flush();
+    FB_CHECK_MSG(total == meta.num_edges,
+                 what << " read " << total << " edges of " << meta.name
+                      << ", sidecar says " << meta.num_edges);
+    FB_CHECK_MSG(checksum == meta.checksum,
+                 "the edges of " << meta.name << " fail their checksum during "
+                                 << what);
+  }
+  sorted.blocks.resize(num_outputs);
+  for (std::uint32_t q = 0; q < num_outputs; ++q) {
+    sorted.blocks[q] =
+        sort_edge_file(device, outputs[q], sorted.counts[q], key,
+                       layout.begin(q), layout.end(q), read_buffer);
+  }
+  return sorted;
+}
+
 }  // namespace
 
 std::string PartitionedGraph::partition_file(std::uint32_t p) const {
@@ -147,67 +221,20 @@ PartitionedGraph partition_edge_list(const io::StoragePlan& plan,
                                      std::uint32_t num_partitions,
                                      const PartitionOptions& options) {
   FB_CHECK_EQ(meta.record_size, sizeof(Edge));
-  io::Device& device = plan.edges();
   PartitionedGraph pg;
   pg.meta = meta;
   pg.layout = PartitionLayout(meta.num_vertices, num_partitions);
-  pg.edges_per_partition.assign(num_partitions, 0);
-
-  // Half the budget feeds the (double-buffered) input scan, the other
-  // half is split into per-partition staging buffers.
-  const std::size_t read_buffer =
-      std::max<std::size_t>(sizeof(Edge), options.buffer_bytes / 2);
-  const std::size_t write_buffer = std::max<std::size_t>(
-      sizeof(Edge), options.buffer_bytes / 2 / num_partitions);
-
-  struct PartitionOut {
-    std::unique_ptr<io::File> file;
-    std::unique_ptr<io::RecordWriter<Edge>> writer;
-  };
-  std::vector<PartitionOut> outputs(num_partitions);
+  std::vector<std::string> outputs(num_partitions);
   for (std::uint32_t p = 0; p < num_partitions; ++p) {
-    outputs[p].file = device.open(pg.partition_file(p), /*truncate=*/true);
-    outputs[p].writer =
-        std::make_unique<io::RecordWriter<Edge>>(*outputs[p].file,
-                                                 write_buffer);
+    outputs[p] = pg.partition_file(p);
   }
-
-  auto reader = io::open_record_reader<Edge>(
-      device, meta.edge_file(), {options.reader, read_buffer, 0});
-  std::uint64_t total = 0;
-  std::uint64_t checksum = 0;
-  for (auto batch = reader->next_batch(); !batch.empty();
-       batch = reader->next_batch()) {
-    for (const Edge& e : batch) {
-      const std::uint32_t p = pg.layout.owner(e.src);
-      outputs[p].writer->append(e);
-      ++pg.edges_per_partition[p];
-      checksum += edge_digest(e);
-    }
-    total += batch.size();
-  }
-  for (PartitionOut& out : outputs) out.writer->flush();
-  outputs.clear();
-
-  FB_CHECK_MSG(total == meta.num_edges,
-               "partitioner read " << total << " edges of " << meta.name
-                                   << ", sidecar says " << meta.num_edges);
-  FB_CHECK_MSG(checksum == meta.checksum,
-               "edge file of " << meta.name
-                               << " fails its checksum during partitioning");
-
-  // Pass 2 — sort each partition file stably by source (same-source
-  // edges keep their input order, so the files are a pure function of
-  // the input file) and index its blocks.
-  pg.blocks.resize(num_partitions);
-  for (std::uint32_t p = 0; p < num_partitions; ++p) {
-    pg.blocks[p] = sort_edge_file(device, pg.partition_file(p),
-                                  pg.edges_per_partition[p], EdgeKey::kSrc,
-                                  pg.layout.begin(p), pg.layout.end(p),
-                                  read_buffer);
-  }
+  SortedOutputs sorted = fan_out_and_sort(
+      plan.edges(), meta, pg.layout, {meta.edge_file()}, outputs,
+      EdgeKey::kSrc, options.buffer_bytes, "partitioning");
+  pg.edges_per_partition = std::move(sorted.counts);
+  pg.blocks = std::move(sorted.blocks);
   FB_LOG_DEBUG << "partitioned " << meta.name << " into " << num_partitions
-               << " ranges (" << total << " edges)";
+               << " ranges (" << meta.num_edges << " edges)";
   return pg;
 }
 
@@ -313,68 +340,24 @@ TransposedView build_transposed_view(const io::StoragePlan& plan,
   TransposedView view;
   if (load_cached_transposed_view(device, pg, view)) return view;
 
+  // The dst-sorted layout is what lets the bottom-up scan treat each
+  // vertex's in-edges as one run. The block index falls out of the sort;
+  // every partition's entries go to one file, written once.
   const std::uint32_t num_partitions = pg.layout.num_partitions();
-  view.in_edges_per_partition.assign(num_partitions, 0);
-
-  // Pass 1 — fan out by DESTINATION owner, streaming each source
-  // partition file in order (the same split-the-budget buffering as the
-  // forward partitioner). The multiset checksum re-verifies the
-  // partition files en route.
-  const std::size_t read_buffer =
-      std::max<std::size_t>(sizeof(Edge), options.buffer_bytes / 2);
-  const std::size_t write_buffer = std::max<std::size_t>(
-      sizeof(Edge), options.buffer_bytes / 2 / num_partitions);
-  struct PartitionOut {
-    std::unique_ptr<io::File> file;
-    std::unique_ptr<io::RecordWriter<Edge>> writer;
-  };
-  {
-    std::vector<PartitionOut> outputs(num_partitions);
-    for (std::uint32_t q = 0; q < num_partitions; ++q) {
-      outputs[q].file = device.open(transposed_file(pg, q), /*truncate=*/true);
-      outputs[q].writer = std::make_unique<io::RecordWriter<Edge>>(
-          *outputs[q].file, write_buffer);
-    }
-    std::uint64_t total = 0;
-    std::uint64_t checksum = 0;
-    for (std::uint32_t p = 0; p < num_partitions; ++p) {
-      auto reader = io::open_record_reader<Edge>(
-          device, pg.partition_file(p), {options.reader, read_buffer, 0});
-      for (auto batch = reader->next_batch(); !batch.empty();
-           batch = reader->next_batch()) {
-        for (const Edge& e : batch) {
-          const std::uint32_t q = pg.layout.owner(e.dst);
-          outputs[q].writer->append(e);
-          ++view.in_edges_per_partition[q];
-          checksum += edge_digest(e);
-        }
-        total += batch.size();
-      }
-    }
-    for (PartitionOut& out : outputs) out.writer->flush();
-    FB_CHECK_MSG(total == pg.meta.num_edges,
-                 "transpose read " << total << " edges of " << pg.meta.name
-                                   << ", sidecar says " << pg.meta.num_edges);
-    FB_CHECK_MSG(checksum == pg.meta.checksum,
-                 "partition files of " << pg.meta.name
-                                       << " fail their checksum during "
-                                          "transposition");
-  }
-
-  // Pass 2 — sort each transposed file stably by destination (same-dst
-  // edges keep their pass-1 order, so the output is a pure function of
-  // the partition files). The dst-sorted layout is what lets the
-  // bottom-up scan treat each vertex's in-edges as one run. The block
-  // index falls out of the sorted array; every partition's entries go
-  // to one file, written once.
-  view.blocks.assign(num_partitions, {});
-  std::vector<EdgeBlock> index;
+  std::vector<std::string> inputs(num_partitions);
+  std::vector<std::string> outputs(num_partitions);
   for (std::uint32_t q = 0; q < num_partitions; ++q) {
-    view.blocks[q] = sort_edge_file(device, transposed_file(pg, q),
-                                    view.in_edges_per_partition[q],
-                                    EdgeKey::kDst, pg.layout.begin(q),
-                                    pg.layout.end(q), read_buffer);
-    index.insert(index.end(), view.blocks[q].begin(), view.blocks[q].end());
+    inputs[q] = pg.partition_file(q);
+    outputs[q] = transposed_file(pg, q);
+  }
+  SortedOutputs sorted =
+      fan_out_and_sort(device, pg.meta, pg.layout, inputs, outputs,
+                       EdgeKey::kDst, options.buffer_bytes, "transposition");
+  view.in_edges_per_partition = std::move(sorted.counts);
+  view.blocks = std::move(sorted.blocks);
+  std::vector<EdgeBlock> index;
+  for (const std::vector<EdgeBlock>& blocks : view.blocks) {
+    index.insert(index.end(), blocks.begin(), blocks.end());
   }
   {
     auto file = device.open(transposed_index_file(pg), /*truncate=*/true);

@@ -4,13 +4,13 @@
 // Partition p owns the contiguous vertex range [begin(p), end(p)); an
 // edge belongs to the partition that owns its *source* (scatter streams
 // a partition's out-edges — X-Stream's layout). The fan-out pass reads
-// the source file through the prefetching reader (compute the fan-out
-// while the next buffer is in flight) and stages each partition's edges
-// in a private write buffer so the device sees few, large appends per
+// the source file sequentially and stages each partition's edges in a
+// private write buffer so the device sees few, large appends per
 // partition file. A second pass loads one partition at a time, sorts it
 // stably by source and rewrites it, and indexes its fixed-size blocks by
 // their first and last source: the index that lets a top-down scan skip
-// blocks holding no active source.
+// blocks holding no active source. The transposed view below is the
+// same two passes keyed on the destination.
 #pragma once
 
 #include <string>
@@ -18,7 +18,6 @@
 
 #include "graph/edge_list.hpp"
 #include "graph/types.hpp"
-#include "storage/reader_factory.hpp"
 #include "storage/storage_plan.hpp"
 
 namespace fbfs::graph {
@@ -91,7 +90,6 @@ struct PartitionedGraph {
 struct PartitionOptions {
   /// Split across the input reader and the P per-partition writers.
   std::size_t buffer_bytes = 4 << 20;
-  io::ReaderMode reader = io::ReaderMode::kPrefetch;
 };
 
 /// `meta.edge_file()` -> P partition files, both on the plan's edges

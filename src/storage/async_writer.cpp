@@ -1,104 +1,80 @@
 #include "storage/async_writer.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
+#include <condition_variable>
+#include <limits>
+#include <span>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
 
 namespace fbfs::io {
 
-// One producer thread drives a given stream's append()/finish();
-// cancel(), wait_complete(), state() may come from any thread. The
-// stream mutex coordinates the producer with cancellation and carries
-// the terminal-state condvar.
+// The producer fills in a stream and hands it to the writer thread
+// through the queue; from then on only the writer touches its bytes and
+// files. cancel(), wait_complete(), state() and release() may come from
+// any thread; `mutex` orders them against the writer's commit claim and
+// carries the condvar for terminal states and the writer's
+// acknowledgement.
 struct AsyncWriter::Stream {
   StreamId id = 0;
-
-  File* file = nullptr;           // direct target, or owned.get()
-  std::unique_ptr<File> owned;    // staged .wip file
-  Device* device = nullptr;       // staged only
-  std::string target;             // staged only
-  std::string wip;                // staged only
-  bool staged = false;
+  Device* device = nullptr;
+  std::string target;
+  std::vector<std::byte> bytes;
 
   mutable std::mutex mutex;
   std::condition_variable terminal_cv;
-  int fill = -1;                  // producer's partially-filled pool buffer
-  std::byte* fill_ptr = nullptr;  // its stable address (guarded by `mutex`)
-  std::size_t fill_length = 0;
-  std::uint64_t accepted = 0;
   // Set (under `mutex`) by the writer thread the instant it starts the
-  // commit sequence for a finish item. From then on cancel() is a
-  // no-op: the stream WILL reach completed (or failed), and the
-  // reported terminal state always matches what landed on disk. Without
-  // this claim a cancel racing the in-flight rename would report
-  // `cancelled` for a stream whose commit already replaced the target.
+  // commit sequence. From then on cancel() is a no-op: the stream WILL
+  // reach completed (or failed), and the reported terminal state always
+  // matches what landed on disk. Without this claim a cancel racing the
+  // in-flight rename would report `cancelled` for a stream whose commit
+  // already replaced the target.
   bool committing = false;
+  bool acked = false;  // the writer thread is done with the stream
 
   std::atomic<StreamState> state{StreamState::active};
-  std::atomic<bool> acked{false};  // writer thread finished with it
+
+  bool active() const {
+    return state.load(std::memory_order_acquire) == StreamState::active;
+  }
 };
 
-// Pool buffers are aligned for O_DIRECT so full-buffer flushes on a
-// real-backend device go down the direct path without bouncing; on the
-// modelled backend alignment is simply invisible.
-constexpr std::size_t kPoolAlignment = 4096;
-
-AsyncWriter::AsyncWriter(std::size_t buffer_bytes, std::size_t pool_buffers)
-    : buffer_bytes_(buffer_bytes == 0 ? 1 : buffer_bytes),
-      base_buffers_(pool_buffers),
-      work_(pool_buffers * 2 + 64) {
-  FB_CHECK_MSG(pool_buffers > 0, "AsyncWriter needs at least one buffer");
-  pool_.reserve(pool_buffers);
-  free_buffers_.reserve(pool_buffers);
-  for (std::size_t i = 0; i < pool_buffers; ++i) {
-    pool_.push_back(AlignedBuffer::allocate(buffer_bytes_, kPoolAlignment));
-    free_buffers_.push_back(static_cast<int>(i));
-  }
-  allocated_ = pool_buffers;
-  writer_ = std::thread([this] { writer_loop(); });
-}
+// Streams queued at once are bounded by the streams alive, which the
+// caller bounds (the engine keeps one per partition), so the queue never
+// pushes back on a hand-over.
+AsyncWriter::AsyncWriter()
+    : work_(std::numeric_limits<std::size_t>::max()),
+      writer_([this] { writer_loop(); }) {}
 
 AsyncWriter::~AsyncWriter() {
-  // Abandon whatever is still running; staged targets stay untouched.
+  // Abandon whatever is still queued or running; staged targets stay
+  // untouched.
   std::vector<StreamId> ids;
   {
     std::lock_guard<std::mutex> lock(streams_mutex_);
     for (const auto& [id, stream] : streams_) ids.push_back(id);
   }
   for (const StreamId id : ids) cancel(id);
-  work_.push(WorkItem{WorkItem::Kind::stop, 0, -1, 0});
+  work_.close();
   writer_.join();
 }
 
-AsyncWriter::StreamId AsyncWriter::begin(File* file) {
-  FB_CHECK(file != nullptr);
+AsyncWriter::StreamId AsyncWriter::write_staged(Device& device,
+                                                const std::string& target,
+                                                std::vector<std::byte> bytes) {
   auto stream = std::make_shared<Stream>();
-  stream->file = file;
-  stream->fill = allocate_stream_buffer();
-  stream->fill_ptr = buffer_ptr(stream->fill);
-  std::lock_guard<std::mutex> lock(streams_mutex_);
-  stream->id = next_id_++;
-  streams_.emplace(stream->id, stream);
-  return stream->id;
-}
-
-AsyncWriter::StreamId AsyncWriter::begin_staged(Device& device,
-                                                const std::string& target) {
-  auto stream = std::make_shared<Stream>();
-  stream->staged = true;
   stream->device = &device;
   stream->target = target;
-  stream->wip = target + ".wip";
-  stream->owned = device.open(stream->wip, /*truncate=*/true);
-  stream->file = stream->owned.get();
-  stream->fill = allocate_stream_buffer();
-  stream->fill_ptr = buffer_ptr(stream->fill);
-  std::lock_guard<std::mutex> lock(streams_mutex_);
-  stream->id = next_id_++;
-  streams_.emplace(stream->id, stream);
+  stream->bytes = std::move(bytes);
+  {
+    std::lock_guard<std::mutex> lock(streams_mutex_);
+    stream->id = next_id_++;
+    streams_.emplace(stream->id, stream);
+  }
+  work_.push(stream);
   return stream->id;
 }
 
@@ -109,192 +85,15 @@ std::shared_ptr<AsyncWriter::Stream> AsyncWriter::find(StreamId id) const {
   return it->second;
 }
 
-std::shared_ptr<AsyncWriter::Stream> AsyncWriter::find_or_null(
-    StreamId id) const {
-  std::lock_guard<std::mutex> lock(streams_mutex_);
-  const auto it = streams_.find(id);
-  return it == streams_.end() ? nullptr : it->second;
-}
-
-// The lock only guards `pool_` the vector — allocate_stream_buffer()
-// may relocate its storage concurrently. The byte array a slot owns
-// never moves (and is never reset) while that slot is in flight, so
-// the returned pointer stays valid until the buffer is released.
-std::byte* AsyncWriter::buffer_ptr(int index) const {
-  std::lock_guard<std::mutex> lock(pool_mutex_);
-  return pool_[index].data();
-}
-
-int AsyncWriter::acquire_buffer() {
-  std::unique_lock<std::mutex> lock(pool_mutex_);
-  pool_available_.wait(lock, [&] { return !free_buffers_.empty(); });
-  const int index = free_buffers_.back();
-  free_buffers_.pop_back();
-  return index;
-}
-
-/// Grows the pool by the new stream's budgeted fill buffer.
-int AsyncWriter::allocate_stream_buffer() {
-  std::lock_guard<std::mutex> lock(pool_mutex_);
-  ++live_streams_;
-  ++allocated_;
-  int index;
-  if (!retired_slots_.empty()) {
-    index = retired_slots_.back();
-    retired_slots_.pop_back();
-    pool_[index] = AlignedBuffer::allocate(buffer_bytes_, kPoolAlignment);
-  } else {
-    index = static_cast<int>(pool_.size());
-    pool_.push_back(AlignedBuffer::allocate(buffer_bytes_, kPoolAlignment));
-  }
-  return index;
-}
-
-/// Frees excess buffers once streams have been released, so the pool
-/// settles back to `base_buffers_` when idle.
-void AsyncWriter::trim_pool_locked() {
-  while (allocated_ > base_buffers_ + live_streams_ &&
-         !free_buffers_.empty()) {
-    const int index = free_buffers_.back();
-    free_buffers_.pop_back();
-    pool_[index] = AlignedBuffer{};
-    retired_slots_.push_back(index);
-    --allocated_;
-  }
-}
-
-void AsyncWriter::release_buffer(int index) {
-  {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    free_buffers_.push_back(index);
-    trim_pool_locked();
-  }
-  pool_available_.notify_one();
-}
-
-void AsyncWriter::retire_stream_buffer() {
-  std::lock_guard<std::mutex> lock(pool_mutex_);
-  FB_CHECK_GT(live_streams_, 0u);
-  --live_streams_;
-  trim_pool_locked();
-}
-
-bool AsyncWriter::append(StreamId id, std::span<const std::byte> data) {
-  return append_raw(id, data.data(), data.size());
-}
-
-bool AsyncWriter::append_raw(StreamId id, const void* src,
-                             std::size_t bytes) {
-  const std::shared_ptr<Stream> stream = find(id);
-  const auto* in = static_cast<const std::byte*>(src);
-  while (bytes > 0) {
-    if (stream->state.load(std::memory_order_acquire) !=
-        StreamState::active) {
-      return false;
-    }
-    int pending_push = -1;
-    std::size_t pending_length = 0;
-    {
-      std::lock_guard<std::mutex> lock(stream->mutex);
-      if (stream->state.load(std::memory_order_relaxed) !=
-          StreamState::active) {
-        return false;
-      }
-      if (stream->fill >= 0) {
-        const std::size_t room = buffer_bytes_ - stream->fill_length;
-        const std::size_t take = bytes < room ? bytes : room;
-        std::memcpy(stream->fill_ptr + stream->fill_length, in, take);
-        stream->fill_length += take;
-        stream->accepted += take;
-        in += take;
-        bytes -= take;
-        if (stream->fill_length == buffer_bytes_) {
-          pending_push = stream->fill;
-          pending_length = stream->fill_length;
-          stream->fill = -1;
-          stream->fill_ptr = nullptr;
-          stream->fill_length = 0;
-        }
-      }
-    }
-    if (pending_push >= 0) {
-      work_.push(WorkItem{WorkItem::Kind::data, id, pending_push,
-                          pending_length});
-      continue;
-    }
-    if (bytes == 0) break;
-    // Need a fresh buffer. Acquire it outside the stream lock so a
-    // cancel() is never stuck behind pool backpressure.
-    const int buffer = acquire_buffer();
-    std::byte* const buffer_data = buffer_ptr(buffer);
-    std::lock_guard<std::mutex> lock(stream->mutex);
-    if (stream->state.load(std::memory_order_relaxed) !=
-        StreamState::active) {
-      release_buffer(buffer);
-      return false;
-    }
-    FB_CHECK_MSG(stream->fill < 0,
-                 "concurrent producers on AsyncWriter stream " << id);
-    stream->fill = buffer;
-    stream->fill_ptr = buffer_data;
-    stream->fill_length = 0;
-  }
-  return true;
-}
-
-void AsyncWriter::finish(StreamId id) {
-  const std::shared_ptr<Stream> stream = find(id);
-  int pending_push = -1;
-  std::size_t pending_length = 0;
-  {
-    std::lock_guard<std::mutex> lock(stream->mutex);
-    if (stream->state.load(std::memory_order_relaxed) !=
-        StreamState::active) {
-      return;
-    }
-    if (stream->fill >= 0) {
-      pending_push = stream->fill;
-      pending_length = stream->fill_length;
-      stream->fill = -1;
-      stream->fill_ptr = nullptr;
-      stream->fill_length = 0;
-    }
-  }
-  if (pending_push >= 0 && pending_length > 0) {
-    work_.push(
-        WorkItem{WorkItem::Kind::data, id, pending_push, pending_length});
-  } else if (pending_push >= 0) {
-    release_buffer(pending_push);
-  }
-  work_.push(WorkItem{WorkItem::Kind::finish, id, -1, 0});
-}
-
 void AsyncWriter::cancel(StreamId id) {
   const std::shared_ptr<Stream> stream = find(id);
-  int reclaim = -1;
-  {
-    std::lock_guard<std::mutex> lock(stream->mutex);
-    if (stream->state.load(std::memory_order_relaxed) !=
-        StreamState::active) {
-      return;
-    }
-    if (stream->committing) {
-      // The writer thread already started the commit sequence; the
-      // stream will turn completed (or failed) on its own. Cancelling
-      // here would mislabel a commit that may already have renamed the
-      // staged file onto its target.
-      return;
-    }
-    stream->state.store(StreamState::cancelled, std::memory_order_release);
-    reclaim = stream->fill;
-    stream->fill = -1;
-    stream->fill_ptr = nullptr;
-    stream->fill_length = 0;
-    stream->terminal_cv.notify_all();
-  }
-  if (reclaim >= 0) release_buffer(reclaim);
-  // The writer thread acknowledges by cleaning up the stream's file.
-  work_.push(WorkItem{WorkItem::Kind::cancel, id, -1, 0});
+  std::lock_guard<std::mutex> lock(stream->mutex);
+  // Once the writer claimed the commit, the stream turns completed (or
+  // failed) on its own; cancelling here would mislabel a commit that
+  // may already have renamed the staged file onto its target.
+  if (!stream->active() || stream->committing) return;
+  stream->state.store(StreamState::cancelled, std::memory_order_release);
+  stream->terminal_cv.notify_all();
 }
 
 bool AsyncWriter::wait_complete(StreamId id, double timeout_seconds) {
@@ -304,10 +103,8 @@ bool AsyncWriter::wait_complete(StreamId id, double timeout_seconds) {
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(timeout_seconds));
-  stream->terminal_cv.wait_until(lock, deadline, [&] {
-    return stream->state.load(std::memory_order_acquire) !=
-           StreamState::active;
-  });
+  stream->terminal_cv.wait_until(lock, deadline,
+                                 [&] { return !stream->active(); });
   return stream->state.load(std::memory_order_acquire) ==
          StreamState::completed;
 }
@@ -316,118 +113,69 @@ AsyncWriter::StreamState AsyncWriter::state(StreamId id) const {
   return find(id)->state.load(std::memory_order_acquire);
 }
 
-std::uint64_t AsyncWriter::bytes_accepted(StreamId id) const {
-  const std::shared_ptr<Stream> stream = find(id);
-  std::lock_guard<std::mutex> lock(stream->mutex);
-  return stream->accepted;
-}
-
 void AsyncWriter::release(StreamId id) {
   const std::shared_ptr<Stream> stream = find(id);
-  if (stream->state.load(std::memory_order_acquire) ==
-      StreamState::active) {
-    cancel(id);
-  }
-  // Wait for the writer thread's acknowledgement so the File (and any
-  // .wip cleanup) is settled before the slot disappears.
-  while (!stream->acked.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
+  cancel(id);
   {
-    std::lock_guard<std::mutex> lock(streams_mutex_);
-    streams_.erase(id);
+    // The writer's acknowledgement: the .wip is renamed or removed, so
+    // nothing of the stream is left in flight once the slot goes.
+    std::unique_lock<std::mutex> lock(stream->mutex);
+    stream->terminal_cv.wait(lock, [&] { return stream->acked; });
   }
-  retire_stream_buffer();
+  std::lock_guard<std::mutex> lock(streams_mutex_);
+  streams_.erase(id);
 }
 
-void AsyncWriter::finish_terminal(Stream& stream, StreamState state) {
-  {
-    std::lock_guard<std::mutex> lock(stream.mutex);
-    StreamState expected = StreamState::active;
-    stream.state.compare_exchange_strong(expected, state,
-                                         std::memory_order_acq_rel);
-    stream.terminal_cv.notify_all();
-  }
-  // Close and, unless committed, drop the staging file. The previous
-  // committed `target` version is deliberately never touched here.
-  if (stream.staged) {
-    stream.owned.reset();
-    if (stream.state.load(std::memory_order_acquire) !=
-            StreamState::completed &&
-        stream.device->exists(stream.wip)) {
-      stream.device->remove(stream.wip);
+void AsyncWriter::write_stream(Stream& stream) {
+  const std::string wip = stream.target + ".wip";
+  StreamState outcome = StreamState::cancelled;
+  try {
+    if (stream.active()) {
+      auto file = stream.device->open(wip, /*truncate=*/true);
+      const std::span<const std::byte> bytes(stream.bytes);
+      for (std::size_t off = 0; off < bytes.size() && stream.active();
+           off += kAppendBytes) {
+        file->append(bytes.data() + off,
+                     std::min(kAppendBytes, bytes.size() - off));
+      }
+      bool commit = false;
+      {
+        // Claim the commit atomically against cancel(): once
+        // `committing` is up, the terminal state below is the truth
+        // about the target file.
+        std::lock_guard<std::mutex> lock(stream.mutex);
+        commit = stream.active();
+        stream.committing = commit;
+      }
+      if (commit) {
+        file->sync();
+        file.reset();  // close before rename
+        stream.device->rename(wip, stream.target);
+        outcome = StreamState::completed;
+      }
     }
+  } catch (const IoError& error) {
+    FB_LOG_WARN << "stay stream " << stream.id << " to " << stream.target
+                << " failed, abandoning it: " << error.what();
+    outcome = StreamState::failed;
   }
-  stream.acked.store(true, std::memory_order_release);
+  stream.bytes = {};
+  // Unless committed, drop the staging file. The previous committed
+  // `target` version is deliberately never touched here.
+  if (outcome != StreamState::completed && stream.device->exists(wip)) {
+    stream.device->remove(wip);
+  }
+  std::lock_guard<std::mutex> lock(stream.mutex);
+  StreamState expected = StreamState::active;
+  stream.state.compare_exchange_strong(expected, outcome,
+                                       std::memory_order_acq_rel);
+  stream.acked = true;
+  stream.terminal_cv.notify_all();
 }
 
 void AsyncWriter::writer_loop() {
-  WorkItem item;
-  while (work_.pop(item)) {
-    if (item.kind == WorkItem::Kind::stop) break;
-    // A stream acked from the data-fault path can be release()d by the
-    // producer while later items for it still sit in the queue; those
-    // stragglers only need their buffers returned to the pool.
-    const std::shared_ptr<Stream> stream = find_or_null(item.id);
-    if (!stream) {
-      if (item.kind == WorkItem::Kind::data) release_buffer(item.buffer);
-      continue;
-    }
-
-    switch (item.kind) {
-      case WorkItem::Kind::data: {
-        if (stream->state.load(std::memory_order_acquire) ==
-            StreamState::active) {
-          try {
-            stream->file->append(buffer_ptr(item.buffer), item.length);
-          } catch (const IoError& error) {
-            FB_LOG_WARN << "async stream " << item.id
-                        << " failed, auto-cancelling: " << error.what();
-            finish_terminal(*stream, StreamState::failed);
-          }
-        }
-        release_buffer(item.buffer);
-        break;
-      }
-      case WorkItem::Kind::finish: {
-        {
-          // Claim the commit atomically against cancel(): once
-          // `committing` is up, cancellation requests are no-ops and the
-          // terminal state below is the truth about the target file.
-          std::lock_guard<std::mutex> lock(stream->mutex);
-          if (stream->state.load(std::memory_order_relaxed) !=
-              StreamState::active) {
-            break;  // lost to a cancel/fault; that path acknowledges
-          }
-          stream->committing = true;
-        }
-        try {
-          stream->file->sync();
-          if (stream->staged) {
-            stream->owned.reset();  // close before rename
-            stream->device->rename(stream->wip, stream->target);
-          }
-          finish_terminal(*stream, StreamState::completed);
-        } catch (const IoError& error) {
-          FB_LOG_WARN << "async stream " << item.id
-                      << " failed at commit, auto-cancelling: "
-                      << error.what();
-          finish_terminal(*stream, StreamState::failed);
-        }
-        break;
-      }
-      case WorkItem::Kind::cancel: {
-        // Acknowledge a producer-side cancel (unless a fault or commit
-        // already settled the stream).
-        if (!stream->acked.load(std::memory_order_acquire)) {
-          finish_terminal(*stream, StreamState::cancelled);
-        }
-        break;
-      }
-      case WorkItem::Kind::stop:
-        break;
-    }
-  }
+  std::shared_ptr<Stream> stream;
+  while (work_.pop(stream)) write_stream(*stream);
 }
 
 }  // namespace fbfs::io

@@ -1,47 +1,40 @@
 // AsyncWriter: the paper's dedicated stay-file writer thread (§II-C2).
 //
-// One background thread drains append chunks for any number of
-// concurrent write streams through a private, bounded buffer pool (so
-// stay writing can never eat the scatter path's memory budget).
+// The engine encodes a trim's survivors when the scan ends and hands
+// the encoded stay over whole; one background thread writes it while the
+// scan moves on. Stream life cycle and the contracts the engine leans
+// on (DESIGN invariant 6):
 //
-// Stream life cycle and the contracts the engine leans on
-// (DESIGN invariant 6):
-//
-//  * begin(file)            — stream into an already-open File, as-is.
-//  * begin_staged(dev,name) — stream into "<name>.wip" on `dev`; only a
-//    durable, complete finish() renames it onto `name`. Cancellation or
-//    a write fault removes the .wip and NEVER touches the previous
-//    `name` — which is exactly why a cancelled trim can fall back to
-//    the old stay file (paper: "the previous input file is reused").
-//  * append(id, bytes)      — copies into the pool; blocks only when
-//    all pool buffers are in flight; returns false once the stream is
-//    no longer active (cancelled / failed), so producers notice
-//    degradation and stop paying for dead work.
-//  * finish(id)             — marks the logical end; the writer flushes,
-//    fdatasyncs, commits (staged rename), state -> completed. The
-//    committed file is byte-identical to the logical append sequence.
-//  * cancel(id)             — cooperative: producers see append() ==
-//    false immediately; the writer thread discards queued chunks and
-//    cleans up. Never blocks on the device.
+//  * write_staged(dev, target, bytes) — takes the bytes and returns at
+//    once. The writer thread appends them to "<target>.wip" on `dev` in
+//    kAppendBytes pieces, checking for cancellation between appends,
+//    then fdatasyncs and renames the .wip onto `target`, state ->
+//    completed. Cancellation or a write fault removes the .wip and
+//    NEVER touches the previous `target` — which is exactly why a
+//    cancelled trim can fall back to the old stay file (paper: "the
+//    previous input file is reused").
+//  * cancel(id)             — cooperative: the writer stops at its next
+//    append boundary (or never starts the stream). Never blocks on the
+//    device.
 //  * wait_complete(id, s)   — bounded wait (the engine's grace timeout);
 //    true iff the stream committed.
-//  * release(id)            — frees the slot; auto-cancels if active.
+//  * release(id)            — frees the slot; auto-cancels if active and
+//    waits until the writer thread is done with the stream's files.
 //
-// A device write fault (IoError) fails only the stream it hit: the
-// writer thread survives and sibling streams complete normally.
+// Streams are written one at a time, in hand-over order. A device
+// error (IoError) fails only the stream it hit: the writer thread
+// survives and the streams queued behind it complete normally.
 #pragma once
 
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "common/aligned_buffer.hpp"
 #include "common/queue.hpp"
 #include "storage/device.hpp"
 
@@ -52,42 +45,31 @@ class AsyncWriter {
   using StreamId = std::uint64_t;
 
   enum class StreamState {
-    active,     // accepting appends (or finishing, not yet committed)
+    active,     // queued or being written, not yet committed
     completed,  // durable and committed; staged target renamed in place
     cancelled,  // abandoned by request; staged target untouched
-    failed,     // abandoned by a device write fault; target untouched
+    failed,     // abandoned by a device error; target untouched
   };
 
-  /// `buffer_bytes` per buffer; `pool_buffers` buffers bound the data in
-  /// flight to the writer thread (each live stream owns one extra fill
-  /// buffer on top).
-  AsyncWriter(std::size_t buffer_bytes, std::size_t pool_buffers);
+  /// Bytes per device append.
+  static constexpr std::size_t kAppendBytes = std::size_t{1} << 20;
+
+  AsyncWriter();
   ~AsyncWriter();
 
   AsyncWriter(const AsyncWriter&) = delete;
   AsyncWriter& operator=(const AsyncWriter&) = delete;
 
-  /// Streams into `file` (not owned; must outlive the stream's terminal
-  /// state). No commit protocol: bytes land in the file as written.
-  StreamId begin(File* file);
-
-  /// Streams into `target + ".wip"` on `device`; finish() commits by
-  /// atomic rename onto `target`. The previous `target` version (if
-  /// any) survives cancellation and faults untouched.
-  StreamId begin_staged(Device& device, const std::string& target);
-
-  /// Copies `data` into the stream. Returns false (dropping the data)
-  /// if the stream is no longer active.
-  bool append(StreamId id, std::span<const std::byte> data);
-  bool append_raw(StreamId id, const void* src, std::size_t bytes);
-
-  /// No more appends; the writer commits asynchronously.
-  void finish(StreamId id);
+  /// Queues `bytes` for `target + ".wip"` on `device`, committed by
+  /// atomic rename onto `target`. The previous `target` version (if any)
+  /// survives cancellation and faults untouched.
+  StreamId write_staged(Device& device, const std::string& target,
+                        std::vector<std::byte> bytes);
 
   /// Requests cancellation. No-op on a terminal stream, and no-op once
-  /// the writer thread has started committing a finish(): the stream
-  /// then still turns completed/failed, never cancelled, so the
-  /// terminal state always tells the truth about the target file.
+  /// the writer thread has started committing: the stream then still
+  /// turns completed/failed, never cancelled, so the terminal state
+  /// always tells the truth about the target file.
   void cancel(StreamId id);
 
   /// Waits up to `timeout_seconds` for a terminal state; true iff the
@@ -96,62 +78,22 @@ class AsyncWriter {
 
   StreamState state(StreamId id) const;
 
-  /// Bytes accepted by append() so far.
-  std::uint64_t bytes_accepted(StreamId id) const;
-
-  /// Forgets the stream. Auto-cancels and waits for the writer thread's
-  /// acknowledgement if it is not yet terminal.
+  /// Forgets the stream. Auto-cancels it if it is not yet terminal and
+  /// waits for the writer thread to be done with it.
   void release(StreamId id);
-
-  std::size_t buffer_bytes() const { return buffer_bytes_; }
-  std::size_t pool_buffers() const { return base_buffers_; }
 
  private:
   struct Stream;
 
-  struct WorkItem {
-    enum class Kind { data, finish, cancel, stop };
-    Kind kind = Kind::stop;
-    StreamId id = 0;
-    int buffer = -1;        // pool index for data items
-    std::size_t length = 0; // valid bytes in the buffer
-  };
-
   void writer_loop();
-  int acquire_buffer();
-  int allocate_stream_buffer();
-  std::byte* buffer_ptr(int index) const;
-  void release_buffer(int index);
-  void retire_stream_buffer();
-  void trim_pool_locked();
+  void write_stream(Stream& stream);
   std::shared_ptr<Stream> find(StreamId id) const;
-  std::shared_ptr<Stream> find_or_null(StreamId id) const;
-  void finish_terminal(Stream& stream, StreamState state);
 
-  const std::size_t buffer_bytes_;
-  const std::size_t base_buffers_;
-
-  // Buffer pool. `base_buffers_` buffers bound the in-flight data; each
-  // live stream owns one extra fill buffer (allocated at begin, retired
-  // at release), so producers waiting for a replacement buffer always
-  // sit behind in-flight work the writer thread is guaranteed to drain —
-  // any number of concurrent streams stays deadlock-free. Buffers are
-  // I/O-aligned so a real-backend device can take full-buffer flushes
-  // through its O_DIRECT path without bouncing.
-  std::vector<AlignedBuffer> pool_;
-  std::vector<int> free_buffers_;
-  std::vector<int> retired_slots_;
-  std::size_t allocated_ = 0;
-  std::size_t live_streams_ = 0;
-  mutable std::mutex pool_mutex_;
-  std::condition_variable pool_available_;
-
-  // Stream registry.
   mutable std::mutex streams_mutex_;
   std::unordered_map<StreamId, std::shared_ptr<Stream>> streams_;
   StreamId next_id_ = 1;
 
-  MpscQueue<WorkItem> work_;
+  MpscQueue<std::shared_ptr<Stream>> work_;
   std::thread writer_;
 };
 

@@ -40,7 +40,7 @@ const char* to_string(Format format) {
 }
 
 FileHeader probe(Device& device, const std::string& name) {
-  auto src = open_stream_reader(device, name, ReaderOptions::plain(4096));
+  auto src = open_stream_reader(device, name, {.buffer_bytes = 4096});
   return detail::read_header(*src, name);
 }
 

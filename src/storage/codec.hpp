@@ -43,12 +43,11 @@
 // with sentinel counts and the reader derives the record count from the
 // file size, which is what keeps the raw writer append-only.
 //
-// Readers come back through open_reader<T>() as the same type-erased
-// RecordSource<T> the ReaderFactory hands out, built over
-// open_stream_reader so prefetch mode keeps working underneath any
-// format — or over open_memory_reader, which decodes a blob the caller
-// kept in memory through the same decoders. Decoded delivery order:
-// raw = append order, bitmap/varint = ascending destination.
+// Readers come back through open_reader<T>() as a type-erased
+// RecordSource<T>, built over open_stream_reader for a file on a device
+// or over open_memory_reader, which decodes a blob the caller kept in
+// memory through the same decoders. Decoded delivery order: raw =
+// append order, bitmap/varint = ascending destination.
 #pragma once
 
 #include <algorithm>
@@ -590,7 +589,7 @@ inline FileHeader read_header(ByteSource& src, const std::string& name) {
 }
 
 /// Raw payload: records verbatim after the header, streamed in batches
-/// with BasicRecordReader's truncated-tail CHECK. When the header
+/// with RecordReader's truncated-tail CHECK. When the header
 /// carries an exact count (buffered write), the total is CHECKed at end
 /// of stream too.
 template <typename T>
@@ -811,9 +810,8 @@ class VarintDecodeSource final : public RecordSource<T> {
 
 /// Decodes the codec stream `src` delivers from its header on — a file
 /// on a device (the overload below) or a blob kept in memory
-/// (open_memory_reader) — as the same type-erased RecordSource<T> the
-/// ReaderFactory hands out, in batches of up to `buffer_bytes`. `name`
-/// labels the stream in CHECK messages.
+/// (open_memory_reader) — as a type-erased RecordSource<T>, in batches
+/// of up to `buffer_bytes`. `name` labels the stream in CHECK messages.
 template <typename T>
 std::unique_ptr<RecordSource<T>> open_reader(std::unique_ptr<ByteSource> src,
                                              const std::string& name,
@@ -848,16 +846,11 @@ std::unique_ptr<RecordSource<T>> open_reader(std::unique_ptr<ByteSource> src,
   return nullptr;
 }
 
-/// Opens a codec file. The underlying byte stream honours opts.mode
-/// (plain/prefetch) and opts.buffer_bytes; opts.offset must be 0 (codec
-/// files are whole streams, not sliceable).
+/// Opens a codec file, read in opts.buffer_bytes pieces from its top.
 template <typename T>
 std::unique_ptr<RecordSource<T>> open_reader(Device& device,
                                              const std::string& name,
                                              const ReaderOptions& opts) {
-  FB_CHECK_MSG(opts.offset == 0,
-               "codec streams decode from the top; offset "
-                   << opts.offset << " is not supported");
   return open_reader<T>(open_stream_reader(device, name, opts), name,
                         opts.buffer_bytes);
 }

@@ -226,13 +226,14 @@ std::uint64_t File::size() const {
 
 std::size_t File::read_at(std::uint64_t offset, void* dst,
                           std::size_t bytes) {
+  device_->consume_fault(device_->read_faults_, "read", name_);
   return device_->backend_->read_at(*this, offset, dst, bytes);
 }
 
 void File::write_at(std::uint64_t offset, const void* src,
                     std::size_t bytes) {
   if (bytes == 0) return;
-  device_->consume_write_fault(name_);
+  device_->consume_fault(device_->write_faults_, "write", name_);
   device_->backend_->write_at(*this, offset, src, bytes);
   std::lock_guard<std::mutex> lock(size_mutex_);
   if (offset + bytes > size_.load(std::memory_order_relaxed)) {
@@ -250,7 +251,7 @@ std::uint64_t File::append(const void* src, std::size_t bytes) {
     size_.store(offset + bytes, std::memory_order_release);
   }
   try {
-    device_->consume_write_fault(name_);
+    device_->consume_fault(device_->write_faults_, "write", name_);
     device_->backend_->write_at(*this, offset, src, bytes);
   } catch (...) {
     std::lock_guard<std::mutex> lock(size_mutex_);
@@ -304,6 +305,9 @@ std::unique_ptr<File> Device::open(const std::string& name, bool truncate) {
 }
 
 void Device::read_batch(std::span<ReadRequest> requests) {
+  for (const ReadRequest& r : requests) {
+    consume_fault(read_faults_, "read", r.file->name());
+  }
   backend_->read_batch(requests);
 }
 
@@ -347,12 +351,22 @@ std::uint64_t Device::pending_write_faults() const {
   return write_faults_.load(std::memory_order_relaxed);
 }
 
-void Device::consume_write_fault(const std::string& file_name) {
-  std::uint64_t pending = write_faults_.load(std::memory_order_relaxed);
-  while (pending > 0) {
-    if (write_faults_.compare_exchange_weak(pending, pending - 1,
-                                            std::memory_order_relaxed)) {
-      throw IoError("injected write fault on " + path(file_name));
+void Device::inject_read_faults(std::uint64_t n) {
+  read_faults_.store(n, std::memory_order_relaxed);
+}
+
+std::uint64_t Device::pending_read_faults() const {
+  return read_faults_.load(std::memory_order_relaxed);
+}
+
+void Device::consume_fault(std::atomic<std::uint64_t>& pending,
+                           const char* kind, const std::string& file_name) {
+  std::uint64_t left = pending.load(std::memory_order_relaxed);
+  while (left > 0) {
+    if (pending.compare_exchange_weak(left, left - 1,
+                                      std::memory_order_relaxed)) {
+      throw IoError(std::string("injected ") + kind + " fault on " +
+                    path(file_name));
     }
   }
 }

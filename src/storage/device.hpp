@@ -34,11 +34,14 @@
 // The env var is read when a DeviceModel factory runs; tests may also
 // set `time_scale` directly. The real backend never sleeps.
 //
-// Write faults: inject_write_faults(n) makes the next n write operations
-// on the device throw IoError — how the tests stand in for a dying stay
-// disk (DESIGN invariant 6: AsyncWriter must degrade, not crash). Fault
-// consumption lives in File, above the backend seam, so injection
-// behaves identically on both backends.
+// Faults: inject_write_faults(n) makes the next n write operations on
+// the device throw IoError — how the tests stand in for a dying stay
+// disk (DESIGN invariant 6: AsyncWriter must degrade, not crash) — and
+// inject_read_faults(n) does the same for the next n reads, each
+// File::read_at and each request of a read_batch, so the tests can check
+// that a read error ends a call in IoError. Fault consumption lives
+// above the backend seam, so injection behaves identically on both
+// backends.
 #pragma once
 
 #include <atomic>
@@ -118,7 +121,7 @@ struct BackendOptions {
   /// (auto-falls back to synchronous preads when not).
   bool use_uring = true;
   /// Ring submission depth; also sizes queue-depth-aware consumers
-  /// (PrefetchReader ring, the scatter's batched chunk reads).
+  /// (the scatter's batched chunk reads).
   unsigned queue_depth = 8;
   /// O_DIRECT offset/length/buffer alignment (power of two).
   std::size_t alignment = 4096;
@@ -289,6 +292,10 @@ class Device {
   /// Replaces any still-pending faults; 0 clears them.
   void inject_write_faults(std::uint64_t n);
   std::uint64_t pending_write_faults() const;
+  /// The same for the next `n` read operations: each File::read_at, and
+  /// each request of a read_batch (the batch throws before any transfer).
+  void inject_read_faults(std::uint64_t n);
+  std::uint64_t pending_read_faults() const;
 
  private:
   friend class File;
@@ -309,8 +316,9 @@ class Device {
                         std::uint64_t offset, std::uint64_t bytes,
                         std::uint64_t measured_ns);
 
-  /// Throws IoError when a fault is pending (consuming it).
-  void consume_write_fault(const std::string& file_name);
+  /// Throws IoError when a fault of `pending` is left (consuming it).
+  void consume_fault(std::atomic<std::uint64_t>& pending, const char* kind,
+                     const std::string& file_name);
 
   std::string root_;
   DeviceModel model_;
@@ -328,6 +336,7 @@ class Device {
   std::uint64_t next_file_id_ = 1;
 
   std::atomic<std::uint64_t> write_faults_{0};
+  std::atomic<std::uint64_t> read_faults_{0};
 };
 
 /// Factory for the measured backend (real_backend.cpp). Probes the

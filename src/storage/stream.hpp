@@ -187,23 +187,19 @@ class RecordWriter {
   StreamWriter bytes_;
 };
 
-/// Typed sequential reader over any byte stream with the StreamReader
-/// interface — `read(void*, size_t)` (short only at end of stream) and a
-/// `(File&, std::size_t, std::uint64_t, ...)` constructor; trailing
-/// `extra` arguments are forwarded to the stream (PrefetchReader's ring
-/// depth). The file length past the start offset must be a whole number
-/// of records: a truncated trailing record is a CHECK failure at EOF,
-/// never silently dropped.
-template <typename T, typename ByteStream>
-class BasicRecordReader {
+/// Typed sequential reader of trivially-copyable records. The file
+/// length past the start offset must be a whole number of records: a
+/// truncated trailing record is a CHECK failure at EOF, never silently
+/// dropped.
+template <typename T>
+class RecordReader {
  public:
   static_assert(std::is_trivially_copyable_v<T>);
 
-  template <typename... Extra>
-  explicit BasicRecordReader(File& file, std::size_t buffer_bytes,
-                             std::uint64_t offset = 0, Extra... extra)
+  explicit RecordReader(File& file, std::size_t buffer_bytes,
+                        std::uint64_t offset = 0)
       : bytes_(file, buffer_bytes < sizeof(T) ? sizeof(T) : buffer_bytes,
-               offset, extra...),
+               offset),
         batch_((buffer_bytes < sizeof(T) ? sizeof(T) : buffer_bytes) /
                sizeof(T)) {
     FB_CHECK_MSG(offset % sizeof(T) == 0,
@@ -248,14 +244,11 @@ class BasicRecordReader {
     records_delivered_ += loaded_;
   }
 
-  ByteStream bytes_;
+  StreamReader bytes_;
   OverwriteBuffer<T> batch_;
   std::size_t cursor_ = 0;
   std::size_t loaded_ = 0;
   std::uint64_t records_delivered_ = 0;
 };
-
-template <typename T>
-using RecordReader = BasicRecordReader<T, StreamReader>;
 
 }  // namespace fbfs::io

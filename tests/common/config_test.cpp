@@ -91,11 +91,11 @@ TEST(ConfigDeath, MissingKeyAndMalformedValueAbort) {
 
 TEST(Config, EnumsAcceptOnlyListedValues) {
   const Config cfg = Config::parse_string(
-      "io.reader = prefetch\n"
+      "core.direction = auto\n"
       "mode = fast\n");
-  EXPECT_EQ(cfg.get_enum("io.reader", {"plain", "prefetch"}), "prefetch");
-  EXPECT_EQ(cfg.get_enum_or("absent", {"plain", "prefetch"}, "plain"),
-            "plain");
+  EXPECT_EQ(cfg.get_enum("core.direction", {"topdown", "auto"}), "auto");
+  EXPECT_EQ(cfg.get_enum_or("absent", {"topdown", "auto"}, "topdown"),
+            "topdown");
 }
 
 TEST(ConfigDeath, EnumErrorsListTheValidValues) {

@@ -9,10 +9,13 @@
 // lives in core_equivalence_test.cpp.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstring>
+#include <filesystem>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -47,6 +50,30 @@ GraphMeta rmat_graph(io::Device& dev, std::uint32_t scale = 9,
   return graph::write_generated(
       dev, "rmat", source.num_vertices(), source.seed(), source.undirected(),
       [&](const graph::EdgeSink& sink) { source.generate(sink); });
+}
+
+/// BFS that arms one read fault on `device` from inside round `round`'s
+/// scan: the scan's next read of that device throws.
+struct ReadFaultBfs : BfsProgram {
+  io::Device* device = nullptr;
+  std::uint32_t round = 0;
+  std::atomic<bool>* armed = nullptr;
+
+  bool pull(const graph::Edge& e, std::uint32_t r, Update& out) const {
+    if (r == round && !armed->exchange(true)) device->inject_read_faults(1);
+    return BfsProgram::pull(e, r, out);
+  }
+};
+static_assert(graph::GraphProgram<ReadFaultBfs>);
+
+/// Threads of this process: one task entry each. A sanitizer runtime
+/// may start a helper thread with the first thread the process
+/// creates, so the count is taken after one thread has come and gone.
+std::size_t thread_count() {
+  std::thread([] {}).join();
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(begin(tasks), end(tasks)));
 }
 
 /// Four devices, one per role — byte attribution is exact for all of
@@ -101,7 +128,6 @@ TEST(CoreEngine, OptionsComeFromConfigKeys) {
       "core.trim_min_frontier_fraction = 0.25\n"
       "core.trim_min_dead_fraction = 0.5\n"
       "core.grace_timeout = 1.5\n"
-      "core.stay_buffer = 64K\n"
       "core.direction = auto\n"
       "engine.partition_count = 6\n"
       "engine.num_threads = 2\n"
@@ -116,7 +142,6 @@ TEST(CoreEngine, OptionsComeFromConfigKeys) {
   EXPECT_DOUBLE_EQ(opts.trim_min_frontier_fraction, 0.25);
   EXPECT_DOUBLE_EQ(opts.trim_min_dead_fraction, 0.5);
   EXPECT_DOUBLE_EQ(opts.grace_timeout_seconds, 1.5);
-  EXPECT_EQ(opts.stay_buffer_bytes, 64u * 1024);
   EXPECT_EQ(opts.direction, engine::Direction::kAuto);
   EXPECT_EQ(opts.num_threads, 2u);
   EXPECT_EQ(opts.update_codec, io::codec::Policy::kVarint);
@@ -281,11 +306,7 @@ TEST(CoreEngine, StayWriteFaultFallsBackToPreviousInput) {
   const std::uint64_t part0_bytes = rig.edges.file_size(part0);
 
   rig.stay.inject_write_faults(1'000'000);
-  engine::Options options;
-  // Small pool buffers: each survivor append becomes many device
-  // writes, and every one of them faults.
-  options.stay_buffer_bytes = 4096;
-  const auto result = core::run(pg, rig.plan, BfsProgram{}, options);
+  const auto result = core::run(pg, rig.plan, BfsProgram{}, {});
 
   EXPECT_GT(result.trims_started, 0u);
   EXPECT_EQ(result.trims_committed, 0u);
@@ -373,8 +394,8 @@ TEST(CoreEngine, MultiThreadedForcedCancellationIsBitIdentical) {
 
 TEST(CoreEngine, MultiThreadedStayWriteFaultFallsBack) {
   // Same dying-stay-disk scenario as above, but with unit workers
-  // staging the survivors: the survivor append at scan end hits the
-  // faults, the stream auto-cancels, and the outputs stay exact.
+  // staging the survivors: the stay handed over at scan end hits the
+  // faults, the stream fails, and the outputs stay exact.
   DedicatedRig rig;
   const GraphMeta meta = rmat_graph(rig.edges);
   const auto reference = inmem::run_graph(rig.edges, meta, BfsProgram{});
@@ -382,7 +403,6 @@ TEST(CoreEngine, MultiThreadedStayWriteFaultFallsBack) {
 
   rig.stay.inject_write_faults(1'000'000);
   engine::Options options;
-  options.stay_buffer_bytes = 4096;  // many faulting writes per append
   options.num_threads = 4;
   const auto result = core::run(pg, rig.plan, BfsProgram{}, options);
 
@@ -393,6 +413,44 @@ TEST(CoreEngine, MultiThreadedStayWriteFaultFallsBack) {
   EXPECT_EQ(std::memcmp(result.states.data(), reference.states.data(),
                         result.states.size() * sizeof(BfsProgram::State)),
             0);
+}
+
+TEST(CoreEngine, EdgeReadFaultMidScanEndsInIoError) {
+  // An edge-device read error in the middle of a round-2 scan ends the
+  // call in io::IoError at every thread count, with trims still in
+  // flight: a crawling stay device and a zero grace keep every stay
+  // stream pending or cancelled, so the scans read the partition files
+  // and the writer holds the streams of the round before. Unwinding
+  // joins the stay writer (no .wip is left) and the scan workers.
+  TempDir dir("core");
+  io::DeviceModel crawl;
+  crawl.name = "crawl";
+  crawl.write_mb_s = 1.0;
+  crawl.seek_ns = 50'000'000;
+  io::Device edges(dir.str() + "/edges", io::DeviceModel::unthrottled());
+  io::Device stay(dir.str() + "/stay", crawl);
+  const io::StoragePlan plan =
+      io::StoragePlan::single(edges).assign(io::Role::kStay, stay);
+  const GraphMeta meta = rmat_graph(edges);
+  const PartitionedGraph pg = partition_edge_list(plan, meta, 4);
+  const std::size_t threads_before = thread_count();
+
+  for (const std::uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("T=" + std::to_string(threads));
+    std::atomic<bool> armed{false};
+    engine::Options options;
+    options.num_threads = threads;
+    options.grace_timeout_seconds = 0.0;
+    options.reader.buffer_bytes = 1024;  // many reads per partition scan
+    const ReadFaultBfs program{{}, &edges, 2, &armed};
+    EXPECT_THROW((void)core::run(pg, plan, program, options), io::IoError);
+    EXPECT_TRUE(armed.load());
+    EXPECT_EQ(edges.pending_read_faults(), 0u);
+    EXPECT_EQ(thread_count(), threads_before);
+    for (std::uint32_t p = 0; p < 4; ++p) {
+      EXPECT_FALSE(stay.exists(core::stay_file_name(pg, p) + ".wip"));
+    }
+  }
 }
 
 TEST(CoreEngine, StayFilesAreByteIdenticalAcrossThreadCounts) {
@@ -695,7 +753,6 @@ TEST(CoreEngine, EpilogueRowHoldsTheIoOutsideTheCountedRounds) {
     SCOPED_TRACE("run " + std::to_string(run));
     engine::Options options = budget_options(0);
     options.num_threads = run % 2 == 0 ? 1 : 4;
-    options.stay_buffer_bytes = 4096;  // many stay writes per trim
     const metrics::RoleSnapshots before = rig.plan.stats_snapshot();
     const auto result = core::run(pg, rig.plan, BfsProgram{}, options);
     const metrics::RoleSnapshots after = rig.plan.stats_snapshot();

@@ -50,9 +50,13 @@ TEST(EngineOptions, SharedKeysResolveUnderDocumentedPrecedence) {
       "core.partition_count = 6\n"
       "core.selective = false\n"
       "core.stay_pool_buffers = 8\n"
+      "core.stay_buffer = 4K\n"
       "core.direction_alpha = 1.5\n"
-      "core.direction_beta = 0.05\n");
+      "core.direction_beta = 0.05\n"
+      "io.reader = prefetch\n"
+      "io.prefetch_depth = 8\n");
   const engine::Options opts = engine::options_from_config(config);
+  EXPECT_EQ(opts.reader.buffer_bytes, io::ReaderOptions{}.buffer_bytes);
   EXPECT_EQ(opts.write_buffer_bytes, 128u * 1024);
   EXPECT_EQ(opts.max_iterations, 9u);
   EXPECT_EQ(engine::partition_count_from_config(config, 2), 3u);

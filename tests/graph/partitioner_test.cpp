@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/config.hpp"
@@ -33,6 +35,24 @@ std::vector<Edge> read_edges(io::Device& dev, const std::string& name) {
   const std::uint64_t bytes = edges.size() * sizeof(Edge);
   EXPECT_EQ(file->read_at(0, edges.data(), bytes), bytes);
   return edges;
+}
+
+/// Threads of this process: one task entry each. A sanitizer runtime
+/// may start a helper thread with the first thread the process
+/// creates, so the count is taken after one thread has come and gone.
+std::size_t thread_count() {
+  std::thread([] {}).join();
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(begin(tasks), end(tasks)));
+}
+
+GraphMeta er_graph(io::Device& dev) {
+  const ErdosRenyiSource source(
+      {.num_vertices = 1'000, .num_edges = 30'000, .seed = 17});
+  return write_generated(
+      dev, "er", source.num_vertices(), source.seed(), source.undirected(),
+      [&](const EdgeSink& sink) { source.generate(sink); });
 }
 
 TEST(PartitionLayout, TilesTheVertexSpaceForAwkwardShapes) {
@@ -427,6 +447,46 @@ TEST(TransposedView, CacheHitReadsTheIndexWithOneRequest) {
   const TransposedView rebuilt = build_transposed_view(plan, pg);
   EXPECT_GT(dev.stats().bytes_written(), written_before);
   EXPECT_EQ(rebuilt.in_edges_per_partition, first.in_edges_per_partition);
+}
+
+TEST(Partitioner, ReadFaultEndsInIoErrorWithNoThreadLeft) {
+  // A read error in the fan-out pass surfaces as io::IoError on the
+  // calling thread, and the device serves the retry.
+  TempDir dir("partition");
+  io::Device dev = make_device(dir);
+  const GraphMeta meta = er_graph(dev);
+  const io::StoragePlan plan = io::StoragePlan::single(dev);
+  const std::size_t threads = thread_count();
+
+  dev.inject_read_faults(1);
+  EXPECT_THROW(partition_edge_list(plan, meta, 3), io::IoError);
+  EXPECT_EQ(dev.pending_read_faults(), 0u);
+  EXPECT_EQ(thread_count(), threads);
+  const PartitionedGraph pg = partition_edge_list(plan, meta, 3);
+  EXPECT_EQ(pg.edges_per_partition[0] + pg.edges_per_partition[1] +
+                pg.edges_per_partition[2],
+            meta.num_edges);
+}
+
+TEST(TransposedView, ReadFaultEndsInIoErrorWithNoThreadLeft) {
+  // The same for the transposed build: the failed build certifies no
+  // cache, and the retry builds the view.
+  TempDir dir("partition");
+  io::Device dev = make_device(dir);
+  const GraphMeta meta = er_graph(dev);
+  const io::StoragePlan plan = io::StoragePlan::single(dev);
+  const PartitionedGraph pg = partition_edge_list(plan, meta, 3);
+  const std::size_t threads = thread_count();
+
+  dev.inject_read_faults(1);
+  EXPECT_THROW(build_transposed_view(plan, pg), io::IoError);
+  EXPECT_EQ(dev.pending_read_faults(), 0u);
+  EXPECT_EQ(thread_count(), threads);
+  EXPECT_FALSE(dev.exists(transposed_meta_file(pg)));
+  const TransposedView view = build_transposed_view(plan, pg);
+  EXPECT_EQ(view.in_edges_per_partition[0] + view.in_edges_per_partition[1] +
+                view.in_edges_per_partition[2],
+            meta.num_edges);
 }
 
 }  // namespace

@@ -1,16 +1,17 @@
 // AsyncWriter acceptance tests for DESIGN invariant 6:
-//  * a completed write is durable and byte-identical to the append
-//    sequence, across block boundaries and buffer sizes;
-//  * cancellation leaves the previous version of the target file intact
-//    and readable;
-//  * an injected device write failure auto-cancels the affected stream
-//    without killing the writer thread or sibling streams.
+//  * a completed write is durable and byte-identical to the handed-over
+//    blob, written in one device append per started kAppendBytes;
+//  * the hand-over never waits for the device;
+//  * cancellation stops the writer at its next append boundary and
+//    leaves the previous version of the target file intact and readable;
+//  * an injected device write failure fails the affected stream without
+//    killing the writer thread or the streams queued behind it.
 #include "storage/async_writer.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -48,52 +49,81 @@ Device make_device(const TempDir& dir) {
   return Device(dir.str(), DeviceModel::unthrottled());
 }
 
-TEST(AsyncWriter, StagedCompletionIsByteIdenticalAcrossBufferSizes) {
+/// A modelled disk writing at `write_mb_s` whose first write to a fresh
+/// file also pays `seek_ms`: slow enough that a test thread acts while
+/// the writer is still on the device.
+Device make_slow_device(const TempDir& dir, double write_mb_s,
+                        double seek_ms = 0.0) {
+  DeviceModel slow;
+  slow.name = "slow";
+  slow.write_mb_s = write_mb_s;
+  slow.seek_ns = static_cast<std::uint64_t>(seek_ms * 1e6);
+  slow.time_scale = 1.0;
+  return Device(dir.str(), slow);
+}
+
+TEST(AsyncWriter, MultiAppendBlobCommitsByteIdentical) {
+  // One device append per started kAppendBytes, whatever the blob's
+  // size, and the committed file is the blob.
   TempDir dir("aw");
   Device dev = make_device(dir);
-  fbfs::Rng rng(11);
-  const std::vector<std::byte> payload = make_payload(100'003, 42);
-
-  for (const std::size_t buffer_bytes : {7ul, 64ul, 4096ul}) {
-    AsyncWriter writer(buffer_bytes, 4);
-    const auto id = writer.begin_staged(dev, "stay.bin");
-    std::size_t off = 0;
-    while (off < payload.size()) {
-      // Ragged chunks, most larger than one pool buffer.
-      const std::size_t n = std::min<std::size_t>(
-          1 + rng.next_below(3 * buffer_bytes + 11), payload.size() - off);
-      ASSERT_TRUE(writer.append(
-          id, std::span<const std::byte>(payload.data() + off, n)));
-      off += n;
-    }
-    EXPECT_EQ(writer.bytes_accepted(id), payload.size());
-    writer.finish(id);
-    ASSERT_TRUE(writer.wait_complete(id, 60.0)) << "buffer=" << buffer_bytes;
+  AsyncWriter writer;
+  constexpr std::size_t kPiece = AsyncWriter::kAppendBytes;
+  for (const std::size_t bytes :
+       {std::size_t{0}, std::size_t{100'003}, kPiece, 2 * kPiece + 12'345}) {
+    SCOPED_TRACE("blob of " + std::to_string(bytes) + " bytes");
+    const std::vector<std::byte> payload = make_payload(bytes, bytes + 42);
+    const std::uint64_t ops_before = dev.stats().write_ops();
+    const auto id = writer.write_staged(dev, "stay.bin", payload);
+    ASSERT_TRUE(writer.wait_complete(id, 60.0));
     EXPECT_EQ(writer.state(id), AsyncWriter::StreamState::completed);
     writer.release(id);
 
+    EXPECT_EQ(dev.stats().write_ops() - ops_before,
+              (bytes + kPiece - 1) / kPiece);
     EXPECT_FALSE(dev.exists("stay.bin.wip"));
-    EXPECT_EQ(read_all(dev, "stay.bin"), payload) << "buffer=" << buffer_bytes;
+    EXPECT_EQ(read_all(dev, "stay.bin"), payload);
   }
 }
 
-TEST(AsyncWriter, CancellationLeavesThePreviousFileIntact) {
+TEST(AsyncWriter, HandOverReturnsBeforeTheDeviceTakesTheBlob) {
+  // The scan thread never waits for the stay device: an 8-append blob
+  // on a ~50 ms-per-append disk is handed over while the device holds
+  // at most the piece the writer started on.
   TempDir dir("aw");
-  Device dev = make_device(dir);
+  Device dev = make_slow_device(dir, 20.0);
+  AsyncWriter writer;
+  const std::vector<std::byte> big =
+      make_payload(8 * AsyncWriter::kAppendBytes, 6);
+  const auto id = writer.write_staged(dev, "stay.bin", big);
+  EXPECT_LT(dev.stats().bytes_written(), big.size());
+  ASSERT_TRUE(writer.wait_complete(id, 60.0));
+  writer.release(id);
+  EXPECT_EQ(read_all(dev, "stay.bin"), big);
+}
+
+TEST(AsyncWriter, CancellationLeavesThePreviousFileIntact) {
+  // A cancel issued mid-blob settles after at most the one append the
+  // writer had started, and the previous target stays untouched.
+  TempDir dir("aw");
+  Device dev = make_slow_device(dir, 20.0);
   const std::vector<std::byte> previous = make_payload(50'000, 7);
   write_file(dev, "stay.bin", previous);
 
-  AsyncWriter writer(1 << 10, 4);
-  const auto id = writer.begin_staged(dev, "stay.bin");
-  const std::vector<std::byte> replacement = make_payload(80'000, 8);
-  ASSERT_TRUE(writer.append(id, replacement));
-
+  AsyncWriter writer;
+  const std::vector<std::byte> replacement =
+      make_payload(8 * AsyncWriter::kAppendBytes, 8);
+  const std::uint64_t ops_before = dev.stats().write_ops();
+  const auto id = writer.write_staged(dev, "stay.bin", replacement);
+  while (dev.stats().write_ops() < ops_before + 2) {
+    std::this_thread::yield();
+  }
   writer.cancel(id);
+  const std::uint64_t ops_at_cancel = dev.stats().write_ops();
   EXPECT_EQ(writer.state(id), AsyncWriter::StreamState::cancelled);
-  // Cancelled streams reject further appends (producers notice and stop).
-  EXPECT_FALSE(writer.append(id, replacement));
   EXPECT_FALSE(writer.wait_complete(id, 60.0));
   writer.release(id);
+  EXPECT_LE(dev.stats().write_ops(), ops_at_cancel + 1);
 
   // The previous version is untouched and readable; the .wip is gone.
   EXPECT_EQ(read_all(dev, "stay.bin"), previous);
@@ -109,22 +139,12 @@ TEST(AsyncWriter, WriteFaultAutoCancelsOnlyTheAffectedStream) {
   write_file(bad, "stay.bin", old_stay);
   bad.inject_write_faults(100);  // the disk "dies"
 
-  AsyncWriter writer(256, 4);
-  const auto doomed = writer.begin_staged(bad, "stay.bin");
-  const auto healthy = writer.begin_staged(good, "out.bin");
-  const std::vector<std::byte> payload = make_payload(20'000, 4);
-
-  // Interleave appends; the doomed stream's flushes hit the fault.
-  std::size_t off = 0;
-  while (off < payload.size()) {
-    const std::size_t n = std::min<std::size_t>(1000, payload.size() - off);
-    writer.append(doomed, std::span<const std::byte>(payload.data() + off, n));
-    ASSERT_TRUE(writer.append(
-        healthy, std::span<const std::byte>(payload.data() + off, n)));
-    off += n;
-  }
-  writer.finish(doomed);
-  writer.finish(healthy);
+  // The healthy stream is queued behind the doomed one.
+  AsyncWriter writer;
+  const std::vector<std::byte> payload =
+      make_payload(AsyncWriter::kAppendBytes + 20'000, 4);
+  const auto doomed = writer.write_staged(bad, "stay.bin", payload);
+  const auto healthy = writer.write_staged(good, "out.bin", payload);
 
   EXPECT_FALSE(writer.wait_complete(doomed, 60.0));
   EXPECT_EQ(writer.state(doomed), AsyncWriter::StreamState::failed);
@@ -141,9 +161,7 @@ TEST(AsyncWriter, WriteFaultAutoCancelsOnlyTheAffectedStream) {
   // The writer thread survived: a fresh stream on the recovered device
   // completes normally.
   bad.inject_write_faults(0);
-  const auto retry = writer.begin_staged(bad, "stay.bin");
-  ASSERT_TRUE(writer.append(retry, payload));
-  writer.finish(retry);
+  const auto retry = writer.write_staged(bad, "stay.bin", payload);
   ASSERT_TRUE(writer.wait_complete(retry, 60.0));
   writer.release(retry);
   EXPECT_EQ(read_all(bad, "stay.bin"), payload);
@@ -153,20 +171,13 @@ TEST(AsyncWriter, GraceTimeoutThenCancelOnASlowDevice) {
   // The engine's trim pattern: bounded wait for the writer, cancel on
   // timeout, fall back to the previous file.
   TempDir dir("aw");
-  DeviceModel slow;
-  slow.name = "slow";
-  slow.write_mb_s = 10.0;  // 1 MiB ~ 0.105 s modelled
-  slow.read_mb_s = 0.0;
-  slow.time_scale = 1.0;
-  Device dev(dir.str(), slow);
+  Device dev = make_slow_device(dir, 10.0);  // 1 MiB ~ 0.105 s modelled
   const std::vector<std::byte> previous = make_payload(1000, 9);
   write_file(dev, "stay.bin", previous);  // ~0.1 ms, cheap
 
-  AsyncWriter writer(1 << 20, 4);
-  const auto id = writer.begin_staged(dev, "stay.bin");
+  AsyncWriter writer;
   const std::vector<std::byte> big = make_payload(2 * kMiB, 10);
-  ASSERT_TRUE(writer.append(id, big));
-  writer.finish(id);
+  const auto id = writer.write_staged(dev, "stay.bin", big);
 
   // Far shorter than the ~0.2 s the device needs.
   EXPECT_FALSE(writer.wait_complete(id, 0.02));
@@ -178,56 +189,21 @@ TEST(AsyncWriter, GraceTimeoutThenCancelOnASlowDevice) {
   EXPECT_FALSE(dev.exists("stay.bin.wip"));
 }
 
-TEST(AsyncWriter, DirectModeStreamsIntoAnOpenFile) {
-  // The micro-benchmark shape: begin(file), append chunks, finish, wait.
+TEST(AsyncWriter, ManyQueuedStreamsEachCommitTheirOwnBlob) {
+  // 8 streams handed over back to back: the one writer thread drains
+  // them in order, and each commits its own blob.
   TempDir dir("aw");
   Device dev = make_device(dir);
-  auto f = dev.open("direct.bin", true);
-  const std::vector<std::byte> chunk = make_payload(4096, 12);
-
-  AsyncWriter writer(1 << 16, 4);
-  const auto id = writer.begin(f.get());
-  for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE(writer.append(id, chunk));
-  }
-  writer.finish(id);
-  ASSERT_TRUE(writer.wait_complete(id, 60.0));
-  writer.release(id);
-
-  EXPECT_EQ(f->size(), 16u * chunk.size());
-  const std::vector<std::byte> back = read_all(dev, "direct.bin");
-  for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE(std::equal(chunk.begin(), chunk.end(),
-                           back.begin() + i * chunk.size()))
-        << "chunk " << i;
-  }
-}
-
-TEST(AsyncWriter, ManyStreamsShareATinyPool) {
-  // 8 streams through 2 buffers of 512 bytes: completion requires the
-  // writer thread to keep recycling buffers under backpressure.
-  TempDir dir("aw");
-  Device dev = make_device(dir);
-  AsyncWriter writer(512, 2);
+  AsyncWriter writer;
 
   constexpr int kStreams = 8;
   std::vector<AsyncWriter::StreamId> ids;
   std::vector<std::vector<std::byte>> payloads;
   for (int s = 0; s < kStreams; ++s) {
-    ids.push_back(writer.begin_staged(dev, "part-" + std::to_string(s)));
     payloads.push_back(make_payload(8000 + 17 * s, 100 + s));
+    ids.push_back(
+        writer.write_staged(dev, "part-" + std::to_string(s), payloads[s]));
   }
-  // Round-robin appends so every stream contends for the pool.
-  for (std::size_t off = 0; off < 9000; off += 300) {
-    for (int s = 0; s < kStreams; ++s) {
-      if (off >= payloads[s].size()) continue;
-      const std::size_t n =
-          std::min<std::size_t>(300, payloads[s].size() - off);
-      ASSERT_TRUE(writer.append(
-          ids[s], std::span<const std::byte>(payloads[s].data() + off, n)));
-    }
-  }
-  for (int s = 0; s < kStreams; ++s) writer.finish(ids[s]);
   for (int s = 0; s < kStreams; ++s) {
     ASSERT_TRUE(writer.wait_complete(ids[s], 60.0)) << "stream " << s;
     writer.release(ids[s]);
@@ -238,28 +214,27 @@ TEST(AsyncWriter, ManyStreamsShareATinyPool) {
 }
 
 TEST(AsyncWriter, ReleaseAutoCancelsAnActiveStream) {
+  // The first append pays a 300 ms seek, so the release lands while the
+  // stream is still active.
   TempDir dir("aw");
-  Device dev = make_device(dir);
-  AsyncWriter writer(1 << 10, 2);
-  const auto id = writer.begin_staged(dev, "stay.bin");
+  Device dev = make_slow_device(dir, 20.0, 300.0);
+  AsyncWriter writer;
   const std::vector<std::byte> data = make_payload(5000, 5);
-  ASSERT_TRUE(writer.append(id, data));
-  writer.release(id);  // never finished: auto-cancel
+  const auto id = writer.write_staged(dev, "stay.bin", data);
+  writer.release(id);  // never committed: auto-cancel
 
   EXPECT_FALSE(dev.exists("stay.bin"));
   EXPECT_FALSE(dev.exists("stay.bin.wip"));
 
   // The slot is gone but the writer still serves new streams.
-  const auto id2 = writer.begin_staged(dev, "stay.bin");
-  ASSERT_TRUE(writer.append(id2, data));
-  writer.finish(id2);
+  const auto id2 = writer.write_staged(dev, "stay.bin", data);
   ASSERT_TRUE(writer.wait_complete(id2, 60.0));
   writer.release(id2);
   EXPECT_EQ(read_all(dev, "stay.bin"), data);
 }
 
 TEST(AsyncWriter, CancelRacingCommitReportsTheDiskTruth) {
-  // finish() then an immediate cancel() races the writer thread's
+  // A cancel() right after the hand-over races the writer thread's
   // commit sequence. Whichever side wins, the reported terminal state
   // must match the disk: completed => the new bytes were renamed onto
   // the target; cancelled => the previous version is untouched. A
@@ -270,12 +245,10 @@ TEST(AsyncWriter, CancelRacingCommitReportsTheDiskTruth) {
   const std::vector<std::byte> previous = make_payload(64, 1);
   write_file(dev, "stay.bin", previous);
 
-  AsyncWriter writer(256, 2);
+  AsyncWriter writer;
   for (int round = 0; round < 50; ++round) {
     const std::vector<std::byte> fresh = make_payload(700, 100 + round);
-    const auto id = writer.begin_staged(dev, "stay.bin");
-    ASSERT_TRUE(writer.append(id, fresh));
-    writer.finish(id);
+    const auto id = writer.write_staged(dev, "stay.bin", fresh);
     writer.cancel(id);  // races the in-flight commit
     writer.wait_complete(id, 60.0);
     const auto state = writer.state(id);
@@ -294,27 +267,24 @@ TEST(AsyncWriter, CancelRacingCommitReportsTheDiskTruth) {
 }
 
 TEST(AsyncWriter, ReleaseAfterFaultLeavesNoStragglerHazard) {
-  // A write fault acks the stream from the writer's data handler while
-  // later chunks of the same stream may still sit in the work queue;
-  // release() can then erase the slot before those are drained. The
-  // stragglers must be discarded quietly and their buffers returned —
-  // the writer thread keeps serving new streams afterwards.
+  // A write fault on the first append fails the stream; the writer
+  // skips the blob's remaining appends, acknowledges, and keeps serving
+  // new streams once the producer has released the failed one.
   TempDir dir("aw");
   Device dev = make_device(dir);
-  const std::vector<std::byte> data = make_payload(8'000, 3);
+  const std::vector<std::byte> data =
+      make_payload(3 * AsyncWriter::kAppendBytes, 3);
+  AsyncWriter writer;
   for (int round = 0; round < 20; ++round) {
-    AsyncWriter writer(128, 2);  // 8000 bytes => ~62 queued data items
     dev.inject_write_faults(1);
-    const auto id = writer.begin_staged(dev, "stay.bin");
-    writer.append(id, data);  // first flushed chunk trips the fault
+    const auto id = writer.write_staged(dev, "stay.bin", data);
     writer.wait_complete(id, 60.0);
     EXPECT_EQ(writer.state(id), AsyncWriter::StreamState::failed);
     writer.release(id);
+    EXPECT_FALSE(dev.exists("stay.bin.wip"));
 
     dev.inject_write_faults(0);
-    const auto id2 = writer.begin_staged(dev, "stay.bin");
-    ASSERT_TRUE(writer.append(id2, data));
-    writer.finish(id2);
+    const auto id2 = writer.write_staged(dev, "stay.bin", data);
     ASSERT_TRUE(writer.wait_complete(id2, 60.0));
     writer.release(id2);
     EXPECT_EQ(read_all(dev, "stay.bin"), data);
@@ -323,17 +293,19 @@ TEST(AsyncWriter, ReleaseAfterFaultLeavesNoStragglerHazard) {
 
 TEST(AsyncWriter, DestructorAbandonsActiveStreamsSafely) {
   TempDir dir("aw");
-  Device dev = make_device(dir);
+  Device dev = make_slow_device(dir, 20.0, 300.0);
   const std::vector<std::byte> previous = make_payload(100, 1);
   write_file(dev, "stay.bin", previous);
   {
-    AsyncWriter writer(256, 2);
-    const auto id = writer.begin_staged(dev, "stay.bin");
-    writer.append(id, make_payload(10'000, 2));
-    // Neither finish nor release: the destructor must cancel and join.
+    AsyncWriter writer;
+    writer.write_staged(dev, "stay.bin", make_payload(10'000, 2));
+    writer.write_staged(dev, "other.bin", make_payload(10'000, 3));
+    // Never waited for nor released: the destructor must cancel and join.
   }
   EXPECT_EQ(read_all(dev, "stay.bin"), previous);
   EXPECT_FALSE(dev.exists("stay.bin.wip"));
+  EXPECT_FALSE(dev.exists("other.bin"));
+  EXPECT_FALSE(dev.exists("other.bin.wip"));
 }
 
 }  // namespace

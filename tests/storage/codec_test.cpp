@@ -160,26 +160,22 @@ TEST(Codec, RawAndVarintPreserveTheExactMultiset) {
                            .range_begin = begin,
                            .range_end = end};
   for (const Policy policy : {Policy::kRaw, Policy::kVarint, Policy::kAuto}) {
-    for (const ReaderMode mode : {ReaderMode::kPlain, ReaderMode::kPrefetch}) {
-      SCOPED_TRACE(std::string(to_string(policy)) + "/" + to_string(mode));
-      EncodeOptions opts = base;
-      opts.policy = policy;
-      CodecWriter<Upd> writer(dev, "upd", 256, opts);
-      for (const Upd& u : updates) writer.append(u);
-      ASSERT_EQ(writer.records_appended(), updates.size());
-      const auto result = writer.close();
-      ASSERT_EQ(result.staged_records, updates.size());
-      ASSERT_EQ(result.records, updates.size());  // no collapsing formats here
+    SCOPED_TRACE(to_string(policy));
+    EncodeOptions opts = base;
+    opts.policy = policy;
+    CodecWriter<Upd> writer(dev, "upd", 256, opts);
+    for (const Upd& u : updates) writer.append(u);
+    ASSERT_EQ(writer.records_appended(), updates.size());
+    const auto result = writer.close();
+    ASSERT_EQ(result.staged_records, updates.size());
+    ASSERT_EQ(result.records, updates.size());  // no collapsing formats here
 
-      ReaderOptions ropts;
-      ropts.mode = mode;
-      ropts.buffer_bytes = 64;  // tiny: force many decode batches
-      const std::vector<Upd> back =
-          read_all<Upd>(dev, "upd", ropts, updates.size());
-      EXPECT_EQ(sorted(back), sorted(updates));
-      if (policy == Policy::kRaw) {
-        EXPECT_EQ(back, updates);  // raw also preserves append order
-      }
+    // Tiny reads force many decode batches.
+    const std::vector<Upd> back =
+        read_all<Upd>(dev, "upd", {.buffer_bytes = 64}, updates.size());
+    EXPECT_EQ(sorted(back), sorted(updates));
+    if (policy == Policy::kRaw) {
+      EXPECT_EQ(back, updates);  // raw also preserves append order
     }
   }
 }
@@ -818,16 +814,6 @@ TEST(Codec, ReadAllWithoutExpectedCountTakesTheWholeFile) {
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].dst, 5u);
   EXPECT_EQ(got[1].dst, 3u);
-}
-
-TEST(CodecDeath, NonZeroReadOffsetIsFatal) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  TempDir dir("codec");
-  Device dev = make_device(dir);
-  write_bytes(dev, "upd", valid_file_bytes());
-  ReaderOptions opts;
-  opts.offset = 8;
-  EXPECT_DEATH(open_reader<Upd>(dev, "upd", opts), "offset");
 }
 
 }  // namespace

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/temp_dir.hpp"
-#include "storage/reader_factory.hpp"
 #include "storage/storage_plan.hpp"
 
 namespace fbfs::io {
@@ -256,26 +255,33 @@ TEST(RealBackendTest, InjectedWriteFaultsBehaveLikeModelled) {
   }
 }
 
-TEST(RealBackendTest, QueueDeepPrefetchRingStreamsTheFileIntact) {
-  TempDir dir("iobackend");
-  Device real(dir.str() + "/real", quiet(DeviceModel::unthrottled()),
-              {.kind = BackendKind::kReal, .queue_depth = 4});
-  const ReaderOptions opts = ReaderOptions::prefetch(
-      8 * 1024, real.backend_options().queue_depth);
-  EXPECT_EQ(opts.prefetch_depth, 4u);
-
-  // A ring as deep as the device's queue streams the file intact.
-  const auto data = pattern(100'000, /*seed=*/7);
-  {
-    auto f = real.open("stream", true);
+// Read faults are consumed above the backend seam too: one per
+// read_at, one per read_batch request, and a faulted batch transfers
+// nothing.
+TEST(RealBackendTest, InjectedReadFaultsBehaveLikeModelled) {
+  const auto data = pattern(100);
+  for (const BackendCase& bc : kBackendCases) {
+    SCOPED_TRACE(bc.tag);
+    TempDir dir("iobackend");
+    Device dev(dir.str(), quiet(DeviceModel::unthrottled()), bc.options);
+    auto f = dev.open("faulty", true);
     f->append(data.data(), data.size());
+
+    std::vector<std::byte> back(data.size());
+    std::vector<ReadRequest> batch = {
+        {f.get(), 0, back.data(), 50, 0},
+        {f.get(), 50, back.data() + 50, 50, 0}};
+    dev.inject_read_faults(2);
+    EXPECT_THROW(f->read_at(0, back.data(), back.size()), IoError);
+    EXPECT_THROW(dev.read_batch(batch), IoError);
+    EXPECT_EQ(dev.pending_read_faults(), 0u);
+    EXPECT_EQ(dev.stats().bytes_read(), 0u);
+
+    dev.read_batch(batch);
+    EXPECT_EQ(batch[0].got + batch[1].got, data.size());
+    EXPECT_EQ(back, data);
+    EXPECT_EQ(dev.stats().bytes_read(), data.size());
   }
-  auto reader = open_stream_reader(real, "stream", opts);
-  std::vector<std::byte> back(data.size());
-  ASSERT_EQ(reader->read(back.data(), back.size()), back.size());
-  EXPECT_EQ(back, data);
-  std::byte probe;
-  EXPECT_EQ(reader->read(&probe, 1), 0u);
 }
 
 }  // namespace

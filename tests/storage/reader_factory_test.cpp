@@ -1,12 +1,11 @@
-// ReaderFactory: the type-erased handles must deliver exactly what the
-// concrete readers deliver, for both modes, byte- and record-level,
-// owning and borrowing, from any record-aligned offset.
+// The reader entry points: `io.reader_buffer` sizes the reads, and a
+// ByteSource delivers exactly the bytes of its file or blob, with
+// position() tracking what it handed out.
 #include "storage/reader_factory.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <numeric>
 #include <vector>
 
 #include "common/temp_dir.hpp"
@@ -14,92 +13,27 @@
 namespace fbfs::io {
 namespace {
 
-struct Rec {
-  std::uint64_t a;
-  std::uint64_t b;
-};
-
-std::vector<Rec> write_fixture(Device& dev, const std::string& name,
-                               std::size_t count) {
-  std::vector<Rec> recs(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    recs[i] = {i, i * i + 1};
+/// Drains `reader` in 1000-byte reads, checking position() as it goes.
+std::vector<std::byte> drain(ByteSource& reader) {
+  std::vector<std::byte> got;
+  std::byte piece[1000];
+  for (std::size_t n = reader.read(piece, sizeof(piece)); n > 0;
+       n = reader.read(piece, sizeof(piece))) {
+    got.insert(got.end(), piece, piece + n);
+    EXPECT_EQ(reader.position(), got.size());
   }
-  auto file = dev.open(name, /*truncate=*/true);
-  RecordWriter<Rec> writer(*file, 1 << 12);
-  writer.append_batch(recs);
-  writer.flush();
-  return recs;
-}
-
-TEST(ReaderFactory, ModeNamesRoundTrip) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_EQ(parse_reader_mode("plain"), ReaderMode::kPlain);
-  EXPECT_EQ(parse_reader_mode("prefetch"), ReaderMode::kPrefetch);
-  EXPECT_STREQ(to_string(ReaderMode::kPlain), "plain");
-  EXPECT_STREQ(to_string(ReaderMode::kPrefetch), "prefetch");
-  EXPECT_DEATH(parse_reader_mode("mmap"), "valid values: plain, prefetch");
+  return got;
 }
 
 TEST(ReaderFactory, OptionsFromConfig) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const Config cfg = Config::parse_string(
-      "io.reader = prefetch\n"
-      "io.reader_buffer = 64K\n");
-  const ReaderOptions opts = reader_options_from_config(cfg);
-  EXPECT_EQ(opts.mode, ReaderMode::kPrefetch);
-  EXPECT_EQ(opts.buffer_bytes, 64u * 1024);
-
-  const ReaderOptions defaults = reader_options_from_config(Config());
-  EXPECT_EQ(defaults.mode, ReaderMode::kPlain);
-  EXPECT_EQ(defaults.buffer_bytes, 1u << 20);
-
-  EXPECT_DEATH(
-      reader_options_from_config(Config::parse_string("io.reader = turbo\n")),
-      "valid values: plain, prefetch");
-}
-
-TEST(ReaderFactory, BothModesDeliverIdenticalRecords) {
-  TempDir dir("reader_factory");
-  Device dev(dir.str(), DeviceModel::unthrottled());
-  const std::vector<Rec> recs = write_fixture(dev, "recs", 10'000);
-
-  for (const ReaderMode mode : {ReaderMode::kPlain, ReaderMode::kPrefetch}) {
-    // Buffer deliberately not a multiple of the record size's natural
-    // batch: exercises refills mid-stream.
-    auto reader =
-        open_record_reader<Rec>(dev, "recs", {mode, 3000 * sizeof(Rec), 0});
-    std::vector<Rec> got;
-    for (auto batch = reader->next_batch(); !batch.empty();
-         batch = reader->next_batch()) {
-      got.insert(got.end(), batch.begin(), batch.end());
-    }
-    ASSERT_EQ(got.size(), recs.size()) << to_string(mode);
-    ASSERT_EQ(std::memcmp(got.data(), recs.data(), recs.size() * sizeof(Rec)),
-              0)
-        << to_string(mode);
-  }
-}
-
-TEST(ReaderFactory, NextAndOffsetAgreeAcrossModes) {
-  TempDir dir("reader_factory");
-  Device dev(dir.str(), DeviceModel::unthrottled());
-  const std::vector<Rec> recs = write_fixture(dev, "recs", 257);
-
-  for (const ReaderMode mode : {ReaderMode::kPlain, ReaderMode::kPrefetch}) {
-    // Start mid-file, record-aligned.
-    const std::uint64_t skip = 100;
-    auto reader = open_record_reader<Rec>(dev, "recs",
-                                          {mode, 1 << 10, skip * sizeof(Rec)});
-    Rec r;
-    std::size_t i = skip;
-    while (reader->next(r)) {
-      ASSERT_EQ(r.a, recs[i].a);
-      ASSERT_EQ(r.b, recs[i].b);
-      ++i;
-    }
-    EXPECT_EQ(i, recs.size()) << to_string(mode);
-  }
+  const Config cfg = Config::parse_string("io.reader_buffer = 64K\n");
+  EXPECT_EQ(reader_options_from_config(cfg).buffer_bytes, 64u * 1024);
+  EXPECT_EQ(reader_options_from_config(Config()).buffer_bytes, 1u << 20);
+  // The retired reader-mode keys are not read, whatever they hold.
+  const Config retired = Config::parse_string(
+      "io.reader = turbo\n"
+      "io.prefetch_depth = 0\n");
+  EXPECT_EQ(reader_options_from_config(retired).buffer_bytes, 1u << 20);
 }
 
 TEST(ReaderFactory, ByteSourceMatchesFileContents) {
@@ -112,40 +46,11 @@ TEST(ReaderFactory, ByteSourceMatchesFileContents) {
   auto file = dev.open("bytes", /*truncate=*/true);
   file->append(payload.data(), payload.size());
 
-  for (const ReaderMode mode : {ReaderMode::kPlain, ReaderMode::kPrefetch}) {
-    auto reader = open_stream_reader(dev, "bytes", {mode, 777, 0});
-    std::vector<std::byte> got(payload.size());
-    std::size_t total = 0;
-    while (total < got.size()) {
-      const std::size_t n = reader->read(got.data() + total, 1000);
-      if (n == 0) break;
-      total += n;
-      EXPECT_EQ(reader->position(), total);
-    }
-    ASSERT_EQ(total, payload.size()) << to_string(mode);
-    ASSERT_EQ(std::memcmp(got.data(), payload.data(), payload.size()), 0);
-  }
-}
-
-TEST(ReaderFactory, BorrowingHandlesShareOneOpenFile) {
-  TempDir dir("reader_factory");
-  Device dev(dir.str(), DeviceModel::unthrottled());
-  const std::vector<Rec> recs = write_fixture(dev, "recs", 1'000);
-
-  auto file = dev.open("recs");
-  auto plain = open_record_reader<Rec>(*file, ReaderOptions::plain(1 << 10));
-  auto ahead =
-      open_record_reader<Rec>(*file, ReaderOptions::prefetch(1 << 10));
-  Rec a, b;
-  std::size_t count = 0;
-  while (plain->next(a)) {
-    ASSERT_TRUE(ahead->next(b));
-    ASSERT_EQ(a.a, b.a);
-    ASSERT_EQ(a.b, b.b);
-    ++count;
-  }
-  EXPECT_FALSE(ahead->next(b));
-  EXPECT_EQ(count, recs.size());
+  // A buffer that is no multiple of the read size: refills mid-read.
+  EXPECT_EQ(drain(*open_stream_reader(dev, "bytes", {.buffer_bytes = 777})),
+            payload);
+  EXPECT_EQ(dev.stats().bytes_read(), payload.size());
+  EXPECT_EQ(drain(*open_memory_reader(payload)), payload);
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
 // The acceptance suite for the GraphProgram API: BFS, on every
 // generator family, must produce BIT-IDENTICAL results from the
 // X-Stream preset of the streaming engine (Kind::kXstream) and the
-// in-memory reference — at multiple partition counts, with either
-// reader mode, at T∈{1,2,4} worker threads, at three memory budgets
-// rotated over those cells (every state and update file on the device,
-// exactly the states resident, the default), and regardless of device
-// placement.
+// in-memory reference — at multiple partition counts, at T∈{1,2,4}
+// worker threads, at two of three memory budgets per such cell (every
+// state and update file on the device, exactly the states resident, the
+// default), and regardless of device placement.
 // This is what licenses PR 4's I/O optimisations to validate against
 // inmem instead of re-deriving ground truth per algorithm.
 #include <gtest/gtest.h>
@@ -49,9 +48,9 @@ GraphMeta grid_meta(io::Device& dev) {
 }
 
 /// Runs `program` through the in-memory reference once, then through
-/// the streaming engine at two partition counts x both reader modes x
-/// T∈{1,2,4} worker threads, with three memory budgets rotated over
-/// those cells, demanding identical iteration counts, identical update
+/// the streaming engine at two partition counts x T∈{1,2,4} worker
+/// threads x two memory budgets, rotating the three budgets over those
+/// cells, demanding identical iteration counts, identical update
 /// totals, and byte-identical states.
 template <graph::GraphProgram P>
 void expect_equivalent(io::Device& dev, const GraphMeta& meta,
@@ -59,8 +58,6 @@ void expect_equivalent(io::Device& dev, const GraphMeta& meta,
   const auto reference = inmem::run_graph(dev, meta, program);
   const io::StoragePlan plan = io::StoragePlan::single(dev);
   const std::uint32_t partition_counts[] = {2, 5};
-  const io::ReaderMode modes[] = {io::ReaderMode::kPlain,
-                                  io::ReaderMode::kPrefetch};
   const std::uint32_t thread_counts[] = {1, 2, 4};
   const std::uint64_t budgets[] = {
       0, meta.num_vertices * sizeof(typename P::State),
@@ -69,19 +66,16 @@ void expect_equivalent(io::Device& dev, const GraphMeta& meta,
     const std::uint32_t parts = partition_counts[pi];
     const graph::PartitionedGraph pg =
         graph::partition_edge_list(plan, meta, parts);
-    for (std::size_t mi = 0; mi < std::size(modes); ++mi) {
-      const io::ReaderMode mode = modes[mi];
-      for (std::size_t ti = 0; ti < std::size(thread_counts); ++ti) {
-        const std::uint32_t threads = thread_counts[ti];
-        // Every budget meets every partition count, reader mode and
-        // thread count, and the matrix keeps its size.
-        const std::uint64_t budget = budgets[(pi + mi + ti) % 3];
+    for (std::size_t ti = 0; ti < std::size(thread_counts); ++ti) {
+      const std::uint32_t threads = thread_counts[ti];
+      // Every budget meets every partition count and thread count.
+      for (std::size_t bi = 0; bi < 2; ++bi) {
+        const std::uint64_t budget = budgets[(pi + ti + bi) % 3];
         SCOPED_TRACE(std::string(P::kName) + " on " + meta.name + ", P=" +
-                     std::to_string(parts) + ", reader=" + to_string(mode) +
-                     ", T=" + std::to_string(threads) +
+                     std::to_string(parts) + ", T=" +
+                     std::to_string(threads) +
                      ", budget=" + std::to_string(budget));
         engine::Options options;
-        options.reader.mode = mode;
         options.num_threads = threads;
         options.memory_budget_bytes = budget;
         // Budget-0 cells stream raw update files. The others write

@@ -150,7 +150,6 @@ TEST(XStream, EngineOptionsComeFromConfigKeys) {
   // The X-Stream arm has no keys of its own: its options come from the
   // io.*, engine.* and updates.* keys every kind shares.
   const Config cfg = Config::parse_string(
-      "io.reader = prefetch\n"
       "io.reader_buffer = 256K\n"
       "engine.write_buffer = 2M\n"
       "engine.max_iterations = 42\n"
@@ -159,7 +158,6 @@ TEST(XStream, EngineOptionsComeFromConfigKeys) {
       "updates.codec = auto\n"
       "updates.sieve = true\n");
   const engine::Options options = engine::options_from_config(cfg);
-  EXPECT_EQ(options.reader.mode, io::ReaderMode::kPrefetch);
   EXPECT_EQ(options.reader.buffer_bytes, 256u * 1024);
   EXPECT_EQ(options.write_buffer_bytes, 2u * 1024 * 1024);
   EXPECT_EQ(options.max_iterations, 42u);
